@@ -25,11 +25,10 @@ traj = trajectory(P, x0, max_steps=12, tol=1e-9, reference=SimplexPoint.vertex(3
 print(f"trajectory from {x0.coords} under (a,b,c)=({a},{b},{c}):")
 print(f"{'step':>4} {'x0':>12} {'x1':>12} {'x2':>12} {'phi':>12} {'closed form':>12}")
 phi0 = lyapunov(x0)
-for step, point in enumerate(traj.points):
+for step, x in enumerate(traj.coords):
     closed = lyapunov_closed_form(b, c, phi0, step)
-    x = point.coords
     print(f"{step:>4} {x[0]:>12.6g} {x[1]:>12.6g} {x[2]:>12.6g} {traj.lyapunov_values[step]:>12.6g} {closed:>12.6g}")
-print(f"stop reason: {traj.stop_reason} after {len(traj.points) - 1} steps")
+print(f"stop reason: {traj.stop_reason} after {len(traj) - 1} steps")
 print()
 
 # The iterated functional and the closed form agree to machine accuracy;

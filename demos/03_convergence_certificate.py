@@ -29,7 +29,7 @@ report = convergence_report(P, x0, n_max=12, tol=1e-9)
 print(f"mode: {report.mode} (the bound is proved for this shape)")
 print(f"{'step':>4} {'phi':>13} {'bound':>13} {'phi<=bound':>11} {'contraction':>12} {'coords<=2phi':>13}")
 phis = report.trajectory.lyapunov_values
-for n in range(len(report.trajectory.points)):
+for n in range(len(report.trajectory)):
     contraction = "-" if n == 0 else str(bool(report.squared_contraction_ok[n - 1]))
     coord = "-" if n == 0 else str(bool(report.coordinate_bound_ok[n - 1]))
     print(f"{n:>4} {phis[n]:>13.4e} {report.bounds[n]:>13.4e} {str(bool(report.bound_ok[n])):>11} {contraction:>12} {coord:>13}")

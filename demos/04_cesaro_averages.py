@@ -38,7 +38,7 @@ start = SimplexPoint(np.array([1 / 3 + 2e-4, 1 / 3 - 1e-4, 1 / 3 - 1e-4]))
 traj = trajectory(P_rps, start, max_steps=120, tol=1e-9, reference=SimplexPoint.uniform(3))
 print("Volterra RPS preset: orbit leaves the barycenter and cycles")
 for n in (0, 20, 40, 60, 80, 100, 120):
-    x = traj.points[n].coords
+    x = traj.coords[n]
     print(f"  step {n:>3}  x={np.round(x, 6)}  leading state {int(np.argmax(x))}")
 print(f"  never within 1e-9 of the barycenter: {traj.stop_reason == 'max_steps'}")
 

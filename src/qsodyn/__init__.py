@@ -79,6 +79,7 @@ from .operators import (
     SingleMaleCoefficients,
     SkewMatrix,
     apply,
+    apply_normalized,
     apply_unnormalized,
     build_f_qso,
     build_fqso_m2,

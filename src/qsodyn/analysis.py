@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import CubicMatrix, classify, proper_subsets, require_valid
-from .operators import FQsoSpec, build_f_qso
+from .operators import FQsoSpec, apply_normalized, build_f_qso
 
 #: Disclaimer attached to every scan report.
 EVIDENCE_NOTE = "randomized scan: evidence only, not a proof of convergence"
@@ -176,8 +176,7 @@ def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[
     if float(np.max(np.abs(x - vertex))) <= tol:
         first_hit = 0
     for step in range(1, iterations + 1):
-        y = np.einsum("ijk,i,j->k", P.p, x, x)
-        x = y / y.sum()
+        x = apply_normalized(P, x)
         if first_hit < 0 and float(np.max(np.abs(x - vertex))) <= tol:
             first_hit = step
     final_dist = float(np.max(np.abs(x - vertex)))
@@ -204,6 +203,8 @@ def conjecture_scan(
     (seed, trial index), so reports are reproducible and independent of
     execution order.  Non-convergent trials are counted, never raised.
     """
+    if m < 2:
+        raise ValueError("m must be >= 2")
     if trials < 1 or iterations < 1:
         raise ValueError("trials and iterations must be >= 1")
     if f_policy not in ("fixed", "all", "random"):

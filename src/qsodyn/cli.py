@@ -10,6 +10,7 @@ round-tripping representation so replays reload exact values.
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import analysis, dynamics
 from .core import QsoError, SimplexPoint, classify, validate_stochastic
 from .documents import DocumentError, expand, load_document
-from .operators import PRESETS, apply_unnormalized
+from .operators import PRESETS, apply_normalized
 
 DEFAULT_SEED = 0
 REPLAY_TOL = 1e-9
@@ -131,17 +132,17 @@ def cmd_trajectory(args) -> int:
     traj = dynamics.trajectory(P, x0, max_steps=args.steps, tol=args.tol, reference=reference)
 
     single_male = dynamics.is_single_male_shape(P)
+    dists = traj.dist_to_limit.tolist() if traj.dist_to_limit is not None else None
     handle, writer = _open_writer(args.output)
     with handle:
         writer.writerow(["step"] + [f"x_{i}" for i in range(P.n)] + ["phi", "phi_bound", "dist_max"])
-        for step, point in enumerate(traj.points):
-            phi = traj.lyapunov_values[step]
-            row = [str(step)] + [_fmt(v) for v in point.coords]
-            row.append("" if np.isnan(phi) else _fmt(phi))
+        for step, (coords, phi) in enumerate(zip(traj.coords.tolist(), traj.lyapunov_values.tolist())):
+            row = [str(step)] + [repr(v) for v in coords]
+            row.append("" if math.isnan(phi) else repr(phi))
             row.append(_fmt(dynamics.lyapunov_bound(step).value) if single_male else "")
-            row.append(_fmt(traj.dist_to_limit[step]) if traj.dist_to_limit is not None else "")
+            row.append(repr(dists[step]) if dists is not None else "")
             writer.writerow(row)
-    print(f"wrote {len(traj.points)} rows to {args.output}; stop reason: {traj.stop_reason}")
+    print(f"wrote {len(traj)} rows to {args.output}; stop reason: {traj.stop_reason}")
     return 0
 
 
@@ -253,33 +254,46 @@ def cmd_presets(args) -> int:
 # --- replay ----------------------------------------------------------------
 
 
-def _read_csv(path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        return list(csv.reader(handle))
+def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
+    """The data rows as columns; every row, the header included, must have ``width`` cells."""
+    for line, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise DocumentError(f"CSV line {line} has {len(row)} cells, expected {width}")
+    return list(zip(*rows[1:]))
+
+
+def _numbers(cells, dtype=float, optional: bool = False) -> np.ndarray:
+    """Parse CSV cells into finite numbers; with ``optional``, empty cells become NaN."""
+    if optional:
+        cells = [cell or "nan" for cell in cells]
+    try:
+        values = np.fromiter(map(dtype, cells), dtype=dtype, count=len(cells))
+    except (ValueError, OverflowError) as exc:
+        raise DocumentError(f"non-numeric CSV cell: {exc}") from None
+    if np.isinf(values).any() or (not optional and np.isnan(values).any()):
+        raise DocumentError("non-finite number in CSV")
+    return values
 
 
 def _replay_trajectory(rows: list[list[str]], args) -> int:
     if args.operator is None:
         raise DocumentError("replaying a trajectory CSV requires --operator")
     _, P = _load_matrix(args.operator)
-    header = rows[0]
-    n = len(header) - 4
-    if n != P.n or header[1 : 1 + n] != [f"x_{i}" for i in range(n)]:
+    n = P.n
+    if rows[0][1 : 1 + n] != [f"x_{i}" for i in range(n)]:
         raise DocumentError("CSV columns do not match the operator's state count")
+    columns = _columns(rows, n + 4)
+    steps = _numbers(columns[0], dtype=int)[1:].tolist()
+    X = np.column_stack([_numbers(col) for col in columns[1 : 1 + n]])
+    phi, bound, _ = (_numbers(col, optional=True)[1:] for col in columns[1 + n :])
+
+    nxt = X[1:]
     single_male = dynamics.is_single_male_shape(P)
-    worst = 0.0
-    for prev, nxt in zip(rows[1:], rows[2:]):
-        x = np.array([float(v) for v in prev[1 : 1 + n]])
-        y = apply_unnormalized(P, x)
-        y /= y.sum()
-        stored = np.array([float(v) for v in nxt[1 : 1 + n]])
-        worst = max(worst, float(np.max(np.abs(y - stored))))
-        if nxt[1 + n]:
-            phi = stored[1] * stored[2:].sum()
-            worst = max(worst, abs(phi - float(nxt[1 + n])))
-        if single_male and nxt[2 + n]:
-            bound = dynamics.lyapunov_bound(int(nxt[0])).value
-            worst = max(worst, abs(bound - float(nxt[2 + n])))
+    exact = [dynamics.lyapunov_bound(step).value if single_male else math.nan for step in steps]
+    kernel = np.abs(apply_normalized(P, X[:-1]) - nxt).ravel()
+    # Empty phi and bound cells read as NaN and are skipped.
+    stored = np.abs(np.concatenate([nxt[:, 1] * nxt[:, 2:].sum(axis=1) - phi, exact - bound]))
+    worst = float(np.max(np.concatenate([kernel, stored[~np.isnan(stored)]]), initial=0.0))
     print(f"replayed {len(rows) - 1} trajectory rows; max deviation {worst:.3e}")
     return 0 if worst <= REPLAY_TOL else 1
 
@@ -288,18 +302,13 @@ def _replay_ergodic(rows: list[list[str]], args) -> int:
     if args.operator is None:
         raise DocumentError("replaying an ergodic CSV requires --operator")
     _, P = _load_matrix(args.operator)
-    n = len(rows[0]) - 1
-    if n != P.n:
-        raise DocumentError("CSV columns do not match the operator's state count")
-    counts = [int(r[0]) for r in rows[1:]]
-    if not counts or counts[0] != 1:
+    columns = _columns(rows, P.n + 1)
+    counts = _numbers(columns[0], dtype=int).tolist()
+    if counts[0] != 1:
         raise DocumentError("ergodic CSV must start at n=1 so the start point is recoverable")
-    x0 = SimplexPoint(np.array([float(v) for v in rows[1][1:]]))
-    recomputed = dict(dynamics.cesaro_running(P, x0, counts))
-    worst = 0.0
-    for row in rows[1:]:
-        stored = np.array([float(v) for v in row[1:]])
-        worst = max(worst, float(np.max(np.abs(recomputed[int(row[0])] - stored))))
+    stored = np.column_stack([_numbers(col) for col in columns[1:]])
+    recomputed = np.array([avg for _, avg in dynamics.cesaro_running(P, SimplexPoint(stored[0]), counts)])
+    worst = float(np.max(np.abs(recomputed - stored)))
     print(f"replayed {len(rows) - 1} ergodic rows; max deviation {worst:.3e}")
     return 0 if worst <= REPLAY_TOL else 1
 
@@ -307,26 +316,31 @@ def _replay_ergodic(rows: list[list[str]], args) -> int:
 def _replay_conjecture(rows: list[list[str]], args) -> int:
     if args.m is None or args.iterations is None or args.tol is None:
         raise DocumentError("replaying a conjecture CSV requires --m, --iterations and --tol")
+    _, seeds, f_cells, steps, final_dists, converged = _columns(rows, 6)
+    seeds, steps, converged = (_numbers(col, dtype=int).tolist() for col in (seeds, steps, converged))
+    final_dists = _numbers(final_dists).tolist()
     worst = 0.0
     mismatches = 0
-    for row in rows[1:]:
-        _, seed, f_cell, steps, final_dist, converged = row
-        females = _parse_females(f_cell)
+    for seed, f_cell, steps1, dist1, conv1 in zip(seeds, f_cells, steps, final_dists, converged):
         _, steps2, dist2, conv2, _ = analysis.run_trial(
-            args.m, females, int(seed), args.iterations, args.tol
+            args.m, _parse_females(f_cell), seed, args.iterations, args.tol
         )
-        worst = max(worst, abs(dist2 - float(final_dist)))
-        if steps2 != int(steps) or conv2 != (converged == "1"):
+        worst = max(worst, abs(dist2 - dist1))
+        if steps2 != steps1 or conv2 != (conv1 == 1):
             mismatches += 1
     print(f"replayed {len(rows) - 1} conjecture rows; max deviation {worst:.3e}, mismatches {mismatches}")
     return 0 if worst <= REPLAY_TOL and mismatches == 0 else 1
 
 
 def cmd_replay(args) -> int:
-    rows = _read_csv(args.csvfile)
-    if not rows or len(rows) < 2:
+    try:
+        with open(args.csvfile, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except csv.Error as exc:
+        raise DocumentError(f"unreadable CSV: {exc}") from exc
+    if len(rows) < 2:
         raise DocumentError("CSV has no data rows")
-    head = rows[0][0]
+    head = rows[0][0] if rows[0] else ""
     if head == "step":
         return _replay_trajectory(rows, args)
     if head == "n":

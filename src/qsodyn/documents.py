@@ -19,6 +19,8 @@ from .operators import FQsoSpec, SkewMatrix, build_f_qso, cubic_from_skew, prese
 
 SCHEMA_VERSION = "1"
 KINDS = ("cubic", "f_qso", "volterra_skew", "preset")
+#: What a builder raises for a payload of the wrong types or values.
+_REJECTED = (ValueError, TypeError, OverflowError, QsoError)
 
 
 class DocumentError(QsoError):
@@ -105,6 +107,10 @@ def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
             raise DocumentError(f"cubic entry {row!r} out of range for n={n}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise DocumentError(f"cubic entry {row!r} has a non-numeric value")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DocumentError(f"cubic entry {row!r} is out of floating-point range") from None
         if i > j and not symmetrize:
             raise DocumentError(
                 f"cubic entry {row!r} has i > j; store pairs with i <= j, or load with symmetrize"
@@ -112,7 +118,7 @@ def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
         key = (min(i, j), max(i, j), k)
         if not symmetrize and key in collected:
             raise DocumentError(f"duplicate cubic entry for pair {key}")
-        collected.setdefault(key, []).append(float(value))
+        collected.setdefault(key, []).append(value)
     p = np.zeros((n, n, n))
     for (i, j, k), values in collected.items():
         value = sum(values) / len(values)
@@ -126,14 +132,18 @@ def _expand_f_qso(n: int, payload: dict) -> CubicMatrix:
     mixed_rows = payload.get("mixed")
     if not isinstance(females, list) or not isinstance(mixed_rows, list):
         raise DocumentError("f_qso payload needs 'f' (list) and 'mixed' (list)")
+    if not all(isinstance(i, int) for i in females):
+        raise DocumentError(f"female set {females!r} must list integer states")
     mixed = {}
     for row in mixed_rows:
         if not isinstance(row, dict) or not {"i", "j", "dist"} <= set(row):
             raise DocumentError(f"mixed row {row!r} needs keys i, j, dist")
-        mixed[(row["i"], row["j"])] = np.asarray(row["dist"], dtype=float)
+        if not all(isinstance(row[key], int) for key in ("i", "j")):
+            raise DocumentError(f"mixed row {row!r} has non-integer states")
+        mixed[(row["i"], row["j"])] = row["dist"]
     try:
         spec = FQsoSpec(n=n, females=frozenset(females), mixed=mixed)
-    except (ValueError, TypeError) as exc:
+    except _REJECTED as exc:
         raise DocumentError(f"f_qso payload invalid: {exc}") from exc
     return build_f_qso(spec)
 
@@ -144,7 +154,7 @@ def _expand_skew(n: int, payload: dict) -> CubicMatrix:
         raise DocumentError("volterra_skew payload needs an 'a' matrix")
     try:
         skew = SkewMatrix(np.asarray(rows, dtype=float))
-    except (ValueError, QsoError) as exc:
+    except _REJECTED as exc:
         raise DocumentError(f"skew payload invalid: {exc}") from exc
     if skew.m != n:
         raise DocumentError(f"skew matrix is {skew.m}x{skew.m} but document declares n={n}")
@@ -158,7 +168,7 @@ def _expand_preset(n: int, payload: dict) -> CubicMatrix:
         raise DocumentError("preset payload needs 'name' (string) and optional 'params' (object)")
     try:
         matrix = preset(name, **params)
-    except (ValueError, TypeError, QsoError) as exc:
+    except _REJECTED as exc:
         raise DocumentError(f"preset payload invalid: {exc}") from exc
     if matrix.n != n:
         raise DocumentError(f"preset {name!r} has n={matrix.n} but document declares n={n}")

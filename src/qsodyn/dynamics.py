@@ -29,7 +29,7 @@ from .core import (
     renormalize,
     require_valid,
 )
-from .operators import apply, apply_unnormalized, build_fqso_m2
+from .operators import apply_normalized, apply_unnormalized, build_fqso_m2
 
 #: Once the Lyapunov value falls below this, a single-male trajectory is
 #: snapped to the exact vertex: the next true iterate is provably within
@@ -118,30 +118,29 @@ def is_single_male_shape(P: CubicMatrix) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """An orbit x(0), x(1) = V(x(0)), ... with per-step diagnostics.
+    """An orbit x(0), x(1) = V(x(0)), ... as a read-only (len, n) array, with diagnostics.
 
     ``lyapunov_values[n]`` is the convergence functional at step n (NaN
-    when dim < 3); ``dist_to_limit`` holds max-norm distances to the
-    reference point when one was given.  Each point is the image of its
+    when n < 3 states); ``dist_to_limit`` holds max-norm distances to the
+    reference point when one was given.  Each row is the image of its
     predecessor, with one documented exception: when a single-male
-    trajectory's functional drops below ``PHI_UNDERFLOW`` the final
-    point is snapped to the exact vertex (the true iterate differs from
-    it by at most twice that threshold).
+    trajectory's functional drops below ``PHI_UNDERFLOW`` the final row is
+    snapped to the exact vertex (the true iterate differs from it by at
+    most twice that threshold).
     """
 
-    points: tuple[SimplexPoint, ...]
+    coords: np.ndarray
     lyapunov_values: np.ndarray
     dist_to_limit: np.ndarray | None
     stop_reason: str
     tol: float | None
 
-    @property
-    def coords(self) -> np.ndarray:
-        """All points stacked into an array of shape (len(points), n)."""
-        return np.stack([pt.coords for pt in self.points])
-
     def __len__(self) -> int:
-        return len(self.points)
+        return self.coords.shape[0]
+
+
+def _max_dist(x: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(x - ref)))
 
 
 def trajectory(
@@ -157,7 +156,9 @@ def trajectory(
     ``stop_reason="converged"`` when a reference point and tolerance are
     given and the max-norm distance to the reference falls within
     ``tol`` (checked from step 0 onward), or when the single-male
-    underflow snap fires.
+    underflow snap fires, or with ``"invalid_state"`` when a step leaves
+    the simplex (a non-finite, negative or non-unit-sum image, which a
+    validated matrix cannot produce from a simplex point).
     """
     require_valid(P)
     if x0.dim != P.n:
@@ -167,62 +168,41 @@ def trajectory(
     if reference is not None and reference.dim != P.n:
         raise DimensionError("reference dimension does not match the operator")
 
-    snap_enabled = is_single_male_shape(P)
-    vertex = SimplexPoint.vertex(P.n) if snap_enabled else None
     ref = reference.coords if reference is not None else None
-    has_phi = P.n >= 3
+    watch = ref is not None and tol is not None
+    vertex = SimplexPoint.vertex(P.n).coords
+    # The snap claims convergence to the vertex; honor a user-supplied
+    # reference only when the vertex itself satisfies it.
+    snap = is_single_male_shape(P) and (not watch or _max_dist(vertex, ref) <= tol)
 
-    points = [x0]
-    phis = [_lyapunov_raw(x0.coords) if has_phi else math.nan]
-    dists = [float(np.max(np.abs(x0.coords - ref)))] if ref is not None else None
-    stop = STOP_MAX_STEPS
+    x = x0.coords
+    rows = [x]
+    for count in range(max_steps + 1):
+        if watch and _max_dist(x, ref) <= tol:
+            stop = STOP_CONVERGED
+            break
+        if count == max_steps:
+            stop = STOP_MAX_STEPS
+            break
+        if snap and _lyapunov_raw(x) < PHI_UNDERFLOW:
+            if not np.array_equal(x, vertex):
+                rows.append(vertex)
+            stop = STOP_CONVERGED
+            break
+        x = apply_normalized(P, x)
+        # A NaN fails the first comparison, an infinity the second.
+        if not (x.min() >= 0.0 and abs(x.sum() - 1.0) <= TOL_SUM):
+            stop = STOP_INVALID
+            break
+        rows.append(x)
 
-    def converged_here(pt: SimplexPoint) -> bool:
-        if ref is None or tol is None:
-            return False
-        return float(np.max(np.abs(pt.coords - ref))) <= tol
-
-    def snap_allowed() -> bool:
-        # The snap claims convergence to the vertex; honor a user-supplied
-        # reference only when the vertex itself satisfies it.
-        if not snap_enabled:
-            return False
-        if ref is None or tol is None:
-            return True
-        return float(np.max(np.abs(vertex.coords - ref))) <= tol
-
-    def record(pt: SimplexPoint) -> None:
-        points.append(pt)
-        phis.append(_lyapunov_raw(pt.coords) if has_phi else math.nan)
-        if dists is not None:
-            dists.append(float(np.max(np.abs(pt.coords - ref))))
-
-    x = x0
-    if converged_here(x0):
-        stop = STOP_CONVERGED
-    else:
-        for _ in range(max_steps):
-            if snap_allowed() and phis[-1] < PHI_UNDERFLOW:
-                if np.array_equal(x.coords, vertex.coords):
-                    stop = STOP_CONVERGED
-                    break
-                record(vertex)
-                stop = STOP_CONVERGED
-                break
-            try:
-                x = apply(P, x)
-            except Exception:
-                stop = STOP_INVALID
-                break
-            record(x)
-            if converged_here(x):
-                stop = STOP_CONVERGED
-                break
-
+    coords = np.array(rows)
+    coords.flags.writeable = False
+    phis = coords[:, 1] * coords[:, 2:].sum(axis=1) if P.n >= 3 else np.full(len(rows), math.nan)
     return Trajectory(
-        points=tuple(points),
-        lyapunov_values=np.asarray(phis),
-        dist_to_limit=np.asarray(dists) if dists is not None else None,
+        coords=coords,
+        lyapunov_values=phis,
+        dist_to_limit=np.max(np.abs(coords - ref), axis=1) if ref is not None else None,
         stop_reason=stop,
         tol=tol,
     )
@@ -238,15 +218,12 @@ def iterate_batch(P: CubicMatrix, starts: np.ndarray, steps: int, return_history
     X = np.array(starts, dtype=float, copy=True)
     if X.ndim != 2 or X.shape[1] != P.n:
         raise DimensionError(f"starts of shape {X.shape} do not match operator with n={P.n}")
-    history = [X.copy()] if return_history else None
+    history = [X]
     for _ in range(steps):
-        X = np.einsum("ijk,bi,bj->bk", P.p, X, X)
-        X /= X.sum(axis=1, keepdims=True)
+        X = apply_normalized(P, X)
         if return_history:
-            history.append(X.copy())
-    if return_history:
-        return np.stack(history)
-    return X
+            history.append(X)
+    return np.stack(history) if return_history else X
 
 
 class FixedPointCandidate(NamedTuple):
@@ -308,7 +285,7 @@ def _polish(P: CubicMatrix, guess: np.ndarray) -> np.ndarray | None:
     x0 = np.clip(guess, 0.0, 1.0)
     try:
         sol = least_squares(fun, x0, bounds=(0.0, 1.0), xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    except Exception:
+    except ValueError:  # infeasible start or non-finite residuals
         return None
     x = np.clip(sol.x, 0.0, None)
     total = x.sum()
@@ -349,11 +326,8 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
         x0 = draw / draw.sum()
         x = x0
         for _ in range(200):
-            x_next = apply_unnormalized(P, x)
-            x_next /= x_next.sum()
-            settled = np.array_equal(x_next, x)
-            x = x_next
-            if settled:
+            x, previous = apply_normalized(P, x), x
+            if np.array_equal(x, previous):
                 break
         if consider(x):
             continue
@@ -382,18 +356,7 @@ def cesaro_average(P: CubicMatrix, x0: SimplexPoint, n: int) -> SimplexPoint:
     A convex combination of simplex points, so the result is a valid
     point; ``n = 1`` returns ``x0`` itself.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    require_valid(P)
-    if x0.dim != P.n:
-        raise DimensionError(f"start of dim {x0.dim} does not match operator with n={P.n}")
-    acc = np.zeros(P.n)
-    x = x0.coords
-    for _ in range(n):
-        acc += x
-        y = apply_unnormalized(P, x)
-        x = y / y.sum()
-    mean = acc / n
+    [(_, mean)] = cesaro_running(P, x0, [n])
     try:
         return SimplexPoint(mean)
     except InvalidPointError:  # accumulated rounding; project back
@@ -405,20 +368,18 @@ def cesaro_running(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]) -> lis
     if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing and start at >= 1")
     require_valid(P)
+    if x0.dim != P.n:
+        raise DimensionError(f"start of dim {x0.dim} does not match operator with n={P.n}")
     out: list[tuple[int, np.ndarray]] = []
     acc = np.zeros(P.n)
     x = x0.coords
-    targets = iter(schedule)
-    target = next(targets)
+    wanted = set(schedule)
     for count in range(1, schedule[-1] + 1):
+        if count > 1:
+            x = apply_normalized(P, x)
         acc += x
-        if count == target:
+        if count in wanted:
             out.append((count, acc / count))
-            target = next(targets, None)
-            if target is None:
-                break
-        y = apply_unnormalized(P, x)
-        x = y / y.sum()
     return out
 
 
@@ -474,14 +435,10 @@ def convergence_report(
     traj = trajectory(P, x0, max_steps=n_max)
     coords = traj.coords
     phis = traj.lyapunov_values
-    steps = len(traj.points)
-
-    bounds = np.array([lyapunov_bound(n).value for n in range(steps)])
+    bounds = np.array([lyapunov_bound(n).value for n in range(len(traj))])
     bound_ok = phis <= bounds + 1e-15
     squared_contraction_ok = phis[1:] <= phis[:-1] ** 2 + 1e-15
-    coordinate_bound_ok = np.array(
-        [bool(np.all(coords[n + 1, 1:] <= 2.0 * phis[n] + 1e-12)) for n in range(steps - 1)]
-    )
+    coordinate_bound_ok = np.all(coords[1:, 1:] <= 2.0 * phis[:-1, None] + 1e-12, axis=1)
 
     male_identity_residuals = None
     if P.n == 3:

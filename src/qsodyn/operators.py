@@ -31,27 +31,37 @@ SKEW_TOL = 1e-11
 
 
 def apply_unnormalized(P: CubicMatrix, values) -> np.ndarray:
-    """Raw quadratic image ``y_k = sum_{i,j} p[i,j,k] x_i x_j``, no simplex checks.
+    """Raw quadratic image ``y_k = sum_{i,j} p[i,j,k] x_i x_j``: the package's one kernel.
 
-    Accepts any coordinate vector (useful for fixed-point residuals at
-    off-simplex candidates, where clamping would falsify the algebra).
+    ``values`` is a point (n,) or a batch (B, n) of any coordinates, with
+    no simplex checks (fixed-point residuals need off-simplex candidates,
+    where clamping would falsify the algebra).
     """
-    x = np.asarray(values, dtype=float)
-    if x.shape != (P.n,):
-        raise DimensionError(f"point of dim {x.shape} does not match operator with n={P.n}")
-    return np.einsum("ijk,i,j->k", P.p, x, x)
+    X = np.asarray(values, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != P.n:
+        raise DimensionError(f"point of dim {X.shape} does not match operator with n={P.n}")
+    return np.einsum("ijk,...i,...j->...k", P.p, X, X)
+
+
+def apply_normalized(P: CubicMatrix, values) -> np.ndarray:
+    """One iteration step: :func:`apply_unnormalized` divided by its coordinate sum.
+
+    No simplex checks; callers that need a simplex point check the result.
+    """
+    Y = apply_unnormalized(P, values)
+    Y /= Y.sum(axis=-1, keepdims=True)
+    return Y
 
 
 def apply(P: CubicMatrix, x: SimplexPoint) -> SimplexPoint:
-    """One step of the operator: quadratic image, renormalized onto the simplex.
+    """One step of the operator, returned as a validated simplex point.
 
     ``P`` must pass :func:`qsodyn.core.validate_stochastic`; validity is
     a precondition and is not re-checked per step.  For a valid matrix
-    the pre-renormalization image sums to 1 within ``TOL_SUM``.
+    the image of a simplex point is nonnegative and sums to 1 within
+    ``TOL_SUM`` before the division.
     """
-    if x.dim != P.n:
-        raise DimensionError(f"point of dim {x.dim} does not match operator with n={P.n}")
-    return renormalize(apply_unnormalized(P, x.coords))
+    return SimplexPoint(apply_normalized(P, x.coords))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +100,7 @@ class FQsoSpec:
             arr = np.asarray(dist, dtype=float)
             if arr.shape != (self.n,):
                 raise ValueError(f"distribution for pair {key} has shape {arr.shape}, expected ({self.n},)")
-            if np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > TOL_SUM:
+            if not (np.all(arr >= 0.0) and abs(float(arr.sum()) - 1.0) <= TOL_SUM):
                 raise ValueError(f"distribution for pair {key} is not a probability vector")
             frozen[key] = _as_readonly(arr)
         object.__setattr__(self, "females", females)
@@ -133,7 +143,7 @@ def build_fqso_m2(a: float, b: float, c: float) -> CubicMatrix:
 
         x0' = 1 - 2(1-a) x1 x2,   x1' = 2b x1 x2,   x2' = 2c x1 x2.
     """
-    if min(a, b, c) < 0.0 or abs((a + b + c) - 1.0) > TOL_SUM:
+    if not (min(a, b, c) >= 0.0 and abs((a + b + c) - 1.0) <= TOL_SUM):
         raise ValueError(f"(a, b, c) = {(a, b, c)} must be nonnegative and sum to 1")
     spec = FQsoSpec(n=3, females=frozenset({2}), mixed={(2, 1): np.array([a, b, c], dtype=float)})
     return build_f_qso(spec)
@@ -156,7 +166,7 @@ class SingleMaleCoefficients:
             raise DimensionError(
                 f"table shape {arr.shape} invalid: expected (m-1, m+1) with m >= 2"
             )
-        if np.any(arr < 0.0) or np.any(np.abs(arr.sum(axis=1) - 1.0) > TOL_SUM):
+        if not (np.all(arr >= 0.0) and np.all(np.abs(arr.sum(axis=1) - 1.0) <= TOL_SUM)):
             raise ValueError("every row must be a probability distribution")
         object.__setattr__(self, "table", _as_readonly(arr))
 
@@ -209,9 +219,9 @@ class SkewMatrix:
             raise DimensionError("need at least 2 states")
         if np.any(np.diagonal(arr) != 0.0):
             raise ValueError("diagonal entries must be exactly 0")
-        if np.max(np.abs(arr + arr.T)) > SKEW_TOL:
+        if not np.max(np.abs(arr + arr.T)) <= SKEW_TOL:
             raise ValueError("matrix is not antisymmetric")
-        if np.max(np.abs(arr)) > 1.0 + SKEW_TOL:
+        if not np.max(np.abs(arr)) <= 1.0 + SKEW_TOL:
             raise ValueError("entries must satisfy |a| <= 1")
         object.__setattr__(self, "a", _as_readonly(arr))
 

@@ -262,7 +262,7 @@ def test_criterion_7_ergodic_averages_and_irregular_contrast():
     start = SimplexPoint(np.array([1 / 3 + 2e-4, 1 / 3 - 1e-4, 1 / 3 - 1e-4]))
     traj = trajectory(preset("ganikhodzhaev_v0"), start, max_steps=10_000, tol=1e-9, reference=bary)
     ok_contrast = traj.stop_reason == "max_steps" and float(np.min(traj.dist_to_limit[1:])) > 1e-9
-    leaders = {int(np.argmax(pt.coords)) for pt in traj.points[:120]}
+    leaders = {int(np.argmax(x)) for x in traj.coords[:120]}
     ok_cycling = leaders == {0, 1, 2}
     verdict(
         "7",

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, CSV contracts, replay checks."""
 
 import csv
+import json
 import subprocess
 import sys
 
@@ -233,6 +234,105 @@ class TestReplayDispatch:
         out_csv = tmp_path / "traj.csv"
         main(["trajectory", m2_doc, "--start", "uniform", "--steps", "3", "--output", str(out_csv)])
         assert main(["replay", str(out_csv)]) == 2
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+class TestReplayRejectsMalformedCsv:
+    """Every replay path parses its numeric block once and exits 2 on bad cells."""
+
+    def trajectory_csv(self, doc, tmp_path):
+        out_csv = tmp_path / "traj.csv"
+        assert main(["trajectory", doc, "--start", "random:3", "--steps", "6", "--output", str(out_csv)]) == 0
+        return out_csv, read_rows(out_csv)
+
+    def test_truncated_last_trajectory_row(self, m2_doc, tmp_path, capsys):
+        out_csv, rows = self.trajectory_csv(m2_doc, tmp_path)
+        rows[-1] = rows[-1][:2]
+        write_rows(out_csv, rows)
+        assert main(["replay", str(out_csv), "--operator", m2_doc]) == 2
+        assert "cells, expected 7" in capsys.readouterr().err
+
+    def test_non_numeric_trajectory_cell(self, m2_doc, tmp_path):
+        out_csv, rows = self.trajectory_csv(m2_doc, tmp_path)
+        rows[3][2] = "abc"
+        write_rows(out_csv, rows)
+        assert main(["replay", str(out_csv), "--operator", m2_doc]) == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", ""])
+    def test_non_finite_or_empty_coordinate(self, m2_doc, tmp_path, cell):
+        out_csv, rows = self.trajectory_csv(m2_doc, tmp_path)
+        rows[2][1] = cell
+        write_rows(out_csv, rows)
+        assert main(["replay", str(out_csv), "--operator", m2_doc]) == 2
+
+    def test_blank_row_inside_data(self, single_male_doc, tmp_path):
+        out_csv, rows = self.trajectory_csv(single_male_doc, tmp_path)
+        rows.insert(2, [])
+        write_rows(out_csv, rows)
+        assert main(["replay", str(out_csv), "--operator", single_male_doc]) == 2
+
+    def test_blank_first_line(self, m2_doc, tmp_path):
+        out_csv, _ = self.trajectory_csv(m2_doc, tmp_path)
+        out_csv.write_text("\n" + out_csv.read_text())
+        assert main(["replay", str(out_csv), "--operator", m2_doc]) == 2
+
+    @pytest.mark.parametrize("start", ["random:4", "uniform"])
+    def test_truncated_ergodic_row(self, rps_doc, tmp_path, start):
+        """With a uniform start on the RPS preset (a fixed point) the old code passed the replay."""
+        out_csv = tmp_path / "avg.csv"
+        assert main(["ergodic", rps_doc, "--start", start, "--n", "16", "--output", str(out_csv)]) == 0
+        rows = read_rows(out_csv)
+        rows[3] = rows[3][:2]
+        write_rows(out_csv, rows)
+        assert main(["replay", str(out_csv), "--operator", rps_doc]) == 2
+
+    def test_non_integer_ergodic_count(self, rps_doc, tmp_path):
+        out_csv = tmp_path / "avg.csv"
+        assert main(["ergodic", rps_doc, "--start", "random:4", "--n", "16", "--output", str(out_csv)]) == 0
+        rows = read_rows(out_csv)
+        rows[2][0] = "2.5"
+        write_rows(out_csv, rows)
+        assert main(["replay", str(out_csv), "--operator", rps_doc]) == 2
+
+    @pytest.mark.parametrize("row", [["0", "1", "2"], ["0", "x", "2", "3", "0.0", "1"], []])
+    def test_malformed_conjecture_row(self, tmp_path, row):
+        out = tmp_path / "scan.csv"
+        assert main(["conjecture", "--m", "3", "--f", "2", "--trials", "3", "--csv", str(out)]) == 0
+        rows = read_rows(out)
+        rows.insert(2, row)
+        write_rows(out, rows)
+        assert main(["replay", str(out), "--m", "3", "--iterations", "50", "--tol", "1e-8"]) == 2
+
+    def test_oversized_field_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("step," + "9" * 200_000 + "\n1,2\n")
+        assert main(["replay", str(path)]) == 2
+
+
+class TestMalformedDocumentsExit2:
+    @pytest.mark.parametrize(
+        "kind, n, payload",
+        [
+            ("f_qso", 3, {"f": [2], "mixed": [{"i": 2, "j": 1, "dist": {"a": 1}}]}),
+            ("f_qso", 3, {"f": [2], "mixed": [{"i": [2], "j": 1, "dist": [0.0, 0.5, 0.5]}]}),
+            ("f_qso", 3, {"f": [2.0], "mixed": [{"i": 2, "j": 1, "dist": [0.0, 0.5, 0.5]}]}),
+            ("volterra_skew", 2, {"a": [{"x": 0}, {"y": 1}]}),
+            ("cubic", 2, {"entries": [[0, 0, 0, 10**400]]}),
+            ("preset", 3, {"name": "fqso_m2", "params": {"a": 10**400, "b": 0.0, "c": 0.0}}),
+        ],
+    )
+    def test_validate_exits_2(self, tmp_path, capsys, kind, n, payload):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"schema_version": "1", "kind": kind, "n": n, "payload": payload}))
+        assert main(["validate", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_conjecture_needs_two_states(self):
+        assert main(["conjecture", "--m", "1", "--f-policy", "all", "--trials", "2"]) == 2
 
 
 class TestEntryPoint:

@@ -185,3 +185,15 @@ class TestOtherKinds:
         P = expand(doc)
         assert P.n == 4
         assert validate_stochastic(P).ok
+
+    @pytest.mark.parametrize(
+        "kind, n, payload",
+        [
+            ("f_qso", 3, {"f": [2], "mixed": [{"i": 2, "j": 1, "dist": {"a": 1}}]}),
+            ("f_qso", 3, {"f": [2], "mixed": [{"i": [2], "j": 1, "dist": [0.0, 0.5, 0.5]}]}),
+            ("volterra_skew", 2, {"a": [{"x": 0}, {"y": 1}]}),
+        ],
+    )
+    def test_wrong_payload_types_are_document_errors(self, kind, n, payload):
+        with pytest.raises(DocumentError):
+            expand(OperatorDocument(kind=kind, n=n, payload=payload))

@@ -17,6 +17,7 @@ from qsodyn import (
     build_fqso_m2,
     build_single_male,
     cesaro_average,
+    cesaro_running,
     convergence_report,
     find_fixed_points,
     fixed_points_m2,
@@ -29,6 +30,7 @@ from qsodyn import (
     sample_random_f_qso,
     trajectory,
 )
+from qsodyn import dynamics
 from helpers import random_simplex, random_simplex_batch
 
 
@@ -145,7 +147,7 @@ class TestTrajectory:
             reference=SimplexPoint.vertex(3),
         )
         assert traj.stop_reason == "converged"
-        assert len(traj.points) <= 7
+        assert len(traj) <= 7
         assert traj.dist_to_limit[-1] <= 1e-9
 
     def test_vertex_start_converges_at_step_zero(self):
@@ -154,25 +156,25 @@ class TestTrajectory:
             P, SimplexPoint.vertex(4), max_steps=10, tol=1e-9, reference=SimplexPoint.vertex(4)
         )
         assert traj.stop_reason == "converged"
-        assert len(traj.points) == 1
+        assert len(traj) == 1
 
     def test_points_chain_under_apply(self):
         rng = np.random.default_rng(21)
         P = random_single_male(rng, 3)
         x0 = SimplexPoint(random_simplex(rng, 4))
         traj = trajectory(P, x0, max_steps=6)
-        for prev, nxt in zip(traj.points, traj.points[1:]):
-            if np.array_equal(nxt.coords, SimplexPoint.vertex(4).coords):
+        for prev, nxt in zip(traj.coords, traj.coords[1:]):
+            if np.array_equal(nxt, SimplexPoint.vertex(4).coords):
                 continue  # the documented underflow snap
-            np.testing.assert_array_equal(apply(P, prev).coords, nxt.coords)
+            np.testing.assert_array_equal(apply(P, SimplexPoint(prev)).coords, nxt)
 
     def test_underflow_snap_reaches_exact_vertex(self):
         rng = np.random.default_rng(22)
         P = random_single_male(rng, 4)
         traj = trajectory(P, SimplexPoint(random_simplex(rng, 5)), max_steps=100)
         assert traj.stop_reason == "converged"
-        assert np.array_equal(traj.points[-1].coords, SimplexPoint.vertex(5).coords)
-        assert len(traj.points) < 30
+        assert np.array_equal(traj.coords[-1], SimplexPoint.vertex(5).coords)
+        assert len(traj) < 30
 
     def test_irregular_preset_never_settles_at_barycenter(self):
         """The Volterra RPS orbit leaves the barycenter and never returns."""
@@ -183,6 +185,50 @@ class TestTrajectory:
         )
         assert traj.stop_reason == "max_steps"
         assert np.min(traj.dist_to_limit[1:]) > 1e-9
+
+    def test_coords_are_read_only(self):
+        traj = trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=3)
+        assert traj.coords.shape == (4, 3)
+        assert not traj.coords.flags.writeable
+
+    def test_huge_step_budget_is_not_allocated(self):
+        """A snapping single-male orbit stops early; nothing is sized by max_steps."""
+        rng = np.random.default_rng(27)
+        traj = trajectory(random_single_male(rng, 3), SimplexPoint(random_simplex(rng, 4)), max_steps=10**9)
+        assert traj.stop_reason == "converged"
+        assert len(traj) < 40
+
+    def test_off_simplex_step_stops_as_invalid_state(self, monkeypatch):
+        calls = []
+
+        def broken(P, x):
+            calls.append(x)
+            return np.full(P.n, np.nan) if len(calls) == 3 else x
+
+        monkeypatch.setattr(dynamics, "apply_normalized", broken)
+        traj = trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=10)
+        assert traj.stop_reason == "invalid_state"
+        assert len(traj) == 3
+        assert np.all(np.isfinite(traj.coords))
+
+    def test_errors_inside_a_step_propagate(self, monkeypatch):
+        def broken(P, x):
+            raise RuntimeError("bug in the kernel")
+
+        monkeypatch.setattr(dynamics, "apply_normalized", broken)
+        with pytest.raises(RuntimeError):
+            trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=10)
+
+    @pytest.mark.parametrize("m", [2, 8, 32])
+    def test_diagnostics_match_per_row_loop(self, m):
+        """The vectorized functional and distances equal the per-point values bitwise."""
+        rng = np.random.default_rng(m)
+        P = random_single_male(rng, m)
+        reference = SimplexPoint(random_simplex(rng, m + 1))
+        traj = trajectory(P, SimplexPoint(random_simplex(rng, m + 1)), max_steps=12, reference=reference)
+        for row, phi, dist in zip(traj.coords, traj.lyapunov_values, traj.dist_to_limit):
+            assert phi == lyapunov(SimplexPoint(row))
+            assert dist == float(np.max(np.abs(row - reference.coords)))
 
     def test_batch_matches_scalar_iteration(self):
         rng = np.random.default_rng(23)
@@ -265,6 +311,18 @@ class TestFindFixedPoints:
         assert len(report.candidates) == 1
         assert np.array_equal(report.candidates[0].point, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
+    def test_polish_gives_up_on_non_finite_residuals(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "apply_unnormalized", lambda P, x: np.full(P.n, np.nan))
+        assert dynamics._polish(preset("ganikhodzhaev_v0"), np.full(3, 1 / 3)) is None
+
+    def test_polish_propagates_unrelated_errors(self, monkeypatch):
+        def broken(P, x):
+            raise RuntimeError("bug in the residual")
+
+        monkeypatch.setattr(dynamics, "apply_unnormalized", broken)
+        with pytest.raises(RuntimeError):
+            dynamics._polish(preset("ganikhodzhaev_v0"), np.full(3, 1 / 3))
+
     def test_deterministic(self):
         P = preset("ganikhodzhaev_v0")
         r1 = find_fixed_points(P, starts=40, seed=9)
@@ -299,6 +357,17 @@ class TestCesaro:
         with pytest.raises(ValueError):
             cesaro_average(build_fqso_m2(0.2, 0.5, 0.3), SimplexPoint.vertex(3), 0)
 
+    def test_running_rejects_wrong_dimension(self):
+        with pytest.raises(DimensionError):
+            cesaro_running(build_fqso_m2(0.2, 0.5, 0.3), SimplexPoint.vertex(4), [1, 2])
+
+    def test_average_is_last_running_average(self):
+        rng = np.random.default_rng(28)
+        P = random_single_male(rng, 4)
+        x0 = SimplexPoint(random_simplex(rng, 5))
+        [(_, running)] = cesaro_running(P, x0, [37])
+        assert np.array_equal(cesaro_average(P, x0, 37).coords, running)
+
 
 class TestConvergenceReport:
     def test_male_identity_exact(self):
@@ -328,6 +397,14 @@ class TestConvergenceReport:
         assert not is_single_male_shape(P)
         report = convergence_report(P, SimplexPoint.uniform(4), n_max=10)
         assert report.mode == "empirical"
+
+    def test_coordinate_bound_matches_per_step_loop(self):
+        P = build_f_qso(sample_random_f_qso(4, {2}, seed=1))  # males {1, 3, 4}
+        report = convergence_report(P, SimplexPoint.uniform(5), n_max=15)
+        coords, phis = report.trajectory.coords, report.trajectory.lyapunov_values
+        expected = [bool(np.all(coords[n + 1, 1:] <= 2.0 * phis[n] + 1e-12)) for n in range(len(coords) - 1)]
+        assert report.coordinate_bound_ok.tolist() == expected
+        assert not all(expected)  # the bound is only proved for the single-male shape
 
     def test_rejects_non_two_sex_operator(self):
         with pytest.raises(ClassificationError):

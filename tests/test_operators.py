@@ -12,6 +12,7 @@ from qsodyn import (
     SingleMaleCoefficients,
     SkewMatrix,
     apply,
+    apply_normalized,
     apply_unnormalized,
     build_f_qso,
     build_fqso_m2,
@@ -77,6 +78,29 @@ class TestApply:
             assert abs(raw.sum() - 1.0) <= 1e-12
 
 
+class TestKernel:
+    """The one quadratic kernel, pinned bitwise to a plain einsum reference."""
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 17, 33])
+    def test_matches_reference_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        P = random_cubic(rng, n)
+        X = rng.standard_exponential((16, n))
+        X /= X.sum(axis=1, keepdims=True)
+        reference = np.stack([np.einsum("ijk,i,j->k", P.p, x, x) for x in X])
+        for x, ref in zip(X, reference):
+            assert np.array_equal(apply_unnormalized(P, x), ref)
+            assert np.array_equal(apply_normalized(P, x), ref / ref.sum())
+        assert np.array_equal(apply_unnormalized(P, X), reference)
+        assert np.array_equal(apply_normalized(P, X), reference / reference.sum(axis=1, keepdims=True))
+
+    def test_batch_shape_checked(self):
+        P = build_fqso_m2(0.2, 0.5, 0.3)
+        for shape in [(4, 2), (4, 4), (2, 4, 3), ()]:
+            with pytest.raises(DimensionError):
+                apply_unnormalized(P, np.ones(shape))
+
+
 class TestFQsoSpec:
     def test_rejects_empty_or_full_female_set(self):
         with pytest.raises(ValueError):
@@ -103,6 +127,8 @@ class TestFQsoSpec:
     def test_rejects_bad_distribution(self):
         with pytest.raises(ValueError):
             FQsoSpec(n=3, females=frozenset({2}), mixed={(2, 1): np.array([0.5, 0.2, 0.2])})
+        with pytest.raises(ValueError):
+            FQsoSpec(n=3, females=frozenset({2}), mixed={(2, 1): np.array([np.nan, 0.5, 0.5])})
 
 
 class TestBuildFQso:
@@ -189,6 +215,8 @@ class TestM2Family:
             build_fqso_m2(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             build_fqso_m2(-0.1, 0.6, 0.5)
+        with pytest.raises(ValueError):
+            build_fqso_m2(np.nan, 0.5, 0.5)
 
 
 class TestSingleMaleFamily:
@@ -226,6 +254,8 @@ class TestSingleMaleFamily:
             SingleMaleCoefficients(np.full((2, 3), 0.5))
         with pytest.raises(ValueError):
             SingleMaleCoefficients(np.array([[0.5, 0.5, 0.2]]))
+        with pytest.raises(ValueError):
+            SingleMaleCoefficients(np.array([[0.5, np.nan, 0.5]]))
 
 
 class TestSkewForms:
@@ -236,6 +266,8 @@ class TestSkewForms:
             SkewMatrix(np.array([[0.0, 0.5], [0.5, 0.0]]))  # not antisymmetric
         with pytest.raises(ValueError):
             SkewMatrix(np.array([[0.0, 1.5], [-1.5, 0.0]]))  # |a| > 1
+        with pytest.raises(ValueError):
+            SkewMatrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))  # NaN off the diagonal
 
     def test_zero_skew_is_identity(self):
         op = volterra_from_skew(SkewMatrix(np.zeros((4, 4))))
