@@ -24,7 +24,6 @@ from .analysis import (
     verify_priority_inequality,
 )
 from .core import (
-    F_ENUM_LIMIT,
     TOL_FIX,
     TOL_SUM,
     ClassificationError,
@@ -32,6 +31,7 @@ from .core import (
     ClassWitness,
     CubicMatrix,
     DimensionError,
+    FemaleSets,
     InvalidPointError,
     QsoError,
     SimplexPoint,

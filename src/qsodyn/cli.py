@@ -23,6 +23,8 @@ from .operators import PRESETS, apply_normalized
 DEFAULT_SEED = 0
 REPLAY_TOL = 1e-9
 NEAR_ONE = 1e-9
+#: ``validate`` lists at most this many female sets: every nonempty proper subset of 16 states.
+MAX_LISTED_SETS = 2**16 - 2
 
 
 def _fmt(value: float) -> str:
@@ -31,6 +33,10 @@ def _fmt(value: float) -> str:
 
 def _fmt_point(coords) -> str:
     return "(" + ", ".join(_fmt(v) for v in coords) + ")"
+
+
+def _set_text(states) -> str:
+    return "{" + ",".join(map(str, sorted(states))) + "}"
 
 
 def _load_matrix(path, symmetrize: bool = False):
@@ -92,20 +98,20 @@ def cmd_validate(args) -> int:
         f"classification: volterra={'yes' if cls.is_volterra else 'no'}, "
         f"strictly_non_volterra={'yes' if cls.is_strictly_non_volterra else 'no'}"
     )
-    if cls.f_qso_sets is None:
-        print("f-qso female sets: not enumerated (too many states)")
-    elif cls.f_qso_sets:
-        rendered = ", ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in cls.f_qso_sets)
-        print(f"f-qso female sets: {rendered}")
+    sets = cls.f_qso_sets
+    if sets.total > MAX_LISTED_SETS:
+        sides = ", ".join(f"{_set_text(a)}/{_set_text(b)}" for a, b in sets.components)
+        print(f"f-qso female sets: {sets.total}, not listed; pair-graph components (side/side): {sides}")
+    elif sets:
+        print(f"f-qso female sets: {', '.join(map(_set_text, sets))}")
     else:
         print("f-qso female sets: none")
 
     count = analysis.count_first_row(P)
     print(f"first row: N1={count.n1}, N1~={count.n1_tilde}, total pairs={count.total_pairs}")
     if count.females is not None:
-        f_txt = "{" + ",".join(map(str, sorted(count.females))) + "}"
         print(
-            f"two-sex bounds (F={f_txt}): N1 >= {count.n1_lower_bound} "
+            f"two-sex bounds (F={_set_text(count.females)}): N1 >= {count.n1_lower_bound} "
             f"({'ok' if count.n1 >= count.n1_lower_bound else 'VIOLATED'}), "
             f"N1~ <= {count.n1_tilde_upper_bound} "
             f"({'ok' if count.n1_tilde <= count.n1_tilde_upper_bound else 'VIOLATED'}), "
@@ -212,7 +218,7 @@ def cmd_conjecture(args) -> int:
         females=females,
     )
     params = report.parameters
-    f_txt = "{" + ",".join(map(str, sorted(params.females))) + "}" if params.females else "-"
+    f_txt = _set_text(params.females) if params.females else "-"
     print(
         f"scan: m={params.m} policy={params.f_policy} F={f_txt} trials={params.trials} "
         f"iterations={params.iterations} tol={params.tol:g} seed={params.seed}"

@@ -14,6 +14,7 @@ remaining states {1, ..., n-1}.
 """
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
@@ -24,9 +25,6 @@ TOL_SUM = 1e-12
 
 #: Tolerance for fixed-point residuals ``max_k |V(x)_k - x_k|``.
 TOL_FIX = 1e-10
-
-#: Largest |E| = n - 1 for which F-subset enumeration is attempted (2^|E| subsets).
-F_ENUM_LIMIT = 16
 
 
 class QsoError(Exception):
@@ -236,20 +234,101 @@ class ClassWitness(NamedTuple):
     reason: str
 
 
+class FemaleSets(Sequence):
+    """The valid female sets of an operator, in (size, lexicographic) order.
+
+    The sets are the proper 2-colourings of the "non-empty-body" graph on
+    the states {1, ..., m}: one side of a colouring is F, the other M.
+    ``components`` holds, for each connected component ordered by its
+    smallest state, the two sides of its colouring, the side with that
+    smallest state first (an isolated state has an empty second side).
+    It is ``None`` when no female set exists.  Every choice of one side
+    per component gives a female set, 2^c of them for c components, except
+    when the graph has no edge at all: then every nonempty proper subset
+    of {1, ..., m} is one, 2^m - 2 in all.
+
+    ``total`` is that count as an unbounded integer; ``len`` returns it
+    too, and raises ``OverflowError`` beyond ``sys.maxsize``.  Truth,
+    ``in``, ``[0]`` and comparison with an unequal count need no listing;
+    iteration, other indices and comparison with an equal-length sequence
+    list the sets.
+    """
+
+    __slots__ = ("m", "components")
+
+    def __init__(self, m: int, components: tuple[tuple[frozenset[int], frozenset[int]], ...] | None):
+        self.m = m
+        self.components = components
+
+    @property
+    def edgeless(self) -> bool:
+        return self.components is not None and all(not other for _, other in self.components)
+
+    @property
+    def total(self) -> int:
+        if self.components is None:
+            return 0
+        count = 2 ** len(self.components)
+        return count - 2 if self.edgeless else count
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __bool__(self) -> bool:
+        return self.total > 0
+
+    def __iter__(self):
+        if not self:
+            return iter(())
+        if self.edgeless:
+            return iter(proper_subsets(self.m))
+        colourings = (frozenset().union(*sides) for sides in itertools.product(*self.components))
+        return iter(sorted(colourings, key=lambda s: (len(s), sorted(s))))
+
+    def __getitem__(self, index):
+        if index == 0 and self:
+            if self.edgeless:
+                return frozenset({1})
+            # Fewest states first; on a tie, the side holding the component's
+            # smallest state, which wins the lexicographic comparison.
+            return frozenset().union(*(min(sides, key=len) for sides in self.components))
+        return tuple(self)[index]
+
+    def __contains__(self, females) -> bool:
+        if not self or not isinstance(females, (set, frozenset)):
+            return False
+        if not females <= set(range(1, self.m + 1)):
+            return False
+        if self.edgeless:
+            return 0 < len(females) < self.m
+        return all((females & (a | b)) in (a, b) for a, b in self.components)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, FemaleSets)):
+            return NotImplemented
+        size = other.total if isinstance(other, FemaleSets) else len(other)
+        return size == self.total and all(x == y for x, y in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"FemaleSets(m={self.m}, total={self.total}, components={self.components!r})"
+
+
 @dataclass(frozen=True, eq=False)
 class ClassReport:
     """Operator-class membership of a cubic matrix.
 
-    ``f_qso_sets`` lists every female set F in {1, ..., n-1} (nonempty,
-    proper) whose two-sex pattern the matrix matches; note F and its
-    complement describe the same partition, so they appear in pairs.  It
-    is ``None`` when n - 1 exceeds ``F_ENUM_LIMIT`` and enumeration of
-    the 2^(n-1) - 2 candidates was refused.
+    ``f_qso_sets`` holds every female set F in {1, ..., n-1} (nonempty,
+    proper) whose two-sex pattern the matrix matches, read off the pair
+    graph rather than tested one subset at a time (see
+    :class:`FemaleSets` and :func:`classify`).  F and its complement
+    describe the same partition, so they appear in pairs.
     """
 
     is_volterra: bool
     is_strictly_non_volterra: bool
-    f_qso_sets: tuple[frozenset[int], ...] | None
+    f_qso_sets: FemaleSets
     violations: tuple[ClassWitness, ...]
 
 
@@ -279,6 +358,42 @@ def matches_partition(P: CubicMatrix, females: frozenset[int]) -> bool:
     return bool(np.all(_empty_body_pattern(P.p)[same_class]))
 
 
+def _pair_graph_colouring(p: np.ndarray) -> tuple[tuple[frozenset[int], frozenset[int]], ...] | None:
+    """Sides of each component of the non-empty-body graph, or None when no female set exists.
+
+    State 0 pairs with everything, and every state with itself, inside
+    some class, so all those pairs must be empty-body.  Two distinct
+    states whose pair is not empty-body must then lie on opposite sides,
+    which a graph search 2-colours in O(n^2).
+    """
+    empty = _empty_body_pattern(p)
+    if not (empty[0].all() and empty.diagonal().all()):
+        return None
+    edges = ~empty[1:, 1:]
+    np.fill_diagonal(edges, False)
+    m = edges.shape[0]
+    side = np.full(m, -1)
+    components = []
+    for root in range(m):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        members, queue = [root], [root]
+        while queue:
+            v = queue.pop()
+            for w in np.flatnonzero(edges[v]):
+                if side[w] < 0:
+                    side[w] = 1 - side[v]
+                    members.append(w)
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    return None  # an odd cycle
+        components.append(
+            tuple(frozenset(int(v) + 1 for v in members if side[v] == s) for s in (0, 1))
+        )
+    return tuple(components)
+
+
 def classify(P: CubicMatrix) -> ClassReport:
     """Detect Volterra, strictly non-Volterra, and F-QSO membership.
 
@@ -287,6 +402,13 @@ def classify(P: CubicMatrix) -> ClassReport:
     pair; strictly non-Volterra means it never does; both checks use
     exact comparison with 0.  Witnesses for whichever of the two
     conditions fail are collected in ``violations``.
+
+    F is a valid female set exactly when every (0, i) pair and every
+    diagonal (i, i) pair is the point mass on state 0 and every other
+    pair (i, j) of states 1..n-1 that is not crosses the partition.  So
+    the female sets are the proper 2-colourings of that non-empty-body
+    graph: none if it has an odd cycle, 2^c for c components (isolated
+    states count), or 2^(n-1) - 2 when it has no edge at all.
     """
     require_valid(P)
     p = P.p
@@ -308,16 +430,9 @@ def classify(P: CubicMatrix) -> ClassReport:
         i, j, k = (int(v[0]) for v in np.nonzero(snv_bad))
         witnesses.append(ClassWitness(i, j, k, "child repeats a parent type with positive probability"))
 
-    if n - 1 > F_ENUM_LIMIT:
-        f_sets: tuple[frozenset[int], ...] | None = None
-    else:
-        f_sets = tuple(
-            females for females in proper_subsets(n - 1) if matches_partition(P, females)
-        )
-
     return ClassReport(
         is_volterra=not volterra_bad.any(),
         is_strictly_non_volterra=not snv_bad.any(),
-        f_qso_sets=f_sets,
+        f_qso_sets=FemaleSets(n - 1, _pair_graph_colouring(p)),
         violations=tuple(witnesses),
     )

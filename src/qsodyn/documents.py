@@ -19,6 +19,8 @@ from .operators import FQsoSpec, SkewMatrix, build_f_qso, cubic_from_skew, prese
 
 SCHEMA_VERSION = "1"
 KINDS = ("cubic", "f_qso", "volterra_skew", "preset")
+#: Largest state count a document may declare; its dense cube takes 8 * n^3 bytes (128 MiB).
+MAX_N = 256
 #: What a builder raises for a payload of the wrong types or values.
 _REJECTED = (ValueError, TypeError, OverflowError, QsoError)
 
@@ -36,8 +38,8 @@ class OperatorDocument:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DocumentError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DocumentError(f"n must be an integer >= 2, got {self.n!r}")
+        if not isinstance(self.n, int) or not 2 <= self.n <= MAX_N:
+            raise DocumentError(f"n must be an integer from 2 to {MAX_N}, got {self.n!r}")
         if not isinstance(self.payload, dict):
             raise DocumentError("payload must be an object")
 

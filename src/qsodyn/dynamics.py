@@ -238,11 +238,15 @@ class FixedPointReport:
 
     ``unique_in_simplex`` is set iff exactly one candidate lies in the
     simplex.  Every candidate flagged in-simplex has max-norm residual
-    at most ``TOL_FIX``.
+    at most ``TOL_FIX``.  ``polishes`` counts the residual minimizations
+    a multistart search ran and ``polishes_accepted`` those whose result
+    passed that threshold (both 0 for the algebraic report).
     """
 
     candidates: tuple[FixedPointCandidate, ...]
     unique_in_simplex: SimplexPoint | None
+    polishes: int = 0
+    polishes_accepted: int = 0
 
 
 def _residual(P: CubicMatrix, x: np.ndarray) -> float:
@@ -297,42 +301,46 @@ def _polish(P: CubicMatrix, guess: np.ndarray) -> np.ndarray | None:
 def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> FixedPointReport:
     """Seeded multistart fixed-point search: iterate, then polish.
 
-    Pure map iteration from each random start finds attracting points;
-    when it does not settle, a damped residual minimization (run from
-    both the start and the iteration endpoint) catches repelling or
-    neutral ones.  Candidates with max-norm residual at most ``TOL_FIX``
-    are clustered within 1e-8 and reported with the best residual per
-    cluster.  An empty candidate list is a legal outcome.
+    Pure map iteration from each random start finds attracting points:
+    all starts iterate as one batch for up to 200 steps, each leaving it
+    once a step returns it bitwise unchanged.  For every start whose
+    endpoint is not a fixed point, in start order, a damped residual
+    minimization (run from both the start and the endpoint) catches
+    repelling or neutral ones.  Candidates with max-norm residual at
+    most ``TOL_FIX`` are clustered within 1e-8 and reported with the
+    best residual per cluster.  An empty candidate list is a legal
+    outcome.
     """
     require_valid(P)
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = P.n
+    draws = np.random.default_rng(seed).standard_exponential((starts, P.n))
+    starts_x = draws / draws.sum(axis=1, keepdims=True)
+
+    ends = starts_x.copy()
+    active = np.arange(starts)
+    x = starts_x
+    for _ in range(200):
+        x, previous = apply_normalized(P, x), x
+        ends[active] = x
+        moving = ~np.all(x == previous, axis=1)
+        active, x = active[moving], x[moving]
+        if not active.size:
+            break
+    residuals = np.max(np.abs(apply_unnormalized(P, ends) - ends), axis=1)
 
     found: list[tuple[np.ndarray, float]] = []
-
-    def consider(x: np.ndarray | None) -> bool:
-        if x is None:
-            return False
-        r = _residual(P, x)
+    polishes = accepted = 0
+    for start, end, r in zip(starts_x, ends, residuals.tolist()):
         if r <= TOL_FIX:
-            found.append((x, r))
-            return True
-        return False
-
-    for _ in range(starts):
-        draw = rng.standard_exponential(n)
-        x0 = draw / draw.sum()
-        x = x0
-        for _ in range(200):
-            x, previous = apply_normalized(P, x), x
-            if np.array_equal(x, previous):
-                break
-        if consider(x):
+            found.append((end, r))
             continue
-        consider(_polish(P, x0))
-        consider(_polish(P, x))
+        for guess in (start, end):
+            polishes += 1
+            polished = _polish(P, guess)
+            if polished is not None and (residual := _residual(P, polished)) <= TOL_FIX:
+                found.append((polished, residual))
+                accepted += 1
 
     # Greedy clustering: best residual first, 1e-8 max-norm radius.
     found.sort(key=lambda item: item[1])
@@ -347,7 +355,7 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
     )
     in_simplex = [cand for cand in candidates if cand.in_simplex]
     unique = renormalize(in_simplex[0].point) if len(in_simplex) == 1 else None
-    return FixedPointReport(candidates=candidates, unique_in_simplex=unique)
+    return FixedPointReport(candidates, unique, polishes=polishes, polishes_accepted=accepted)
 
 
 def cesaro_average(P: CubicMatrix, x0: SimplexPoint, n: int) -> SimplexPoint:

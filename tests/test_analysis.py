@@ -70,6 +70,17 @@ class TestCountFirstRow:
             if n - 1 > 16:
                 assert report.females is None
 
+    def test_edgeless_33_states_takes_the_first_set(self):
+        """Every nonempty proper subset is a female set; the first is {1}."""
+        from qsodyn import CubicMatrix
+
+        p = np.zeros((33, 33, 33))
+        p[:, :, 0] = 1.0
+        report = count_first_row(CubicMatrix(p))
+        assert report.females == frozenset({1})
+        assert report.n1 == pair_count(33) and report.n1_tilde == 0
+        assert (report.n1_lower_bound, report.n1_tilde_upper_bound) == remark_bounds(33, frozenset({1}))
+
     def test_bounds_omitted_without_female_set(self):
         from qsodyn import preset
 

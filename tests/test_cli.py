@@ -4,11 +4,13 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from qsodyn import (
+    CubicMatrix,
     OperatorDocument,
     SingleMaleCoefficients,
     build_fqso_m2,
@@ -17,6 +19,7 @@ from qsodyn import (
     save_document,
 )
 from qsodyn.cli import main
+from qsodyn.documents import MAX_N
 
 
 @pytest.fixture
@@ -92,6 +95,47 @@ class TestValidate:
         save_document(doc, path)
         assert main(["validate", str(path)]) == 0
         assert "warning" in capsys.readouterr().out
+
+
+def single_male_doc_of(tmp_path, n, seed=0):
+    rng = np.random.default_rng(seed)
+    table = rng.standard_exponential((n - 2, n))
+    table /= table.sum(axis=1, keepdims=True)
+    path = tmp_path / f"sm{n}.json"
+    save_document(document_from_matrix(build_single_male(SingleMaleCoefficients(table))), path)
+    return str(path)
+
+
+class TestBeyondSeventeenStates:
+    """Female sets are found at any n, so validate and --reference auto treat every n alike."""
+
+    def test_single_male_validate_lists_sets_and_bounds(self, tmp_path, capsys):
+        assert main(["validate", single_male_doc_of(tmp_path, 20)]) == 0
+        out = capsys.readouterr().out
+        rest = ",".join(map(str, range(2, 20)))
+        assert f"f-qso female sets: {{1}}, {{{rest}}}\n" in out
+        assert "two-sex bounds (F={1}): N1 >= " in out and "VIOLATED" not in out
+
+    def test_reference_auto_fills_distance_at_33_states(self, tmp_path, capsys):
+        doc = single_male_doc_of(tmp_path, 33)
+        out = tmp_path / "traj.csv"
+        assert main(["trajectory", doc, "--start", "random:1", "--steps", "200", "--output", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("stop reason: converged\n")
+        rows = read_rows(out)
+        dists = [float(row[-1]) for row in rows[1:]]
+        assert dists[-1] <= 1e-9 < min(dists[:-1])
+        assert main(["replay", str(out), "--operator", doc]) == 0
+
+    def test_edgeless_33_states_prints_count_and_components(self, tmp_path, capsys):
+        p = np.zeros((33, 33, 33))
+        p[:, :, 0] = 1.0
+        path = tmp_path / "edgeless.json"
+        save_document(document_from_matrix(CubicMatrix(p)), path)
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        components = ", ".join(f"{{{i}}}/{{}}" for i in range(1, 33))
+        assert f"f-qso female sets: {2**32 - 2}, not listed; pair-graph components (side/side): {components}\n" in out
+        assert "two-sex bounds (F={1})" in out
 
 
 class TestTrajectory:
@@ -330,6 +374,21 @@ class TestMalformedDocumentsExit2:
         path.write_text(json.dumps({"schema_version": "1", "kind": kind, "n": n, "payload": payload}))
         assert main(["validate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, n, payload",
+        [
+            ("cubic", 1000, {"entries": [[0, 0, 0, 1.0]]}),
+            ("f_qso", 10**9, {"f": [2], "mixed": [{"i": 2, "j": 1, "dist": [0.0, 0.5, 0.5]}]}),
+        ],
+    )
+    def test_huge_state_count_is_refused_before_allocation(self, tmp_path, capsys, kind, n, payload):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"schema_version": "1", "kind": kind, "n": n, "payload": payload}))
+        start = time.perf_counter()
+        assert main(["validate", str(path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert f"from 2 to {MAX_N}" in capsys.readouterr().err
 
     def test_conjecture_needs_two_states(self):
         assert main(["conjecture", "--m", "1", "--f-policy", "all", "--trials", "2"]) == 2

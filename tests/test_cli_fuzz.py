@@ -2,8 +2,8 @@
 
 Every input, however broken, must end in an exit code of the contract
 (0 success, 1 domain failure, 2 usage or parse error).  Inputs are valid
-documents and CSVs with a few values damaged.  State counts stay at
-n <= 6, so that no example allocates a large cube.
+documents and CSVs with a few values damaged.  A damaged state count may
+be huge: documents bound n before anything is allocated.
 """
 
 import contextlib
@@ -25,6 +25,7 @@ from qsodyn import (
     document_from_matrix,
 )
 from qsodyn.cli import main
+from qsodyn.documents import MAX_N
 
 NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -38,6 +39,10 @@ JUNK = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+#: State counts above the documents' ceiling, and an int beyond float range.
+HUGE = st.one_of(st.integers(MAX_N + 1, 10**12), st.just(10**400))
 
 
 def document(kind: str, n: int, payload: dict) -> dict:
@@ -78,8 +83,7 @@ def documents(draw):
         path = draw(st.sampled_from(list(positions(doc))))
         parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
         if draw(st.booleans()):
-            # An int beyond float range, but never as the state count n.
-            parent[path[-1]] = draw(JUNK if path == ("n",) else st.one_of(JUNK, st.just(10**400)))
+            parent[path[-1]] = draw(st.one_of(JUNK, HUGE))
         else:
             del parent[path[-1]]
     return doc
@@ -112,6 +116,17 @@ def test_malformed_documents_keep_the_exit_code_contract(workdir, doc, command):
     if command[0] in ("trajectory", "ergodic"):
         argv += ["--output", workdir / "out.csv"]
     assert run(argv) in (0, 1, 2)
+
+
+@given(doc=st.sampled_from(VALID), n=HUGE, command=st.sampled_from(COMMANDS))
+@settings(max_examples=60, deadline=None)
+def test_huge_state_count_is_a_usage_error(workdir, doc, n, command):
+    path = workdir / "huge.json"
+    path.write_text(json.dumps({**doc, "n": n}))
+    argv = [command[0], path, *command[1:]]
+    if command[0] in ("trajectory", "ergodic"):
+        argv += ["--output", workdir / "out.csv"]
+    assert run(argv) == 2
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """Core types: simplex points, cubic matrices, validation, classification."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +10,21 @@ from hypothesis import strategies as st
 from qsodyn import (
     CubicMatrix,
     DimensionError,
+    FemaleSets,
     InvalidPointError,
     SimplexPoint,
     StochasticityError,
+    build_f_qso,
     build_fqso_m2,
     classify,
+    matches_partition,
     preset,
     proper_subsets,
     renormalize,
+    sample_random_f_qso,
     validate_stochastic,
 )
+from qsodyn import core
 from helpers import random_cubic
 
 
@@ -231,6 +238,131 @@ class TestClassify:
         p[2, 1, 4] += eps
         p[1, 2, :] = p[2, 1, :]
         assert classify(CubicMatrix(p)).f_qso_sets == before
+
+
+def oracle_sets(P):
+    """Brute-force female sets: every nonempty proper subset tested against the pattern."""
+    return tuple(f for f in proper_subsets(P.n - 1) if matches_partition(P, f))
+
+
+def empty_body(n):
+    """A cube whose every pair is the point mass on state 0 (the pair graph has no edge)."""
+    p = np.zeros((n, n, n))
+    p[:, :, 0] = 1.0
+    return p
+
+
+def with_pairs(p, pairs, rng):
+    """Give each listed pair (i, j) a random interior offspring distribution."""
+    p = np.array(p)
+    for i, j in pairs:
+        row = rng.standard_exponential(p.shape[0])
+        p[i, j] = p[j, i] = row / row.sum()
+    return CubicMatrix(p)
+
+
+def assert_matches_oracle(P):
+    expected = oracle_sets(P)
+    sets = classify(P).f_qso_sets
+    assert isinstance(sets, FemaleSets)
+    assert sets == expected and tuple(sets) == expected
+    assert len(sets) == sets.total == len(expected)
+    assert bool(sets) == bool(expected)
+    if expected:
+        assert sets[0] == expected[0]
+    for females in proper_subsets(P.n - 1):
+        assert (females in sets) == (females in expected)
+    return sets
+
+
+class TestPairGraphClassification:
+    """Female sets read off the pair graph agree with testing every subset."""
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_random_f_qsos_with_empty_mixed_pairs(self, m):
+        rng = np.random.default_rng(100 + m)
+        subsets = proper_subsets(m)
+        for trial in range(25):
+            females = subsets[int(rng.integers(len(subsets)))]
+            p = np.array(build_f_qso(sample_random_f_qso(m, females, seed=trial)).p)
+            for i in sorted(females):
+                for j in sorted(set(range(1, m + 1)) - females):
+                    if rng.random() < 0.4:
+                        p[i, j] = p[j, i] = 0.0
+                        p[i, j, 0] = p[j, i, 0] = 1.0
+            sets = assert_matches_oracle(CubicMatrix(p))
+            assert females in sets
+
+    def test_odd_cycle_has_no_sets(self):
+        P = with_pairs(empty_body(5), [(1, 2), (2, 3), (3, 1)], np.random.default_rng(1))
+        sets = assert_matches_oracle(P)
+        assert not sets and sets.components is None and sets == ()
+
+    def test_components_and_isolated_states(self):
+        """Two paths and the isolated state 7: 2^3 colourings."""
+        P = with_pairs(empty_body(8), [(1, 2), (2, 3), (4, 5), (5, 6)], np.random.default_rng(2))
+        sets = assert_matches_oracle(P)
+        assert sets.components == (
+            (frozenset({1, 3}), frozenset({2})),
+            (frozenset({4, 6}), frozenset({5})),
+            (frozenset({7}), frozenset()),
+        )
+        assert len(sets) == 8 and sets[0] == frozenset({2, 5})
+
+    def test_tie_goes_to_the_side_with_the_smallest_state(self):
+        P = with_pairs(empty_body(6), [(1, 4), (2, 3), (5, 2)], np.random.default_rng(3))
+        sets = assert_matches_oracle(P)
+        assert sets[0] == frozenset({1, 2})
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_edgeless_graph(self, n):
+        sets = assert_matches_oracle(CubicMatrix(empty_body(n)))
+        assert len(sets) == 2 ** (n - 1) - 2
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 0), (1, 1), (3, 3)])
+    def test_non_empty_body_pair_that_must_be_empty(self, pair):
+        P = with_pairs(build_f_qso(sample_random_f_qso(3, {2}, seed=4)).p, [pair], np.random.default_rng(4))
+        sets = assert_matches_oracle(P)
+        assert not sets
+
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 2), (2, 3)])
+    def test_nearly_one_is_not_one(self, pair):
+        """1 - 1e-16 where an exact 1 belongs makes the pair an edge, exactly as in the oracle."""
+        p = build_f_qso(sample_random_f_qso(3, {2, 3}, seed=5)).p.copy()
+        i, j = pair
+        p[i, j, 0] = p[j, i, 0] = 1.0 - 1e-16
+        assert p[i, j, 0] != 1.0
+        P = CubicMatrix(p)
+        assert validate_stochastic(P).ok
+        sets = assert_matches_oracle(P)
+        assert not sets
+
+    def test_three_state_family_count(self):
+        """build_fqso_m2 has one edge and one component: the sets {1} and {2}."""
+        sets = classify(build_fqso_m2(0.2, 0.5, 0.3)).f_qso_sets
+        assert len(sets) == 2 and sets.components == ((frozenset({1}), frozenset({2})),)
+
+    def test_classify_tests_no_subset(self, monkeypatch):
+        def refuse(P, females):
+            raise AssertionError("classify must not test subsets one by one")
+
+        monkeypatch.setattr(core, "matches_partition", refuse)
+        sets = classify(build_f_qso(sample_random_f_qso(12, {2, 5, 7}, seed=6))).f_qso_sets
+        assert frozenset({2, 5, 7}) in sets and len(sets) == 2
+
+    def test_edgeless_33_states_without_listing(self):
+        start = time.perf_counter()
+        sets = classify(CubicMatrix(empty_body(33))).f_qso_sets
+        assert len(sets) == 2**32 - 2 and sets
+        assert sets[0] == frozenset({1})
+        assert frozenset(range(2, 33)) in sets and frozenset(range(1, 33)) not in sets
+        assert sets != oracle_sets(build_fqso_m2(0.2, 0.5, 0.3))
+        assert time.perf_counter() - start < 1.0
+
+    def test_membership_rejects_foreign_values(self):
+        sets = classify(build_fqso_m2(0.2, 0.5, 0.3)).f_qso_sets
+        assert {1} in sets and frozenset({2}) in sets
+        assert frozenset({0}) not in sets and frozenset({3}) not in sets and 1 not in sets
 
 
 class TestProperSubsets:

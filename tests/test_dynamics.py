@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsodyn import (
+    TOL_FIX,
     ClassificationError,
     DimensionError,
     SimplexPoint,
@@ -31,7 +32,8 @@ from qsodyn import (
     trajectory,
 )
 from qsodyn import dynamics
-from helpers import random_simplex, random_simplex_batch
+from qsodyn.operators import SkewMatrix, apply_normalized, cubic_from_skew
+from helpers import random_cubic, random_simplex, random_simplex_batch
 
 
 def random_single_male(rng, m):
@@ -332,6 +334,88 @@ class TestFindFixedPoints:
             np.testing.assert_array_equal(c1.point, c2.point)
 
 
+def reference_fixed_point_search(P, starts, seed):
+    """The per-start multistart loop: each start iterated alone, polished in turn.
+
+    Returns the clustered (point, residual) pairs and the polish counts.
+    """
+    rng = np.random.default_rng(seed)
+    found = []
+    polishes = accepted = 0
+
+    def consider(x):
+        if x is None:
+            return False
+        r = dynamics._residual(P, x)
+        if r <= TOL_FIX:
+            found.append((x, r))
+            return True
+        return False
+
+    for _ in range(starts):
+        draw = rng.standard_exponential(P.n)
+        x0 = draw / draw.sum()
+        x = x0
+        for _ in range(200):
+            x, previous = apply_normalized(P, x), x
+            if np.array_equal(x, previous):
+                break
+        if consider(x):
+            continue
+        for guess in (x0, x):
+            polishes += 1
+            accepted += consider(dynamics._polish(P, guess))
+
+    found.sort(key=lambda item: item[1])
+    representatives = []
+    for x, r in found:
+        if all(float(np.max(np.abs(x - y))) > 1e-8 for y, _ in representatives):
+            representatives.append((x, r))
+    representatives.sort(key=lambda item: tuple(item[0]))
+    return representatives, polishes, accepted
+
+
+def _cyclic_skew_3():
+    a = np.array([[0.0, 0.95, -0.9], [-0.95, 0.0, 0.92], [0.9, -0.92, 0.0]])
+    return cubic_from_skew(SkewMatrix(a))
+
+
+REFERENCE_OPERATORS = {
+    "rps": lambda: preset("ganikhodzhaev_v0"),
+    "blend": lambda: preset("ganikhodzhaev_lambda", lam=0.45),
+    "skew3": _cyclic_skew_3,
+    "dense6": lambda: random_cubic(np.random.default_rng(61), 6),
+    "fqso_m2": lambda: preset("fqso_m2", a=0.2, b=0.5, c=0.3),
+    "fqso9": lambda: build_f_qso(sample_random_f_qso(8, {2, 5, 6}, seed=62)),
+    "fqso13": lambda: build_f_qso(sample_random_f_qso(12, {1, 3, 4, 9, 10, 11}, seed=63)),
+}
+
+
+class TestBatchedFixedPointSearch:
+    """The batched search returns bitwise the candidates of the per-start loop."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_OPERATORS))
+    def test_matches_per_start_reference(self, name):
+        P = REFERENCE_OPERATORS[name]()
+        for seed in (0, 1, 2):
+            for starts in (1, 7, 100):
+                report = find_fixed_points(P, starts=starts, seed=seed)
+                expected, polishes, accepted = reference_fixed_point_search(P, starts, seed)
+                assert len(report.candidates) == len(expected)
+                for cand, (x, r) in zip(report.candidates, expected):
+                    assert np.array_equal(cand.point, x)
+                    assert np.array_equal(cand.residual, r)
+                assert (report.polishes, report.polishes_accepted) == (polishes, accepted)
+
+    def test_polish_counts(self):
+        """Attracting vertices need no polish; a start that does not settle is polished twice."""
+        report = find_fixed_points(build_fqso_m2(0.0, 0.5, 0.5), starts=30, seed=1)
+        assert (report.polishes, report.polishes_accepted) == (0, 0)
+        report = find_fixed_points(preset("ganikhodzhaev_v0"), starts=10, seed=2)
+        assert report.polishes % 2 == 0 and 0 < report.polishes_accepted <= report.polishes
+        assert fixed_points_m2(0.2, 0.5, 0.3).polishes == 0
+
+
 class TestCesaro:
     def test_single_term_returns_start(self):
         P = build_fqso_m2(0.2, 0.5, 0.3)
@@ -405,6 +489,14 @@ class TestConvergenceReport:
         expected = [bool(np.all(coords[n + 1, 1:] <= 2.0 * phis[n] + 1e-12)) for n in range(len(coords) - 1)]
         assert report.coordinate_bound_ok.tolist() == expected
         assert not all(expected)  # the bound is only proved for the single-male shape
+
+    def test_two_sex_beyond_seventeen_states_is_empirical(self):
+        """A 21-state F-QSO with |F| = |M| = 10 is classified, not refused."""
+        females = frozenset(range(1, 21, 2))
+        P = build_f_qso(sample_random_f_qso(20, females, seed=8))
+        assert not is_single_male_shape(P)
+        report = convergence_report(P, SimplexPoint.uniform(21), n_max=10)
+        assert report.mode == "empirical"
 
     def test_rejects_non_two_sex_operator(self):
         with pytest.raises(ClassificationError):
