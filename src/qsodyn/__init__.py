@@ -39,7 +39,7 @@ from .core import (
     StochasticityReport,
     StochasticityViolation,
     classify,
-    matches_partition,
+    female_sets,
     proper_subsets,
     renormalize,
     require_valid,

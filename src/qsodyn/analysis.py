@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CubicMatrix, classify, proper_subsets, require_valid
+from .core import CubicMatrix, female_sets, proper_subsets, require_valid
 from .operators import FQsoSpec, apply_normalized, build_f_qso
 
 #: Disclaimer attached to every scan report.
@@ -59,9 +59,9 @@ def count_first_row(P: CubicMatrix) -> CountReport:
     """Count exact-1 and below-1 empty-body coefficients over unordered pairs.
 
     Equality with 1 is bitwise (two-sex builders write exact ones); the
-    bounds are included when classification identifies a female set, and
-    omitted otherwise.  Any identified set gives valid bounds; the first
-    in (size, lexicographic) order is used.
+    bounds are included when :func:`qsodyn.core.female_sets` finds a
+    female set, and omitted otherwise.  Any such set gives valid bounds;
+    the first in (size, lexicographic) order is used.
     """
     require_valid(P)
     n = P.n
@@ -70,8 +70,8 @@ def count_first_row(P: CubicMatrix) -> CountReport:
     n1 = int(np.count_nonzero(vals == 1.0))
     n1_tilde = int(np.count_nonzero(vals < 1.0))
 
-    report = classify(P)
-    females = report.f_qso_sets[0] if report.f_qso_sets else None
+    sets = female_sets(P)
+    females = sets[0] if sets else None
     if females is not None:
         lower, upper = remark_bounds(n, females)
     else:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import analysis, dynamics
-from .core import QsoError, SimplexPoint, classify, validate_stochastic
+from .core import QsoError, SimplexPoint, classify, female_sets, validate_stochastic
 from .documents import DocumentError, expand, load_document
 from .operators import PRESETS, apply_normalized
 
@@ -126,8 +126,7 @@ def _resolve_reference(spec: str, P) -> SimplexPoint | None:
     if spec == "vertex0":
         return SimplexPoint.vertex(P.n)
     if spec == "auto":
-        cls = classify(P)
-        return SimplexPoint.vertex(P.n) if cls.f_qso_sets else None
+        return SimplexPoint.vertex(P.n) if female_sets(P) else None
     return SimplexPoint(np.array([float(part) for part in spec.split(",")], dtype=float))
 
 
@@ -298,7 +297,7 @@ def _replay_trajectory(rows: list[list[str]], args) -> int:
     exact = [dynamics.lyapunov_bound(step).value if single_male else math.nan for step in steps]
     kernel = np.abs(apply_normalized(P, X[:-1]) - nxt).ravel()
     # Empty phi and bound cells read as NaN and are skipped.
-    stored = np.abs(np.concatenate([nxt[:, 1] * nxt[:, 2:].sum(axis=1) - phi, exact - bound]))
+    stored = np.abs(np.concatenate([dynamics._lyapunov_raw(nxt) - phi, exact - bound]))
     worst = float(np.max(np.concatenate([kernel, stored[~np.isnan(stored)]]), initial=0.0))
     print(f"replayed {len(rows) - 1} trajectory rows; max deviation {worst:.3e}")
     return 0 if worst <= REPLAY_TOL else 1
@@ -312,6 +311,9 @@ def _replay_ergodic(rows: list[list[str]], args) -> int:
     counts = _numbers(columns[0], dtype=int).tolist()
     if counts[0] != 1:
         raise DocumentError("ergodic CSV must start at n=1 so the start point is recoverable")
+    # Checked before any step: a replay iterates up to the last count.
+    if counts != _log_schedule(counts[-1]):
+        raise DocumentError("ergodic CSV counts must follow the doubling schedule that ergodic writes")
     stored = np.column_stack([_numbers(col) for col in columns[1:]])
     recomputed = np.array([avg for _, avg in dynamics.cesaro_running(P, SimplexPoint(stored[0]), counts)])
     worst = float(np.max(np.abs(recomputed - stored)))

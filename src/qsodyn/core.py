@@ -237,7 +237,8 @@ class ClassWitness(NamedTuple):
 class FemaleSets(Sequence):
     """The valid female sets of an operator, in (size, lexicographic) order.
 
-    The sets are the proper 2-colourings of the "non-empty-body" graph on
+    Built by :func:`female_sets`, the package's one female-set test.  The
+    sets are the proper 2-colourings of the "non-empty-body" graph on
     the states {1, ..., m}: one side of a colouring is F, the other M.
     ``components`` holds, for each connected component ordered by its
     smallest state, the two sides of its colouring, the side with that
@@ -332,47 +333,29 @@ class ClassReport:
     violations: tuple[ClassWitness, ...]
 
 
-def _empty_body_pattern(p: np.ndarray) -> np.ndarray:
-    """Boolean pair matrix: the (i, j) row is exactly the point mass on state 0."""
-    return (p[:, :, 0] == 1.0) & np.all(p[:, :, 1:] == 0.0, axis=2)
+def female_sets(P: CubicMatrix) -> FemaleSets:
+    """The female sets whose two-sex pattern ``P`` matches, read off the pair graph.
 
-
-def matches_partition(P: CubicMatrix, females: frozenset[int]) -> bool:
-    """True iff ``P`` matches the two-sex pattern for female set ``females``.
-
-    Same-class pairs (both parents in F+{0}, or both in M+{0}) must map
-    exactly to the point mass on state 0; mixed pairs are unconstrained
-    beyond nonnegativity, which validation already guarantees.
-    Comparisons with 0 and 1 are exact: pattern membership is
-    structural, not numeric.
+    Reads the coefficient pattern only and runs no stochasticity check,
+    so it is exact on any finite cube.  A same-class pair (both parents
+    in F+{0}, or both in M+{0}) must map exactly to the point mass on
+    state 0 in both orientations, so the graph is built from the
+    symmetric closure of that pattern: every (0, i), (i, 0) and diagonal
+    pair must be empty-body, and two distinct states whose pair is not
+    (in either order) must lie on opposite sides, which a graph search
+    2-colours in O(n^2).  Comparisons with 0 and 1 are exact: pattern
+    membership is structural, not numeric.
     """
-    n = P.n
-    if not females or not females < set(range(1, n)):
-        raise ValueError(f"female set {set(females)} must be a nonempty proper subset of {{1,...,{n - 1}}}")
-    in_f = np.zeros(n, dtype=bool)
-    in_f[list(females)] = True
-    f_side = in_f.copy()
-    f_side[0] = True
-    m_side = ~in_f  # includes state 0
-    same_class = (f_side[:, None] & f_side[None, :]) | (m_side[:, None] & m_side[None, :])
-    return bool(np.all(_empty_body_pattern(P.p)[same_class]))
-
-
-def _pair_graph_colouring(p: np.ndarray) -> tuple[tuple[frozenset[int], frozenset[int]], ...] | None:
-    """Sides of each component of the non-empty-body graph, or None when no female set exists.
-
-    State 0 pairs with everything, and every state with itself, inside
-    some class, so all those pairs must be empty-body.  Two distinct
-    states whose pair is not empty-body must then lie on opposite sides,
-    which a graph search 2-colours in O(n^2).
-    """
-    empty = _empty_body_pattern(p)
+    p = P.p
+    empty = (p[:, :, 0] == 1.0) & np.all(p[:, :, 1:] == 0.0, axis=2)
+    empty &= empty.T
+    m = P.n - 1
     if not (empty[0].all() and empty.diagonal().all()):
-        return None
-    edges = ~empty[1:, 1:]
-    np.fill_diagonal(edges, False)
-    m = edges.shape[0]
-    side = np.full(m, -1)
+        return FemaleSets(m, None)
+    neighbours = [[] for _ in range(m)]
+    for v, w in zip(*(a.tolist() for a in np.nonzero(~empty[1:, 1:]))):
+        neighbours[v].append(w)
+    side = [-1] * m
     components = []
     for root in range(m):
         if side[root] >= 0:
@@ -381,17 +364,17 @@ def _pair_graph_colouring(p: np.ndarray) -> tuple[tuple[frozenset[int], frozense
         members, queue = [root], [root]
         while queue:
             v = queue.pop()
-            for w in np.flatnonzero(edges[v]):
+            for w in neighbours[v]:
                 if side[w] < 0:
                     side[w] = 1 - side[v]
                     members.append(w)
                     queue.append(w)
                 elif side[w] == side[v]:
-                    return None  # an odd cycle
+                    return FemaleSets(m, None)  # an odd cycle
         components.append(
-            tuple(frozenset(int(v) + 1 for v in members if side[v] == s) for s in (0, 1))
+            tuple(frozenset(v + 1 for v in members if side[v] == s) for s in (0, 1))
         )
-    return tuple(components)
+    return FemaleSets(m, tuple(components))
 
 
 def classify(P: CubicMatrix) -> ClassReport:
@@ -403,12 +386,14 @@ def classify(P: CubicMatrix) -> ClassReport:
     exact comparison with 0.  Witnesses for whichever of the two
     conditions fail are collected in ``violations``.
 
-    F is a valid female set exactly when every (0, i) pair and every
-    diagonal (i, i) pair is the point mass on state 0 and every other
-    pair (i, j) of states 1..n-1 that is not crosses the partition.  So
-    the female sets are the proper 2-colourings of that non-empty-body
-    graph: none if it has an odd cycle, 2^c for c components (isolated
-    states count), or 2^(n-1) - 2 when it has no edge at all.
+    ``f_qso_sets`` is :func:`female_sets`: F is a valid female set
+    exactly when every (0, i) pair and every diagonal (i, i) pair is the
+    point mass on state 0 and every other pair (i, j) of states 1..n-1
+    that is not crosses the partition.  So the female sets are the
+    proper 2-colourings of that non-empty-body graph: none if it has an
+    odd cycle, 2^c for c components (isolated states count), or
+    2^(n-1) - 2 when it has no edge at all.  A validated matrix is
+    symmetric, so the graph's symmetric closure changes nothing here.
     """
     require_valid(P)
     p = P.p
@@ -433,6 +418,6 @@ def classify(P: CubicMatrix) -> ClassReport:
     return ClassReport(
         is_volterra=not volterra_bad.any(),
         is_strictly_non_volterra=not snv_bad.any(),
-        f_qso_sets=FemaleSets(n - 1, _pair_graph_colouring(p)),
+        f_qso_sets=female_sets(P),
         violations=tuple(witnesses),
     )

@@ -168,6 +168,10 @@ def _expand_preset(n: int, payload: dict) -> CubicMatrix:
     params = payload.get("params", {})
     if not isinstance(name, str) or not isinstance(params, dict):
         raise DocumentError("preset payload needs 'name' (string) and optional 'params' (object)")
+    # A table's rows fix the state count, so MAX_N bounds it before the cube is built.
+    table = params.get("table")
+    if name == "single_male" and isinstance(table, list) and len(table) != n - 2:
+        raise DocumentError(f"preset 'single_male' table has {len(table)} rows but n={n} needs {n - 2}")
     try:
         matrix = preset(name, **params)
     except _REJECTED as exc:
@@ -196,11 +200,8 @@ def expand(doc: OperatorDocument, symmetrize: bool = False) -> CubicMatrix:
 
 def document_from_matrix(P: CubicMatrix) -> OperatorDocument:
     """Sparse cubic document (nonzero entries, i <= j, sorted) for a matrix."""
-    entries = []
-    for i in range(P.n):
-        for j in range(i, P.n):
-            for k in range(P.n):
-                value = float(P.p[i, j, k])
-                if value != 0.0:
-                    entries.append([i, j, k, value])
+    i, j, k = np.nonzero(P.p)  # in (i, j, k) order
+    upper = i <= j
+    i, j, k = i[upper], j[upper], k[upper]
+    entries = list(map(list, zip(i.tolist(), j.tolist(), k.tolist(), P.p[i, j, k].tolist())))
     return OperatorDocument(kind="cubic", n=P.n, payload={"entries": entries})

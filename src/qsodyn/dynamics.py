@@ -25,7 +25,7 @@ from .core import (
     InvalidPointError,
     SimplexPoint,
     classify,
-    matches_partition,
+    female_sets,
     renormalize,
     require_valid,
 )
@@ -41,10 +41,11 @@ STOP_CONVERGED = "converged"
 STOP_INVALID = "invalid_state"
 
 
-def _lyapunov_raw(v: np.ndarray) -> float:
-    # x1 times the total female-side mass; the tail-sum form keeps the
-    # value exactly nonnegative and equals x1*(1 - x0 - x1) within TOL_SUM.
-    return float(v[1] * v[2:].sum())
+def _lyapunov_raw(v: np.ndarray) -> np.ndarray:
+    # x1 times the total female-side mass, over the last axis; the tail-sum
+    # form keeps the value exactly nonnegative and equals x1*(1 - x0 - x1)
+    # within TOL_SUM.
+    return v[..., 1] * v[..., 2:].sum(axis=-1)
 
 
 def lyapunov(x: SimplexPoint) -> float:
@@ -55,7 +56,7 @@ def lyapunov(x: SimplexPoint) -> float:
     """
     if x.dim < 3:
         raise DimensionError("the convergence functional needs dim >= 3")
-    return _lyapunov_raw(x.coords)
+    return float(_lyapunov_raw(x.coords))
 
 
 def lyapunov_closed_form(b: float, c: float, phi0: float, n: int) -> float:
@@ -89,7 +90,8 @@ class LyapunovBound:
 
     ``value`` is the bound as a double (0.0 once it falls below the
     smallest positive representable number, flagged by ``is_exact``);
-    ``log2`` carries the exact base-2 logarithm -2^(n+1) regardless.
+    ``log2`` carries the exact base-2 logarithm -2^(n+1) regardless, as
+    ``-inf`` once that leaves the double range (n >= 1023).
     """
 
     value: float
@@ -101,7 +103,7 @@ def lyapunov_bound(n: int) -> LyapunovBound:
     """Upper bound (1/4)^(2^n) for the functional after ``n`` certified steps."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    log2 = -(2.0 ** (n + 1))
+    log2 = -(2.0 ** (n + 1)) if n < 1023 else -math.inf  # 2.0 ** 1024 overflows
     if n <= 60:
         exponent = 2 ** (n + 1)
         value = math.ldexp(1.0, -exponent)
@@ -110,10 +112,12 @@ def lyapunov_bound(n: int) -> LyapunovBound:
 
 
 def is_single_male_shape(P: CubicMatrix) -> bool:
-    """True iff ``P`` matches the two-sex pattern with males M = {1}."""
-    if P.n < 3:
-        return False
-    return matches_partition(P, frozenset(range(2, P.n)))
+    """True iff ``P`` matches the two-sex pattern with males M = {1}.
+
+    Reads the pair graph of :func:`qsodyn.core.female_sets`, so, like it,
+    runs no stochasticity check.
+    """
+    return P.n >= 3 and frozenset(range(2, P.n)) in female_sets(P)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +202,7 @@ def trajectory(
 
     coords = np.array(rows)
     coords.flags.writeable = False
-    phis = coords[:, 1] * coords[:, 2:].sum(axis=1) if P.n >= 3 else np.full(len(rows), math.nan)
+    phis = _lyapunov_raw(coords) if P.n >= 3 else np.full(len(rows), math.nan)
     return Trajectory(
         coords=coords,
         lyapunov_values=phis,
@@ -431,14 +435,10 @@ def convergence_report(
     * for three states, ``x1(n) = 2b phi(x(n-1))`` with b the mixed
       pair's male-child probability (reported as residuals).
     """
-    if is_single_male_shape(P):
-        mode = "certified"
-    else:
-        report = classify(P)
-        if report.f_qso_sets:
-            mode = "empirical"
-        else:
-            raise ClassificationError("convergence certificate requires a two-sex (F-QSO) operator")
+    sets = classify(P).f_qso_sets
+    if not sets:
+        raise ClassificationError("convergence certificate requires a two-sex (F-QSO) operator")
+    mode = "certified" if frozenset(range(2, P.n)) in sets else "empirical"
 
     traj = trajectory(P, x0, max_steps=n_max)
     coords = traj.coords

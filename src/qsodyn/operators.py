@@ -114,20 +114,15 @@ class FQsoSpec:
 def build_f_qso(spec: FQsoSpec) -> CubicMatrix:
     """Expand an :class:`FQsoSpec` into its cubic matrix.
 
-    Same-class pairs (both parents female or both male, with state 0
-    counting as both) produce the empty-body state 0 with probability
-    exactly 1; mixed pairs get their free distribution, written
-    symmetrically.
+    Every pair starts as the empty body (state 0 with probability
+    exactly 1); then each mixed pair gets its free distribution, written
+    symmetrically.  ``FQsoSpec`` guarantees that the mixed pairs are
+    exactly F x M, so the pairs left empty-body are the same-class ones
+    (both parents female or both male, with state 0 counting as both).
     """
     n = spec.n
     p = np.zeros((n, n, n))
-    in_f = np.zeros(n, dtype=bool)
-    in_f[list(spec.females)] = True
-    f_side = in_f.copy()
-    f_side[0] = True
-    m_side = ~in_f
-    same_class = (f_side[:, None] & f_side[None, :]) | (m_side[:, None] & m_side[None, :])
-    p[same_class, 0] = 1.0
+    p[:, :, 0] = 1.0
     for (i, j), dist in spec.mixed.items():
         p[i, j, :] = dist
         p[j, i, :] = dist

@@ -319,6 +319,13 @@ class TestReplayRejectsMalformedCsv:
         write_rows(out_csv, rows)
         assert main(["replay", str(out_csv), "--operator", single_male_doc]) == 2
 
+    def test_huge_step_number_fails_the_replay(self, single_male_doc, tmp_path):
+        """A step of 10**12 gets a bound of 0, which the stored bound contradicts: exit 1, no traceback."""
+        out_csv, rows = self.trajectory_csv(single_male_doc, tmp_path)
+        rows[2][0] = str(10**12)
+        write_rows(out_csv, rows)
+        assert main(["replay", str(out_csv), "--operator", single_male_doc]) == 1
+
     def test_blank_first_line(self, m2_doc, tmp_path):
         out_csv, _ = self.trajectory_csv(m2_doc, tmp_path)
         out_csv.write_text("\n" + out_csv.read_text())
@@ -340,6 +347,29 @@ class TestReplayRejectsMalformedCsv:
         rows = read_rows(out_csv)
         rows[2][0] = "2.5"
         write_rows(out_csv, rows)
+        assert main(["replay", str(out_csv), "--operator", rps_doc]) == 2
+
+    def test_ergodic_count_off_the_schedule(self, rps_doc, tmp_path, capsys):
+        """A last count of 10**12 is refused before any step is taken."""
+        out_csv = tmp_path / "avg.csv"
+        assert main(["ergodic", rps_doc, "--start", "random:4", "--n", "16", "--output", str(out_csv)]) == 0
+        rows = read_rows(out_csv)
+        rows[2][0] = str(10**12)
+        write_rows(out_csv, rows[:3])
+        start = time.perf_counter()
+        assert main(["replay", str(out_csv), "--operator", rps_doc]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert "doubling schedule" in capsys.readouterr().err
+
+    def test_ergodic_counts_must_be_the_written_schedule(self, rps_doc, tmp_path):
+        out_csv = tmp_path / "avg.csv"
+        assert main(["ergodic", rps_doc, "--start", "random:4", "--n", "16", "--output", str(out_csv)]) == 0
+        rows = read_rows(out_csv)
+        assert [row[0] for row in rows[1:]] == ["1", "2", "4", "8", "16"]
+        rows[2][0] = "3"
+        write_rows(out_csv, rows)
+        assert main(["replay", str(out_csv), "--operator", rps_doc]) == 2
+        write_rows(out_csv, rows[:2] + rows[3:])
         assert main(["replay", str(out_csv), "--operator", rps_doc]) == 2
 
     @pytest.mark.parametrize("row", [["0", "1", "2"], ["0", "x", "2", "3", "0.0", "1"], []])
@@ -389,6 +419,20 @@ class TestMalformedDocumentsExit2:
         assert main(["validate", str(path)]) == 2
         assert time.perf_counter() - start < 0.5
         assert f"from 2 to {MAX_N}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, rows", [(3, 259), (4, 1), (4, 3)])
+    def test_single_male_table_rows_off_declared_n_build_nothing(self, tmp_path, monkeypatch, capsys, n, rows):
+        """A table whose rows do not match n - 2 (259 x 261 under n = 3) is refused before the builder runs."""
+        def refuse(spec):
+            raise AssertionError("the builder ran for a mismatched table")
+
+        monkeypatch.setattr("qsodyn.operators.build_f_qso", refuse)
+        table = [[1.0] + [0.0] * (rows + 1)] * rows
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"schema_version": "1", "kind": "preset", "n": n,
+                                    "payload": {"name": "single_male", "params": {"table": table}}}))
+        assert main(["validate", str(path)]) == 2
+        assert f"table has {rows} rows" in capsys.readouterr().err
 
     def test_conjecture_needs_two_states(self):
         assert main(["conjecture", "--m", "1", "--f-policy", "all", "--trials", "2"]) == 2

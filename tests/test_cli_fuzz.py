@@ -144,9 +144,11 @@ def emitted(workdir):
     return [(traj, ["--operator", operator]), (erg, ["--operator", operator]), (scan, scan_args)]
 
 
-#: Replacement cells.  No large valid count: an ergodic replay iterates up to its last count.
+#: Replacement cells.  A large valid count is safe: an ergodic replay refuses counts off the
+#: doubling schedule before it iterates, and a trajectory or scan replay does not iterate up to one.
 CELLS = st.sampled_from(
-    ["", "abc", "nan", "NaN", "inf", "-inf", "1e999", "-1", "0", "2.5", "1;2", "99999999999999999999999"]
+    ["", "abc", "nan", "NaN", "inf", "-inf", "1e999", "-1", "0", "2.5", "1;2", "99999999999999999999999",
+     "1000000000000"]
 )
 
 

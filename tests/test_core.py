@@ -17,14 +17,14 @@ from qsodyn import (
     build_f_qso,
     build_fqso_m2,
     classify,
-    matches_partition,
+    female_sets,
+    is_single_male_shape,
     preset,
     proper_subsets,
     renormalize,
     sample_random_f_qso,
     validate_stochastic,
 )
-from qsodyn import core
 from helpers import random_cubic
 
 
@@ -240,6 +240,27 @@ class TestClassify:
         assert classify(CubicMatrix(p)).f_qso_sets == before
 
 
+def empty_body_pattern(p):
+    """Boolean pair matrix: the (i, j) row is exactly the point mass on state 0."""
+    return (p[:, :, 0] == 1.0) & np.all(p[:, :, 1:] == 0.0, axis=2)
+
+
+def matches_partition(P, females):
+    """Brute-force pattern test for one female set: every same-class pair is empty-body.
+
+    Same-class pairs (both parents in F+{0}, or both in M+{0}) must map
+    exactly to the point mass on state 0, in both orientations.
+    """
+    n = P.n
+    in_f = np.zeros(n, dtype=bool)
+    in_f[list(females)] = True
+    f_side = in_f.copy()
+    f_side[0] = True
+    m_side = ~in_f  # includes state 0
+    same_class = (f_side[:, None] & f_side[None, :]) | (m_side[:, None] & m_side[None, :])
+    return bool(np.all(empty_body_pattern(P.p)[same_class]))
+
+
 def oracle_sets(P):
     """Brute-force female sets: every nonempty proper subset tested against the pattern."""
     return tuple(f for f in proper_subsets(P.n - 1) if matches_partition(P, f))
@@ -261,9 +282,41 @@ def with_pairs(p, pairs, rng):
     return CubicMatrix(p)
 
 
-def assert_matches_oracle(P):
+def unvalidated_cube(rng, n):
+    """A cube whose ordered pairs are independently empty-body or not (asymmetric, unvalidated).
+
+    Most cubes get every (0, i), (i, 0) and diagonal pair empty-body, so
+    that female sets can exist; some of those then lose one orientation.
+    A non-empty-body row is a random distribution, or the point mass on
+    state 0 spoiled by a tiny mass elsewhere or by 1 - 1e-16.
+    """
+    share = rng.uniform(0.6, 1.0)
+    empty = rng.random((n, n)) < share
+    if rng.random() < 0.8:
+        empty[0, :] = empty[:, 0] = True
+        np.fill_diagonal(empty, True)
+        if rng.random() < 0.2:
+            empty[tuple(rng.integers(n, size=2))] = False
+    p = rng.standard_exponential((n, n, n))
+    p /= p.sum(axis=2, keepdims=True)
+    for i, j in zip(*np.nonzero(~empty)):
+        kind = rng.integers(3)
+        if kind == 1:
+            p[i, j] = 0.0
+            p[i, j, 0] = 1.0
+            p[i, j, rng.integers(1, n)] = 1e-300
+        elif kind == 2:
+            p[i, j] = 0.0
+            p[i, j, 0] = 1.0 - 1e-16
+    p[empty] = 0.0
+    p[empty, 0] = 1.0
+    return CubicMatrix(p)
+
+
+def assert_matches_oracle(P, sets=None):
     expected = oracle_sets(P)
-    sets = classify(P).f_qso_sets
+    if sets is None:
+        sets = classify(P).f_qso_sets
     assert isinstance(sets, FemaleSets)
     assert sets == expected and tuple(sets) == expected
     assert len(sets) == sets.total == len(expected)
@@ -342,11 +395,7 @@ class TestPairGraphClassification:
         sets = classify(build_fqso_m2(0.2, 0.5, 0.3)).f_qso_sets
         assert len(sets) == 2 and sets.components == ((frozenset({1}), frozenset({2})),)
 
-    def test_classify_tests_no_subset(self, monkeypatch):
-        def refuse(P, females):
-            raise AssertionError("classify must not test subsets one by one")
-
-        monkeypatch.setattr(core, "matches_partition", refuse)
+    def test_classify_tests_no_subset(self):
         sets = classify(build_f_qso(sample_random_f_qso(12, {2, 5, 7}, seed=6))).f_qso_sets
         assert frozenset({2, 5, 7}) in sets and len(sets) == 2
 
@@ -363,6 +412,32 @@ class TestPairGraphClassification:
         sets = classify(build_fqso_m2(0.2, 0.5, 0.3)).f_qso_sets
         assert {1} in sets and frozenset({2}) in sets
         assert frozenset({0}) not in sets and frozenset({3}) not in sets and 1 not in sets
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_unvalidated_cubes(self, n):
+        """female_sets and is_single_male_shape agree with the oracle on asymmetric cubes."""
+        rng = np.random.default_rng(700 + n)
+        found = one_sided = 0
+        for _ in range(300):
+            P = unvalidated_cube(rng, n)
+            sets = assert_matches_oracle(P, female_sets(P))
+            single_male = n >= 3 and matches_partition(P, frozenset(range(2, n)))
+            assert is_single_male_shape(P) == single_male
+            found += bool(sets)
+            empty = empty_body_pattern(P.p)
+            one_sided += bool((empty != empty.T).any())
+        assert found >= (0 if n == 2 else 80) and one_sided >= 40
+
+    def test_one_sided_empty_body_pair_is_an_edge(self):
+        """(1, 2) empty-body but (2, 1) not: the pair must cross, so {1} and {2} remain."""
+        p = empty_body(3)
+        p[2, 1] = [0.5, 0.25, 0.25]
+        P = CubicMatrix(p)
+        assert not validate_stochastic(P).ok
+        sets = assert_matches_oracle(P, female_sets(P))
+        assert tuple(sets) == (frozenset({1}), frozenset({2}))
+        p[1, 0] = [0.5, 0.25, 0.25]
+        assert not assert_matches_oracle(CubicMatrix(p), female_sets(CubicMatrix(p)))
 
 
 class TestProperSubsets:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsodyn import (
+    CubicMatrix,
     DocumentError,
     OperatorDocument,
     build_fqso_m2,
@@ -23,6 +24,18 @@ def m2_doc_path(tmp_path):
     path = tmp_path / "m2.json"
     save_document(document_from_matrix(build_fqso_m2(0.0, 0.5, 0.5)), path)
     return path
+
+
+def document_by_loop(P):
+    """Reference listing: every (i, j, k) with i <= j in order, nonzero values only."""
+    entries = []
+    for i in range(P.n):
+        for j in range(i, P.n):
+            for k in range(P.n):
+                value = float(P.p[i, j, k])
+                if value != 0.0:
+                    entries.append([i, j, k, value])
+    return OperatorDocument(kind="cubic", n=P.n, payload={"entries": entries})
 
 
 class TestCanonicalForm:
@@ -53,6 +66,26 @@ class TestCanonicalForm:
     def test_expansion_matches_source_matrix(self, m2_doc_path):
         P = expand(load_document(m2_doc_path))
         assert np.array_equal(P.p, build_fqso_m2(0.0, 0.5, 0.5).p)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_from_matrix_matches_loop(self, n):
+        """The vectorised listing equals the per-entry loop, -0.0 and exact zeros included."""
+        rng = np.random.default_rng(60 + n)
+        for _ in range(5):
+            p = rng.standard_exponential((n, n, n))
+            p[rng.random((n, n, n)) < 0.4] = 0.0
+            p[rng.random((n, n, n)) < 0.1] = -0.0
+            P = CubicMatrix(p)
+            assert canonical_json(document_from_matrix(P)) == canonical_json(document_by_loop(P))
+
+    def test_sparse_64_states_matches_loop(self):
+        rng = np.random.default_rng(64)
+        p = np.zeros((64, 64, 64))
+        p[tuple(rng.integers(64, size=(3, 500)))] = rng.random(500)
+        P = CubicMatrix(p)
+        doc = document_from_matrix(P)
+        assert doc.payload == document_by_loop(P).payload
+        assert canonical_json(doc) == canonical_json(document_by_loop(P))
 
 
 class TestLoadErrors:

@@ -132,6 +132,12 @@ class TestBound:
         assert not bound.is_exact
         assert bound.log2 == -2048.0
 
+    def test_log2_beyond_double_range(self):
+        """A step count as large as a CSV cell may hold: 2^(n+1) overflows a double."""
+        assert lyapunov_bound(1022).log2 == -(2.0**1023)
+        bound = lyapunov_bound(10**12)
+        assert bound.value == 0.0 and not bound.is_exact and bound.log2 == -math.inf
+
     def test_last_representable(self):
         bound = lyapunov_bound(9)
         assert bound.value == math.ldexp(1.0, -1024)

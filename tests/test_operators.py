@@ -131,7 +131,41 @@ class TestFQsoSpec:
             FQsoSpec(n=3, females=frozenset({2}), mixed={(2, 1): np.array([np.nan, 0.5, 0.5])})
 
 
+def mask_built(spec):
+    """Reference expansion: the same-class pairs found by a mask, then the mixed rows."""
+    n = spec.n
+    p = np.zeros((n, n, n))
+    in_f = np.zeros(n, dtype=bool)
+    in_f[list(spec.females)] = True
+    f_side = in_f.copy()
+    f_side[0] = True
+    m_side = ~in_f
+    same_class = (f_side[:, None] & f_side[None, :]) | (m_side[:, None] & m_side[None, :])
+    p[same_class, 0] = 1.0
+    for (i, j), dist in spec.mixed.items():
+        p[i, j, :] = dist
+        p[j, i, :] = dist
+    return p
+
+
 class TestBuildFQso:
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_matches_mask_built_reference(self, m):
+        from qsodyn import proper_subsets
+
+        rng = np.random.default_rng(40 + m)
+        subsets = proper_subsets(m)
+        for seed in range(12):
+            females = subsets[int(rng.integers(len(subsets)))]
+            spec = sample_random_f_qso(m, females, seed)
+            assert np.array_equal(build_f_qso(spec).p, mask_built(spec))
+        table = rng.standard_exponential((m - 1, m + 1))
+        table /= table.sum(axis=1, keepdims=True)
+        spec = FQsoSpec(m + 1, frozenset(range(2, m + 1)), {(i, 1): table[i - 2] for i in range(2, m + 1)})
+        assert np.array_equal(build_single_male(SingleMaleCoefficients(table)).p, mask_built(spec))
+        if m == 2:
+            assert np.array_equal(build_fqso_m2(*table[0]).p, mask_built(spec))
+
     def test_matches_explicit_m2_matrix(self):
         """Expansion with F = {2} reproduces the explicit three-state matrix."""
         a, b, c = 0.3, 0.45, 0.25
