@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CubicMatrix, female_sets, proper_subsets, require_valid
+from .core import CubicMatrix, female_sets, proper_subset, proper_subsets, require_valid
+from .documents import MAX_N
 from .operators import FQsoSpec, apply_normalized, build_f_qso
 
 #: Disclaimer attached to every scan report.
@@ -70,8 +71,7 @@ def count_first_row(P: CubicMatrix) -> CountReport:
     n1 = int(np.count_nonzero(vals == 1.0))
     n1_tilde = int(np.count_nonzero(vals < 1.0))
 
-    sets = female_sets(P)
-    females = sets[0] if sets else None
+    females = female_sets(P).first
     if females is not None:
         lower, upper = remark_bounds(n, females)
     else:
@@ -97,6 +97,8 @@ def sample_random_f_qso(m: int, females, seed: int) -> FQsoSpec:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
+    if m + 1 > MAX_N:
+        raise ValueError(f"m + 1 = {m + 1} states exceed the limit of {MAX_N}")
     females = frozenset(females)
     if not females or not females < set(range(1, m + 1)):
         raise ValueError(f"female set {set(females)} must be a nonempty proper subset of {{1,...,{m}}}")
@@ -199,7 +201,8 @@ def conjecture_scan(
     test the final max-norm distance to (1, 0, ..., 0) against ``tol``.
     Policies: "fixed" uses ``females`` every trial; "all" cycles through
     every nonempty proper subset in (size, lexicographic) order;
-    "random" draws one per trial.  Each trial depends only on
+    "random" draws one per trial (an int64 index, so m < 64).  Both
+    unrank an index and never list the subsets.  Each trial depends only on
     (seed, trial index), so reports are reproducible and independent of
     execution order.  Non-convergent trials are counted, never raised.
     """
@@ -213,8 +216,8 @@ def conjecture_scan(
         if females is None:
             raise ValueError("f_policy='fixed' requires a female set")
         fixed_females = frozenset(females)
-    else:
-        subsets = proper_subsets(m)
+    elif f_policy == "random" and m >= 64:
+        raise ValueError("f_policy='random' draws an int64 subset index, so m must be below 64")
 
     results = []
     for t in range(trials):
@@ -222,10 +225,10 @@ def conjecture_scan(
         if f_policy == "fixed":
             chosen = fixed_females
         elif f_policy == "all":
-            chosen = subsets[t % len(subsets)]
+            chosen = proper_subset(m, t % (2**m - 2))
         else:
             pick_rng = np.random.default_rng(np.random.SeedSequence([s_t, 2]))
-            chosen = subsets[int(pick_rng.integers(len(subsets)))]
+            chosen = proper_subset(m, int(pick_rng.integers(2**m - 2)))
         fem, steps, final_dist, converged, final_point = run_trial(m, chosen, s_t, iterations, tol)
         results.append(TrialResult(t, s_t, fem, steps, final_dist, converged, final_point))
 

@@ -14,7 +14,7 @@ remaining states {1, ..., n-1}.
 """
 
 import itertools
-from collections.abc import Sequence
+import math
 from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
@@ -166,11 +166,6 @@ class StochasticityReport:
     ok: bool
     violations: tuple[StochasticityViolation, ...]
 
-    @property
-    def max_row_residual(self) -> float:
-        rows = [v.residual for v in self.violations if v.kind == "row_sum"]
-        return max(rows, default=0.0)
-
 
 def validate_stochastic(P: CubicMatrix) -> StochasticityReport:
     """Check symmetry, nonnegativity, and unit row sums of a cubic matrix.
@@ -217,6 +212,27 @@ def require_valid(P: CubicMatrix) -> None:
         )
 
 
+def proper_subset(m: int, index: int) -> frozenset[int]:
+    """Entry ``index`` of :func:`proper_subsets`, found without listing the others."""
+    if not 0 <= index < 2**m - 2:
+        raise ValueError(f"subset index {index} outside 0..2^{m}-3")
+    size = 1
+    while index >= math.comb(m, size):
+        index -= math.comb(m, size)
+        size += 1
+    chosen = []
+    for state in range(1, m + 1):
+        if len(chosen) == size:
+            break
+        # Sets of this size that take ``state`` next, after the ones already chosen.
+        taking = math.comb(m - state, size - len(chosen) - 1)
+        if index < taking:
+            chosen.append(state)
+        else:
+            index -= taking
+    return frozenset(chosen)
+
+
 def proper_subsets(m: int) -> list[frozenset[int]]:
     """All nonempty proper subsets of {1, ..., m}, ordered by size then lexicographically."""
     elements = range(1, m + 1)
@@ -234,8 +250,9 @@ class ClassWitness(NamedTuple):
     reason: str
 
 
-class FemaleSets(Sequence):
-    """The valid female sets of an operator, in (size, lexicographic) order.
+@dataclass(frozen=True)
+class FemaleSets:
+    """The valid female sets of an operator, read off its pair graph.
 
     Built by :func:`female_sets`, the package's one female-set test.  The
     sets are the proper 2-colourings of the "non-empty-body" graph on
@@ -243,77 +260,56 @@ class FemaleSets(Sequence):
     ``components`` holds, for each connected component ordered by its
     smallest state, the two sides of its colouring, the side with that
     smallest state first (an isolated state has an empty second side).
-    It is ``None`` when no female set exists.  Every choice of one side
-    per component gives a female set, 2^c of them for c components, except
-    when the graph has no edge at all: then every nonempty proper subset
-    of {1, ..., m} is one, 2^m - 2 in all.
+    It is ``None`` when no female set exists.
 
-    ``total`` is that count as an unbounded integer; ``len`` returns it
-    too, and raises ``OverflowError`` beyond ``sys.maxsize``.  Truth,
-    ``in``, ``[0]`` and comparison with an unequal count need no listing;
-    iteration, other indices and comparison with an equal-length sequence
-    list the sets.
+    A female set takes one side of every component and must be nonempty
+    and proper; only a graph without edges has choices that are not (all
+    sides empty, or all full).  So there are 2^c sets for c components,
+    2^c - 2 without edges.  ``total`` (an unbounded integer), truth,
+    ``in`` and ``first`` need no listing; iteration lists the sets in
+    (size, lexicographic) order.
     """
 
-    __slots__ = ("m", "components")
-
-    def __init__(self, m: int, components: tuple[tuple[frozenset[int], frozenset[int]], ...] | None):
-        self.m = m
-        self.components = components
-
-    @property
-    def edgeless(self) -> bool:
-        return self.components is not None and all(not other for _, other in self.components)
+    m: int
+    components: tuple[tuple[frozenset[int], frozenset[int]], ...] | None
 
     @property
     def total(self) -> int:
         if self.components is None:
             return 0
-        count = 2 ** len(self.components)
-        return count - 2 if self.edgeless else count
+        return 2 ** len(self.components) - (0 if any(b for _, b in self.components) else 2)
 
     def __len__(self) -> int:
+        # For callers that count with len(); bounded by sys.maxsize, unlike total.
         return self.total
 
     def __bool__(self) -> bool:
         return self.total > 0
 
+    @property
+    def first(self) -> frozenset[int] | None:
+        """The first set in (size, lexicographic) order, ``None`` when there is none."""
+        if not self:
+            return None
+        # Fewest states first; on a tie, the side holding the component's
+        # smallest state, which wins the lexicographic comparison.  Without
+        # edges every smaller side is empty, and the first set is {1}.
+        smaller = frozenset().union(*(min(sides, key=len) for sides in self.components))
+        return smaller or frozenset({1})
+
     def __iter__(self):
         if not self:
             return iter(())
-        if self.edgeless:
-            return iter(proper_subsets(self.m))
         colourings = (frozenset().union(*sides) for sides in itertools.product(*self.components))
-        return iter(sorted(colourings, key=lambda s: (len(s), sorted(s))))
-
-    def __getitem__(self, index):
-        if index == 0 and self:
-            if self.edgeless:
-                return frozenset({1})
-            # Fewest states first; on a tie, the side holding the component's
-            # smallest state, which wins the lexicographic comparison.
-            return frozenset().union(*(min(sides, key=len) for sides in self.components))
-        return tuple(self)[index]
+        proper = (s for s in colourings if 0 < len(s) < self.m)
+        return iter(sorted(proper, key=lambda s: (len(s), sorted(s))))
 
     def __contains__(self, females) -> bool:
         if not self or not isinstance(females, (set, frozenset)):
             return False
-        if not females <= set(range(1, self.m + 1)):
+        if not (females <= set(range(1, self.m + 1)) and 0 < len(females) < self.m):
             return False
-        if self.edgeless:
-            return 0 < len(females) < self.m
         return all((females & (a | b)) in (a, b) for a, b in self.components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, FemaleSets)):
-            return NotImplemented
-        size = other.total if isinstance(other, FemaleSets) else len(other)
-        return size == self.total and all(x == y for x, y in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FemaleSets(m={self.m}, total={self.total}, components={self.components!r})"
 
 
 @dataclass(frozen=True, eq=False)

@@ -252,13 +252,10 @@ def cubic_from_skew(A: SkewMatrix) -> CubicMatrix:
     m = A.m
     p = np.zeros((m, m, m))
     half = (1.0 + A.a) / 2.0
-    for k in range(m):
-        for i in range(m):
-            if i == k:
-                continue
-            p[i, k, k] = half[k, i]
-            p[k, i, k] = half[k, i]
-        p[k, k, k] = 1.0
+    k = np.arange(m)
+    p[:, k, k] = half.T
+    p[k, :, k] = half
+    p[k, k, k] = 1.0
     return CubicMatrix(p)
 
 
@@ -273,15 +270,9 @@ def skew_from_cubic(P: CubicMatrix) -> SkewMatrix:
     """
     if not classify(P).is_volterra:
         raise ClassificationError("skew form requires a Volterra operator")
-    m = P.n
-    a = np.zeros((m, m))
-    for i in range(m):
-        for k in range(i + 1, m):
-            val = 2.0 * float(P.p[i, k, k]) - 1.0
-            val = min(1.0, max(-1.0, val))
-            a[k, i] = val
-            a[i, k] = -val
-    return SkewMatrix(a)
+    # Entry [i, k] is p[i, k, k]; its upper triangle (k > i) is a[k, i].
+    upper = np.triu(np.clip(2.0 * np.diagonal(P.p, axis1=1, axis2=2) - 1.0, -1.0, 1.0), 1)
+    return SkewMatrix(upper.T - upper)
 
 
 # --- preset zoo -----------------------------------------------------------

@@ -17,6 +17,7 @@ from qsodyn import (
     trial_seed,
     verify_priority_inequality,
 )
+from qsodyn.core import proper_subset
 from helpers import random_cubic
 
 
@@ -165,6 +166,22 @@ class TestPriorityInequality:
             verify_priority_inequality(1)
 
 
+class TestProperSubset:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_unranking_matches_the_listing(self, m):
+        assert [proper_subset(m, r) for r in range(2**m - 2)] == proper_subsets(m)
+
+    @pytest.mark.parametrize("m, index", [(3, -1), (3, 6), (1, 0), (40, 2**40 - 2)])
+    def test_rejects_index_out_of_range(self, m, index):
+        with pytest.raises(ValueError):
+            proper_subset(m, index)
+
+    def test_large_m_without_listing(self):
+        assert proper_subset(200, 0) == frozenset({1})
+        assert proper_subset(200, 2**200 - 3) == frozenset(range(2, 201))
+        assert proper_subset(40, 40) == frozenset({1, 2})
+
+
 class TestConjectureScan:
     def test_theorem_regime_m2_all_converge(self):
         report = conjecture_scan(m=2, trials=50, iterations=30, tol=1e-8, seed=3, females={2})
@@ -192,6 +209,17 @@ class TestConjectureScan:
         report = conjecture_scan(m=3, trials=12, iterations=15, seed=5, f_policy="all")
         for r in report.results:
             assert r.females == subsets[r.trial % len(subsets)]
+
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    def test_policies_pick_the_listed_subset(self, m):
+        """Unranking picks what indexing the full listing picked, for both policies."""
+        subsets = proper_subsets(m)
+        every = conjecture_scan(m=m, trials=40, iterations=3, seed=11, f_policy="all")
+        assert [r.females for r in every.results] == [subsets[t % len(subsets)] for t in range(40)]
+        drawn = conjecture_scan(m=m, trials=40, iterations=3, seed=11, f_policy="random")
+        for r in drawn.results:
+            pick_rng = np.random.default_rng(np.random.SeedSequence([r.seed, 2]))
+            assert r.females == subsets[int(pick_rng.integers(len(subsets)))]
 
     def test_policy_random_is_seed_stable(self):
         r1 = conjecture_scan(m=4, trials=10, iterations=15, seed=6, f_policy="random")

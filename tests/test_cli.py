@@ -248,6 +248,44 @@ class TestConjecture:
             ["replay", str(out), "--m", "3", "--iterations", "50", "--tol", "1e-8"]
         ) == 0
 
+    @pytest.mark.parametrize("policy, m", [("all", 40), ("random", 40), ("random", 63)])
+    def test_many_states_pick_a_subset_without_listing(self, tmp_path, policy, m):
+        """2^m - 2 candidate sets: one index is unranked, the sets are never listed."""
+        out = tmp_path / "scan.csv"
+        start = time.perf_counter()
+        assert main(["conjecture", "--m", str(m), "--trials", "1", "--f-policy", policy,
+                     "--csv", str(out)]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert main(["replay", str(out), "--m", str(m), "--iterations", "50", "--tol", "1e-8"]) == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--f", "1"],
+            ["--f-policy", "all"],
+            ["--f-policy", "random"],
+        ],
+    )
+    @pytest.mark.parametrize("m", [256, 2000])
+    def test_huge_m_is_refused_before_allocation(self, capsys, args, m):
+        start = time.perf_counter()
+        assert main(["conjecture", "--m", str(m), "--trials", "1", *args]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_random_policy_from_64_states_is_a_usage_error(self, capsys):
+        assert main(["conjecture", "--m", "64", "--trials", "1", "--f-policy", "random"]) == 2
+        assert "below 64" in capsys.readouterr().err
+
+    def test_replay_with_huge_m_is_refused_before_allocation(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["conjecture", "--m", "3", "--f", "1", "--trials", "2", "--csv", str(out)]) == 0
+        start = time.perf_counter()
+        assert main(["replay", str(out), "--m", "2000", "--iterations", "50", "--tol", "1e-8"]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert f"limit of {MAX_N}" in capsys.readouterr().err
+
     def test_requires_f_or_policy(self, capsys):
         assert main(["conjecture", "--m", "3", "--trials", "5"]) == 2
 

@@ -157,13 +157,13 @@ class TestClassify:
         report = classify(preset("ganikhodzhaev_v0"))
         assert report.is_volterra
         assert not report.is_strictly_non_volterra
-        assert report.f_qso_sets == ()
+        assert tuple(report.f_qso_sets) == ()
 
     def test_non_volterra_preset(self):
         report = classify(preset("ganikhodzhaev_v1"))
         assert not report.is_volterra
         assert not report.is_strictly_non_volterra
-        assert report.f_qso_sets == ()
+        assert tuple(report.f_qso_sets) == ()
         reasons = {w.reason for w in report.violations}
         assert len(report.violations) == 2 and len(reasons) == 2
 
@@ -318,11 +318,10 @@ def assert_matches_oracle(P, sets=None):
     if sets is None:
         sets = classify(P).f_qso_sets
     assert isinstance(sets, FemaleSets)
-    assert sets == expected and tuple(sets) == expected
-    assert len(sets) == sets.total == len(expected)
+    assert tuple(sets) == expected
+    assert sets.total == len(expected) == len(sets)
     assert bool(sets) == bool(expected)
-    if expected:
-        assert sets[0] == expected[0]
+    assert sets.first == (expected[0] if expected else None)
     for females in proper_subsets(P.n - 1):
         assert (females in sets) == (females in expected)
     return sets
@@ -349,7 +348,7 @@ class TestPairGraphClassification:
     def test_odd_cycle_has_no_sets(self):
         P = with_pairs(empty_body(5), [(1, 2), (2, 3), (3, 1)], np.random.default_rng(1))
         sets = assert_matches_oracle(P)
-        assert not sets and sets.components is None and sets == ()
+        assert not sets and sets.components is None and sets.total == 0
 
     def test_components_and_isolated_states(self):
         """Two paths and the isolated state 7: 2^3 colourings."""
@@ -360,17 +359,17 @@ class TestPairGraphClassification:
             (frozenset({4, 6}), frozenset({5})),
             (frozenset({7}), frozenset()),
         )
-        assert len(sets) == 8 and sets[0] == frozenset({2, 5})
+        assert sets.total == 8 and sets.first == frozenset({2, 5})
 
     def test_tie_goes_to_the_side_with_the_smallest_state(self):
         P = with_pairs(empty_body(6), [(1, 4), (2, 3), (5, 2)], np.random.default_rng(3))
         sets = assert_matches_oracle(P)
-        assert sets[0] == frozenset({1, 2})
+        assert sets.first == frozenset({1, 2})
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_edgeless_graph(self, n):
         sets = assert_matches_oracle(CubicMatrix(empty_body(n)))
-        assert len(sets) == 2 ** (n - 1) - 2
+        assert sets.total == 2 ** (n - 1) - 2
 
     @pytest.mark.parametrize("pair", [(0, 1), (0, 0), (1, 1), (3, 3)])
     def test_non_empty_body_pair_that_must_be_empty(self, pair):
@@ -393,19 +392,18 @@ class TestPairGraphClassification:
     def test_three_state_family_count(self):
         """build_fqso_m2 has one edge and one component: the sets {1} and {2}."""
         sets = classify(build_fqso_m2(0.2, 0.5, 0.3)).f_qso_sets
-        assert len(sets) == 2 and sets.components == ((frozenset({1}), frozenset({2})),)
+        assert sets.total == 2 and sets.components == ((frozenset({1}), frozenset({2})),)
 
     def test_classify_tests_no_subset(self):
         sets = classify(build_f_qso(sample_random_f_qso(12, {2, 5, 7}, seed=6))).f_qso_sets
-        assert frozenset({2, 5, 7}) in sets and len(sets) == 2
+        assert frozenset({2, 5, 7}) in sets and sets.total == 2
 
     def test_edgeless_33_states_without_listing(self):
         start = time.perf_counter()
         sets = classify(CubicMatrix(empty_body(33))).f_qso_sets
-        assert len(sets) == 2**32 - 2 and sets
-        assert sets[0] == frozenset({1})
+        assert sets.total == 2**32 - 2 and sets
+        assert sets.first == frozenset({1})
         assert frozenset(range(2, 33)) in sets and frozenset(range(1, 33)) not in sets
-        assert sets != oracle_sets(build_fqso_m2(0.2, 0.5, 0.3))
         assert time.perf_counter() - start < 1.0
 
     def test_membership_rejects_foreign_values(self):

@@ -292,6 +292,34 @@ class TestSingleMaleFamily:
             SingleMaleCoefficients(np.array([[0.5, np.nan, 0.5]]))
 
 
+def cubic_from_skew_loop(A):
+    """The per-entry construction cubic_from_skew replaced, kept as its reference."""
+    m = A.m
+    p = np.zeros((m, m, m))
+    half = (1.0 + A.a) / 2.0
+    for k in range(m):
+        for i in range(m):
+            if i == k:
+                continue
+            p[i, k, k] = half[k, i]
+            p[k, i, k] = half[k, i]
+        p[k, k, k] = 1.0
+    return CubicMatrix(p)
+
+
+def skew_from_cubic_loop(P):
+    """The per-entry extraction skew_from_cubic replaced, kept as its reference."""
+    m = P.n
+    a = np.zeros((m, m))
+    for i in range(m):
+        for k in range(i + 1, m):
+            val = 2.0 * float(P.p[i, k, k]) - 1.0
+            val = min(1.0, max(-1.0, val))
+            a[k, i] = val
+            a[i, k] = -val
+    return SkewMatrix(a)
+
+
 class TestSkewForms:
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
@@ -356,6 +384,30 @@ class TestSkewForms:
     def test_skew_from_non_volterra_rejected(self):
         with pytest.raises(ClassificationError):
             skew_from_cubic(preset("ganikhodzhaev_v1"))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 12, 17])
+    def test_vectorised_forms_match_loop_reference(self, m):
+        """The cube is byte-identical and the skew equal to the per-entry loops."""
+        rng = np.random.default_rng(60 + m)
+        for trial in range(60):
+            a = random_skew(rng, m)
+            if trial % 3 == 1:
+                a = np.round(a)  # entries -1, 0 and 1 exactly
+            A = SkewMatrix(a)
+            P = cubic_from_skew(A)
+            assert P.p.tobytes() == cubic_from_skew_loop(A).p.tobytes()
+            assert np.array_equal(skew_from_cubic(P).a, skew_from_cubic_loop(P).a)
+
+    def test_slack_above_one_is_clipped_like_the_loop(self):
+        """p[i, k, k] a little above 1 (row sum within tolerance) clips the skew entry to 1."""
+        p = np.array(cubic_from_skew(SkewMatrix(random_skew(np.random.default_rng(7), 4))).p)
+        p[0, 2] = p[2, 0] = 0.0
+        p[0, 2, 2] = p[2, 0, 2] = 1.0 + 4e-13
+        P = CubicMatrix(p)
+        assert classify(P).is_volterra
+        A = skew_from_cubic(P)
+        assert A.a[2, 0] == 1.0 and A.a[0, 2] == -1.0
+        assert np.array_equal(A.a, skew_from_cubic_loop(P).a)
 
 
 class TestPresets:
