@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CubicMatrix, female_sets, proper_subset, proper_subsets, require_valid
+from .core import TOL_SUM, CubicMatrix, female_sets, proper_subset, proper_subsets, require_valid
 from .documents import MAX_N
-from .operators import FQsoSpec, apply_normalized, build_f_qso
+from .operators import FQsoSpec, _f_qso_cube, apply_normalized
 
 #: Disclaimer attached to every scan report.
 EVIDENCE_NOTE = "randomized scan: evidence only, not a proof of convergence"
@@ -87,14 +87,8 @@ def count_first_row(P: CubicMatrix) -> CountReport:
     )
 
 
-def sample_random_f_qso(m: int, females, seed: int) -> FQsoSpec:
-    """Draw a random two-sex operator spec, deterministically from the seed.
-
-    Each mixed pair's offspring distribution is sampled uniformly on the
-    simplex by normalizing independent exponential variates; pairs are
-    visited in sorted order so equal (m, females, seed) give bit-for-bit
-    equal specs.
-    """
+def _mixed_block(m: int, females, seed: int):
+    """Check the arguments, then return (F, sorted mixed pairs, one normalised exponential row per pair)."""
     if m < 2:
         raise ValueError("m must be >= 2")
     if m + 1 > MAX_N:
@@ -102,15 +96,23 @@ def sample_random_f_qso(m: int, females, seed: int) -> FQsoSpec:
     females = frozenset(females)
     if not females or not females < set(range(1, m + 1)):
         raise ValueError(f"female set {set(females)} must be a nonempty proper subset of {{1,...,{m}}}")
-    rng = np.random.default_rng(seed)
-    n = m + 1
-    males = sorted(set(range(1, m + 1)) - females)
-    mixed = {}
-    for i in sorted(females):
-        for j in males:
-            draw = rng.standard_exponential(n)
-            mixed[(i, j)] = draw / draw.sum()
-    return FQsoSpec(n=n, females=females, mixed=mixed)
+    pairs = [(i, j) for i in sorted(females) for j in sorted(set(range(1, m + 1)) - females)]
+    rows = np.random.default_rng(seed).standard_exponential((len(pairs), m + 1))
+    rows /= rows.sum(axis=1, keepdims=True)
+    if not ((rows >= 0.0).all() and (abs(rows.sum(axis=1) - 1.0) <= TOL_SUM).all()):
+        raise ValueError("mixed-pair draws are not probability vectors")
+    return females, pairs, rows
+
+
+def sample_random_f_qso(m: int, females, seed: int) -> FQsoSpec:
+    """Draw a random two-sex operator spec, deterministically from the seed.
+
+    Each mixed pair's offspring distribution is uniform on the simplex:
+    one block of exponential variates, a row per pair in sorted order,
+    normalised in place; equal (m, females, seed) give equal specs bitwise.
+    """
+    females, pairs, rows = _mixed_block(m, females, seed)
+    return FQsoSpec(n=m + 1, females=females, mixed=dict(zip(pairs, rows)))
 
 
 class TrialResult(NamedTuple):
@@ -161,28 +163,31 @@ def trial_seed(master_seed: int, trial: int) -> int:
 def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[frozenset[int], int, float, bool, np.ndarray]:
     """One scan trial, fully determined by (m, females, seed).
 
-    The operator spec is sampled with ``seed``; the interior start comes
-    from SeedSequence([seed, 1]).  Returns (females, first step within
+    The operator is the block of :func:`sample_random_f_qso` for ``seed``,
+    written into the cube with index arrays; the interior start comes from
+    SeedSequence([seed, 1]).  Up to ``iterations`` steps, stopping at the
+    exact vertex, which is fixed (V(e0) = e0 bitwise), so every ``tol``
+    gets the result of all the steps.  Returns (females, first step within
     tol or -1, final distance, final-step converged flag, final point).
     """
-    spec = sample_random_f_qso(m, females, seed)
-    P = build_f_qso(spec)
+    females, pairs, rows = _mixed_block(m, females, seed)
     n = m + 1
-    start_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    draw = start_rng.standard_exponential(n)
+    P = _f_qso_cube(n, pairs, rows)
+    draw = np.random.default_rng(np.random.SeedSequence([seed, 1])).standard_exponential(n)
     x = draw / draw.sum()
 
     vertex = np.zeros(n)
     vertex[0] = 1.0
-    first_hit = -1
-    if float(np.max(np.abs(x - vertex))) <= tol:
-        first_hit = 0
-    for step in range(1, iterations + 1):
+    dist = float(abs(x - vertex).max())
+    first_hit = 0 if dist <= tol else -1
+    step = 0
+    while step < iterations and dist != 0.0:
+        step += 1
         x = apply_normalized(P, x)
-        if first_hit < 0 and float(np.max(np.abs(x - vertex))) <= tol:
+        dist = float(abs(x - vertex).max())
+        if first_hit < 0 and dist <= tol:
             first_hit = step
-    final_dist = float(np.max(np.abs(x - vertex)))
-    return frozenset(females), first_hit, final_dist, final_dist <= tol, x
+    return females, first_hit, dist, dist <= tol, x
 
 
 def conjecture_scan(
@@ -197,8 +202,10 @@ def conjecture_scan(
     """Randomized scan for convergence to the vertex across two-sex operators.
 
     Per trial: pick a female set (per policy), sample a random operator
-    and a random interior start, iterate a fixed number of steps, and
-    test the final max-norm distance to (1, 0, ..., 0) against ``tol``.
+    (all mixed pairs drawn in one block) and a random interior start,
+    iterate up to ``iterations`` steps, stopping at the exact vertex,
+    which is fixed, and test the final max-norm distance to
+    (1, 0, ..., 0) against ``tol``.
     Policies: "fixed" uses ``females`` every trial; "all" cycles through
     every nonempty proper subset in (size, lexicographic) order;
     "random" draws one per trial (an int64 index, so m < 64).  Both

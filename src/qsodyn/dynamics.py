@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
+import scipy  # scipy.optimize loads on the first polish, not at import
 
 from .core import (
     TOL_FIX,
@@ -292,7 +292,7 @@ def _polish(P: CubicMatrix, guess: np.ndarray) -> np.ndarray | None:
 
     x0 = np.clip(guess, 0.0, 1.0)
     try:
-        sol = least_squares(fun, x0, bounds=(0.0, 1.0), xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        sol = scipy.optimize.least_squares(fun, x0, bounds=(0.0, 1.0), xtol=1e-15, ftol=1e-15, gtol=1e-15)
     except ValueError:  # infeasible start or non-finite residuals
         return None
     x = np.clip(sol.x, 0.0, None)

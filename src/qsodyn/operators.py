@@ -120,12 +120,15 @@ def build_f_qso(spec: FQsoSpec) -> CubicMatrix:
     exactly F x M, so the pairs left empty-body are the same-class ones
     (both parents female or both male, with state 0 counting as both).
     """
-    n = spec.n
+    return _f_qso_cube(spec.n, list(spec.mixed), list(spec.mixed.values()))
+
+
+def _f_qso_cube(n: int, pairs, rows) -> CubicMatrix:
+    """The empty body on every pair, then ``rows[r]`` on both orientations of ``pairs[r]``."""
+    i, j = np.array(pairs).T
     p = np.zeros((n, n, n))
     p[:, :, 0] = 1.0
-    for (i, j), dist in spec.mixed.items():
-        p[i, j, :] = dist
-        p[j, i, :] = dist
+    p[i, j] = p[j, i] = rows
     return CubicMatrix(p)
 
 

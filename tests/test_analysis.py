@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qsodyn import (
+    CubicMatrix,
+    FQsoSpec,
     build_f_qso,
     build_fqso_m2,
     classify,
@@ -17,7 +19,9 @@ from qsodyn import (
     trial_seed,
     verify_priority_inequality,
 )
+from qsodyn import analysis
 from qsodyn.core import proper_subset
+from qsodyn.operators import apply_normalized
 from helpers import random_cubic
 
 
@@ -32,6 +36,84 @@ def brute_force_counts(P):
             elif value < 1.0:
                 n1_tilde += 1
     return n1, n1_tilde
+
+
+# --- the per-pair sampler and the full-length trial, kept as oracles -------
+
+
+def sample_random_f_qso_loop(m, females, seed):
+    """The per-pair sampler: one exponential draw per mixed pair, in sorted order."""
+    rng = np.random.default_rng(seed)
+    n = m + 1
+    females = frozenset(females)
+    males = sorted(set(range(1, m + 1)) - females)
+    mixed = {}
+    for i in sorted(females):
+        for j in males:
+            draw = rng.standard_exponential(n)
+            mixed[(i, j)] = draw / draw.sum()
+    return FQsoSpec(n=n, females=females, mixed=mixed)
+
+
+def build_f_qso_loop(spec):
+    """The per-pair cube builder."""
+    n = spec.n
+    p = np.zeros((n, n, n))
+    p[:, :, 0] = 1.0
+    for (i, j), dist in spec.mixed.items():
+        p[i, j, :] = dist
+        p[j, i, :] = dist
+    return p
+
+
+def oracle_trial_start(m, females, seed):
+    """A trial's operator, from the per-pair code, and its interior start."""
+    P = CubicMatrix(build_f_qso_loop(sample_random_f_qso_loop(m, females, seed)))
+    start_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    draw = start_rng.standard_exponential(m + 1)
+    return P, draw / draw.sum()
+
+
+def run_trial_full(m, females, seed, iterations, tols):
+    """The full-length trial loop: all ``iterations`` steps, whatever the distance.
+
+    One trajectory serves every tolerance in ``tols``.  Returns
+    ({tol: (steps, final_dist, converged)}, final point, cube).
+    """
+    P, x = oracle_trial_start(m, females, seed)
+    n = m + 1
+    vertex = np.zeros(n)
+    vertex[0] = 1.0
+    first_hit = {tol: -1 for tol in tols}
+    for tol in tols:
+        if float(np.max(np.abs(x - vertex))) <= tol:
+            first_hit[tol] = 0
+    for step in range(1, iterations + 1):
+        x = apply_normalized(P, x)
+        for tol in tols:
+            if first_hit[tol] < 0 and float(np.max(np.abs(x - vertex))) <= tol:
+                first_hit[tol] = step
+    final_dist = float(np.max(np.abs(x - vertex)))
+    return {tol: (first_hit[tol], final_dist, final_dist <= tol) for tol in tols}, x, P.p
+
+
+def vertex_step(m, females, seed, limit=200):
+    """First step at which the full-length trajectory equals the vertex bitwise."""
+    P, x = oracle_trial_start(m, females, seed)
+    vertex = np.eye(m + 1)[0]
+    for step in range(1, limit + 1):
+        x = apply_normalized(P, x)
+        if np.array_equal(x, vertex):
+            return step
+    raise AssertionError(f"no exact vertex within {limit} steps")
+
+
+def scan_cases():
+    for m in range(2, 14):
+        for policy in ("fixed", "all", "random"):
+            yield m, policy
+    yield 40, "fixed"
+    yield 255, "fixed"
 
 
 class TestCountFirstRow:
@@ -120,6 +202,32 @@ class TestSampleRandomFQso:
             P = build_f_qso(spec)
             assert validate_stochastic(P).ok
             assert frozenset({2, 3}) in classify(P).f_qso_sets
+
+    @pytest.mark.parametrize("m", [*range(2, 14), 40, 255])
+    def test_block_draw_matches_the_per_pair_loop(self, m):
+        for females in ({1}, set(range(1, m // 2 + 1)), {m}):
+            for seed in (0, 17):
+                spec = sample_random_f_qso(m, females, seed)
+                oracle = sample_random_f_qso_loop(m, females, seed)
+                assert spec.females == oracle.females
+                assert list(spec.mixed) == list(oracle.mixed)
+                assert all(np.array_equal(spec.mixed[key], oracle.mixed[key]) for key in oracle.mixed)
+                if m <= 40:
+                    assert np.array_equal(build_f_qso(spec).p, build_f_qso_loop(oracle))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_block_that_is_not_a_probability_vector_is_refused(self, bad, monkeypatch):
+        class Forged:
+            def standard_exponential(self, shape):
+                draw = np.ones(shape)
+                draw[-1, 1] = bad
+                return draw
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Forged())
+        with pytest.raises(ValueError, match="not probability vectors"):
+            sample_random_f_qso(4, {1, 2}, seed=0)
+        with pytest.raises(ValueError, match="not probability vectors"):
+            run_trial(4, {1, 2}, 0, 50, 1e-8)
 
     def test_rejects_bad_female_set(self):
         with pytest.raises(ValueError):
@@ -243,6 +351,57 @@ class TestConjectureScan:
                 row.final_dist,
                 row.converged,
             )
+
+    @pytest.mark.parametrize("m, policy", list(scan_cases()))
+    def test_scan_matches_the_full_length_oracle(self, m, policy, monkeypatch):
+        """Spec, cube, steps, distance, flag and final point equal the per-pair, all-steps code."""
+        tols = (0.0, 1e-8, -1.0)
+        cubes = []
+
+        def recording(P, x):
+            if not cubes or cubes[-1] is not P:
+                cubes.append(P)
+            return apply_normalized(P, x)
+
+        monkeypatch.setattr(analysis, "apply_normalized", recording)
+        trials = 3 if m <= 13 else 1
+        for iterations in (1, 3, 50):
+            oracles = {}
+            for tol in tols:
+                cubes.clear()
+                report = conjecture_scan(
+                    m, trials, iterations=iterations, tol=tol, seed=m, f_policy=policy,
+                    females={1} if policy == "fixed" else None,
+                )
+                assert len(cubes) == trials
+                for row, cube in zip(report.results, cubes):
+                    key = (row.females, row.seed)
+                    if key not in oracles:
+                        oracles[key] = run_trial_full(m, row.females, row.seed, iterations, tols)
+                    by_tol, x, p = oracles[key]
+                    assert (row.steps, row.final_dist, row.converged) == by_tol[tol]
+                    assert np.array_equal(row.final_point, x)
+                    assert np.array_equal(cube.p, p)
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 12])
+    def test_stops_at_the_first_step_at_the_vertex(self, m, monkeypatch):
+        calls = []
+
+        def counting(P, x):
+            calls.append(1)
+            return apply_normalized(P, x)
+
+        monkeypatch.setattr(analysis, "apply_normalized", counting)
+        females = set(range(1, m // 2 + 1))
+        for t in range(5):
+            seed = trial_seed(m, t)
+            hit = vertex_step(m, females, seed)
+            assert hit < 50
+            for iterations, expected in ((50, hit), (hit, hit), (hit - 1, hit - 1)):
+                calls.clear()
+                _, _, final_dist, _, x = run_trial(m, females, seed, iterations, -1.0)
+                assert len(calls) == expected
+                assert np.array_equal(x, np.eye(m + 1)[0]) == (final_dist == 0.0) == (expected == hit)
 
     def test_trial_seed_scheme(self):
         assert trial_seed(7, 0) != trial_seed(7, 1)

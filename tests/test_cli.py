@@ -258,6 +258,17 @@ class TestConjecture:
         assert time.perf_counter() - start < 2.0
         assert main(["replay", str(out), "--m", str(m), "--iterations", "50", "--tol", "1e-8"]) == 0
 
+    def test_trials_stop_at_the_vertex_whatever_the_iteration_count(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        start = time.perf_counter()
+        assert main(["conjecture", "--m", "6", "--f", "1,2", "--trials", "5",
+                     "--iterations", "1000000000", "--csv", str(out)]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert "converged: 5/5" in capsys.readouterr().out
+        start = time.perf_counter()
+        assert main(["replay", str(out), "--m", "6", "--iterations", "1000000000", "--tol", "1e-8"]) == 0
+        assert time.perf_counter() - start < 2.0
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -486,6 +497,26 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "stochasticity: OK" in proc.stdout
+
+    def test_only_a_polish_loads_scipy_optimize(self, rps_doc):
+        """Importing the CLI leaves scipy.optimize unloaded; fixed-points loads it and prints as before."""
+        probe = (
+            "import sys\n"
+            "import qsodyn.cli\n"
+            "print('scipy' in sys.modules, 'scipy.optimize' in sys.modules, file=sys.stderr)\n"
+            "qsodyn.cli.main(['fixed-points', sys.argv[1], '--starts', '20', '--seed', '1'])\n"
+            "print('scipy.optimize' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, rps_doc], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr.split() == ["True", "False", "True"]
+        assert proc.stdout == (
+            "multistart search: starts=20, seed=1\n"
+            "  (0.0, 0.0, 1.0) residual=0.000e+00 [in simplex]\n"
+            "  (0.0, 1.0, 0.0) residual=0.000e+00 [in simplex]\n"
+            "  (0.33333333333333337, 0.33333333333333337, 0.33333333333333326) residual=0.000e+00 [in simplex]\n"
+            "  (1.0, 0.0, 0.0) residual=0.000e+00 [in simplex]\n"
+        )
 
     def test_usage_error_is_exit_2(self):
         proc = subprocess.run(
