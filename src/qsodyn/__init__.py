@@ -2,7 +2,7 @@
 
 Construction and classification of operators (Volterra, strictly
 non-Volterra, two-sex/F-QSO), trajectory dynamics with certified
-doubly exponential convergence for the single-male family, fixed-point
+doubly exponential convergence for every two-sex operator, fixed-point
 analysis, Cesaro ergodic averages, first-row counting, and a seeded
 randomized convergence scanner.
 """
@@ -66,7 +66,6 @@ from .dynamics import (
     convergence_report,
     find_fixed_points,
     fixed_points_m2,
-    is_single_male_shape,
     iterate_batch,
     lyapunov,
     lyapunov_bound,

@@ -4,9 +4,10 @@ The k = 0 slice of a cubic matrix, indexed by unordered parent pairs,
 counts how often the empty-body child is certain (N1) versus uncertain
 (N1~).  For any two-sex operator N1 strictly exceeds N1~, an integer
 inequality verified here by exhaustion.  The scanner samples random
-two-sex operators for arbitrary female sets and tests empirically
-whether every trajectory reaches the absorbing vertex; its report is
-evidence, never proof.
+two-sex operators for arbitrary female sets and checks a theorem: the
+functional phi_F = x_F * x_M (see :mod:`qsodyn.dynamics`) proves that
+every trajectory reaches the absorbing vertex, within
+2*(1/4)^(2^(n-1)) in max norm after n >= 1 steps.
 """
 
 from dataclasses import dataclass
@@ -18,8 +19,8 @@ from .core import TOL_SUM, CubicMatrix, female_sets, proper_subset, proper_subse
 from .documents import MAX_N
 from .operators import FQsoSpec, _f_qso_cube, apply_normalized
 
-#: Disclaimer attached to every scan report.
-EVIDENCE_NOTE = "randomized scan: evidence only, not a proof of convergence"
+#: What every scan report checks.
+EVIDENCE_NOTE = "randomized check of a theorem: phi_F = x_F*x_M proves every two-sex orbit reaches the vertex"
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,9 @@ class ConjectureReport:
 
     ``converged`` counts trials whose final iterate lies within ``tol``
     (max norm) of the absorbing vertex; ``worst_case`` is the trial with
-    the largest final distance.  The report is labeled evidence: it
-    never claims anything proved.
+    the largest final distance.  Convergence is proved for every trial
+    (see ``note``), so a trial that misses ``tol`` had too few
+    iterations, or exposes a fault.
     """
 
     parameters: ScanParameters
@@ -199,7 +201,7 @@ def conjecture_scan(
     f_policy: str = "fixed",
     females=None,
 ) -> ConjectureReport:
-    """Randomized scan for convergence to the vertex across two-sex operators.
+    """Randomized check of convergence to the vertex across two-sex operators.
 
     Per trial: pick a female set (per policy), sample a random operator
     (all mixed pairs drawn in one block) and a random interior start,

@@ -136,7 +136,6 @@ def cmd_trajectory(args) -> int:
     reference = _resolve_reference(args.reference, P)
     traj = dynamics.trajectory(P, x0, max_steps=args.steps, tol=args.tol, reference=reference)
 
-    single_male = dynamics.is_single_male_shape(P)
     dists = traj.dist_to_limit.tolist() if traj.dist_to_limit is not None else None
     handle, writer = _open_writer(args.output)
     with handle:
@@ -144,7 +143,7 @@ def cmd_trajectory(args) -> int:
         for step, (coords, phi) in enumerate(zip(traj.coords.tolist(), traj.lyapunov_values.tolist())):
             row = [str(step)] + [repr(v) for v in coords]
             row.append("" if math.isnan(phi) else repr(phi))
-            row.append(_fmt(dynamics.lyapunov_bound(step).value) if single_male else "")
+            row.append(_fmt(dynamics.lyapunov_bound(step).value) if traj.females is not None else "")
             row.append(repr(dists[step]) if dists is not None else "")
             writer.writerow(row)
     print(f"wrote {len(traj)} rows to {args.output}; stop reason: {traj.stop_reason}")
@@ -161,7 +160,7 @@ def cmd_fixed_points(args) -> int:
         flag = "in simplex" if cand.in_simplex else "REJECTED: not in simplex"
         print(f"  {_fmt_point(cand.point)} residual={cand.residual:.3e} [{flag}]")
 
-    if P.n == 3 and dynamics.is_single_male_shape(P):
+    if P.n == 3 and female_sets(P):
         a, b, c = (float(P.p[1, 2, k]) for k in range(3))
         alg = dynamics.fixed_points_m2(a, b, c)
         print(f"algebraic candidates of the three-state family (a={_fmt(a)}, b={_fmt(b)}, c={_fmt(c)}):")
@@ -293,11 +292,11 @@ def _replay_trajectory(rows: list[list[str]], args) -> int:
     phi, bound, _ = (_numbers(col, optional=True)[1:] for col in columns[1 + n :])
 
     nxt = X[1:]
-    single_male = dynamics.is_single_male_shape(P)
-    exact = [dynamics.lyapunov_bound(step).value if single_male else math.nan for step in steps]
+    females = female_sets(P).first
+    exact = [dynamics.lyapunov_bound(step).value if females is not None else math.nan for step in steps]
     kernel = np.abs(apply_normalized(P, X[:-1]) - nxt).ravel()
     # Empty phi and bound cells read as NaN and are skipped.
-    stored = np.abs(np.concatenate([dynamics._lyapunov_raw(nxt) - phi, exact - bound]))
+    stored = np.abs(np.concatenate([dynamics._phi(n, females)(nxt) - phi, exact - bound]))
     worst = float(np.max(np.concatenate([kernel, stored[~np.isnan(stored)]]), initial=0.0))
     print(f"replayed {len(rows) - 1} trajectory rows; max deviation {worst:.3e}")
     return 0 if worst <= REPLAY_TOL else 1
@@ -399,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="CSV path")
     p.set_defaults(func=cmd_ergodic)
 
-    p = sub.add_parser("conjecture", help="randomized convergence scan over two-sex operators")
+    p = sub.add_parser("conjecture", help="randomized check of the two-sex convergence theorem")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--iterations", type=int, default=50)

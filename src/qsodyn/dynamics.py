@@ -1,9 +1,11 @@
 """Trajectory iteration, fixed points, convergence certificates, Cesaro averages.
 
-For the two-sex family with a single male (``build_single_male``), the
-functional ``lyapunov(x) = x1 * (1 - x0 - x1)`` contracts at least
-quadratically per step, which certifies doubly exponential convergence
-of every trajectory to the absorbing vertex (1, 0, ..., 0).  This
+For every two-sex operator (F-QSO) with female set F and male set M, the
+functional ``phi_F(x) = x_F * x_M`` (total female times total male mass)
+contracts at least quadratically per step, phi_F' <= phi_F^2 (only mixed
+pairs leave the empty body, so 1 - x0' <= 2 phi_F; then AM-GM), which
+certifies doubly exponential convergence to the absorbing vertex
+(1, 0, ..., 0).  For M = {1} it is the source paper's ``lyapunov``.  This
 module records and checks that certificate stepwise, finds fixed points
 both algebraically (three states) and by seeded multistart search, and
 computes Cesaro (ergodic) averages.
@@ -24,16 +26,15 @@ from .core import (
     DimensionError,
     InvalidPointError,
     SimplexPoint,
-    classify,
     female_sets,
     renormalize,
     require_valid,
 )
 from .operators import apply_normalized, apply_unnormalized, build_fqso_m2
 
-#: Once the Lyapunov value falls below this, a single-male trajectory is
-#: snapped to the exact vertex: the next true iterate is provably within
-#: twice this distance of it, and denormal arithmetic adds only noise.
+#: Once phi_F falls below this, a two-sex trajectory is snapped to the
+#: exact vertex: the next true iterate is provably within twice this
+#: distance of it, and denormal arithmetic adds only noise.
 PHI_UNDERFLOW = 1e-300
 
 STOP_MAX_STEPS = "max_steps"
@@ -41,22 +42,28 @@ STOP_CONVERGED = "converged"
 STOP_INVALID = "invalid_state"
 
 
-def _lyapunov_raw(v: np.ndarray) -> np.ndarray:
-    # x1 times the total female-side mass, over the last axis; the tail-sum
-    # form keeps the value exactly nonnegative and equals x1*(1 - x0 - x1)
-    # within TOL_SUM.
-    return v[..., 1] * v[..., 2:].sum(axis=-1)
+def _phi(n: int, females: frozenset[int] | None):
+    """``phi_F(x) = x_F * x_M`` over the last axis for ``n`` states, M the rest of {1..n-1}.
+
+    ``females=None`` takes the paper's sides F = {2..n-1}, M = {1}.
+    ``take`` copies in C order, so each side sums bitwise as its slice
+    would; ``v[..., idx]`` may copy column-major and round differently.
+    """
+    in_f = np.zeros(n, dtype=bool)
+    in_f[list(females) if females is not None else slice(2, None)] = True
+    f_idx, m_idx = np.flatnonzero(in_f), np.flatnonzero(~in_f)[1:]
+    return lambda v: v.take(f_idx, axis=-1).sum(axis=-1) * v.take(m_idx, axis=-1).sum(axis=-1)
 
 
 def lyapunov(x: SimplexPoint) -> float:
     """Convergence functional ``x1 * sum_{i >= 2} x_i`` (equals x1*x2 for dim 3).
 
-    Defined for dim >= 3, with coordinate 1 playing the single-male role.
-    Always >= 0, and at most 1/4 on the simplex.
+    The paper's phi_F for M = {1}.  Defined for dim >= 3.  Always >= 0,
+    and at most 1/4 on the simplex.
     """
     if x.dim < 3:
         raise DimensionError("the convergence functional needs dim >= 3")
-    return float(_lyapunov_raw(x.coords))
+    return float(_phi(x.dim, None)(x.coords))
 
 
 def lyapunov_closed_form(b: float, c: float, phi0: float, n: int) -> float:
@@ -111,30 +118,23 @@ def lyapunov_bound(n: int) -> LyapunovBound:
     return LyapunovBound(value=0.0, log2=log2, is_exact=False)
 
 
-def is_single_male_shape(P: CubicMatrix) -> bool:
-    """True iff ``P`` matches the two-sex pattern with males M = {1}.
-
-    Reads the pair graph of :func:`qsodyn.core.female_sets`, so, like it,
-    runs no stochasticity check.
-    """
-    return P.n >= 3 and frozenset(range(2, P.n)) in female_sets(P)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """An orbit x(0), x(1) = V(x(0)), ... as a read-only (len, n) array, with diagnostics.
 
-    ``lyapunov_values[n]`` is the convergence functional at step n (NaN
-    when n < 3 states); ``dist_to_limit`` holds max-norm distances to the
-    reference point when one was given.  Each row is the image of its
-    predecessor, with one documented exception: when a single-male
-    trajectory's functional drops below ``PHI_UNDERFLOW`` the final row is
-    snapped to the exact vertex (the true iterate differs from it by at
-    most twice that threshold).
+    ``lyapunov_values[n]`` is phi_F at step n for F = ``females``, the
+    operator's first female set (``None``: there is none, and the paper's
+    sides F = {2..n-1}, M = {1} are used; NaN when n < 3 states).
+    ``dist_to_limit`` holds max-norm distances to the reference point
+    when one was given.  Each row is the image of its predecessor, with
+    one documented exception: when a two-sex trajectory's phi_F drops
+    below ``PHI_UNDERFLOW`` the final row is snapped to the exact vertex
+    (the true iterate differs from it by at most twice that threshold).
     """
 
     coords: np.ndarray
     lyapunov_values: np.ndarray
+    females: frozenset[int] | None
     dist_to_limit: np.ndarray | None
     stop_reason: str
     tol: float | None
@@ -159,8 +159,8 @@ def trajectory(
     Stops after ``max_steps`` applications, or earlier with
     ``stop_reason="converged"`` when a reference point and tolerance are
     given and the max-norm distance to the reference falls within
-    ``tol`` (checked from step 0 onward), or when the single-male
-    underflow snap fires, or with ``"invalid_state"`` when a step leaves
+    ``tol`` (checked from step 0 onward), or when the two-sex underflow
+    snap fires, or with ``"invalid_state"`` when a step leaves
     the simplex (a non-finite, negative or non-unit-sum image, which a
     validated matrix cannot produce from a simplex point).
     """
@@ -175,9 +175,11 @@ def trajectory(
     ref = reference.coords if reference is not None else None
     watch = ref is not None and tol is not None
     vertex = SimplexPoint.vertex(P.n).coords
+    females = female_sets(P).first
+    phi = _phi(P.n, females)
     # The snap claims convergence to the vertex; honor a user-supplied
     # reference only when the vertex itself satisfies it.
-    snap = is_single_male_shape(P) and (not watch or _max_dist(vertex, ref) <= tol)
+    snap = females is not None and (not watch or _max_dist(vertex, ref) <= tol)
 
     x = x0.coords
     rows = [x]
@@ -188,7 +190,7 @@ def trajectory(
         if count == max_steps:
             stop = STOP_MAX_STEPS
             break
-        if snap and _lyapunov_raw(x) < PHI_UNDERFLOW:
+        if snap and phi(x) < PHI_UNDERFLOW:
             if not np.array_equal(x, vertex):
                 rows.append(vertex)
             stop = STOP_CONVERGED
@@ -202,10 +204,10 @@ def trajectory(
 
     coords = np.array(rows)
     coords.flags.writeable = False
-    phis = _lyapunov_raw(coords) if P.n >= 3 else np.full(len(rows), math.nan)
     return Trajectory(
         coords=coords,
-        lyapunov_values=phis,
+        lyapunov_values=phi(coords) if P.n >= 3 else np.full(len(rows), math.nan),
+        females=females,
         dist_to_limit=np.max(np.abs(coords - ref), axis=1) if ref is not None else None,
         stop_reason=stop,
         tol=tol,
@@ -399,17 +401,16 @@ def cesaro_running(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]) -> lis
 class ConvergenceReport:
     """Stepwise certificate record for a two-sex trajectory.
 
-    ``mode`` is "certified" for the single-male shape, where the bound
-    (1/4)^(2^n), the squared contraction, and the coordinate bound
-    x_k(n+1) <= 2*phi(n) are proved, and "empirical" for any other
-    F-QSO, where the same quantities are logged without a guarantee.
-    ``male_identity_residuals`` (three states only) holds
-    |x1(n) - 2b*phi(n-1)|, which is an exact identity of the family.
-    ``first_below`` is the first step at which every coordinate except
-    x0 falls below ``tol``.
+    The bound (1/4)^(2^n), the squared contraction and the coordinate
+    bound x_k(n+1) <= 2*phi_F(n) are proved for every F-QSO, with phi_F
+    as in ``trajectory.lyapunov_values``.  ``male_identity_residuals``
+    (three states only) holds |x1(n) - 2b*phi(n-1)|, which is an exact
+    identity of the family.  ``first_below`` is the first step at which
+    every coordinate except x0 falls below ``tol``.
     """
 
-    mode: str
+    mode = "certified"  # a constant, kept because the benchmark harness reads it
+
     trajectory: Trajectory
     bounds: np.ndarray
     bound_ok: np.ndarray
@@ -426,8 +427,9 @@ def convergence_report(
     """Run a trajectory and check the decay certificate at every step.
 
     Requires a two-sex (F-QSO) operator; raises
-    :class:`ClassificationError` otherwise.  Checks, for each recorded
-    step n:
+    :class:`ClassificationError` otherwise, once the trajectory, which
+    finds the female set, has run.  Checks, for each recorded step n,
+    with phi = phi_F:
 
     * ``phi(x(n)) <= (1/4)^(2^n) + 1e-15`` (tail bound),
     * ``phi(x(n+1)) <= phi(x(n))^2 + 1e-15`` (squared contraction),
@@ -435,12 +437,9 @@ def convergence_report(
     * for three states, ``x1(n) = 2b phi(x(n-1))`` with b the mixed
       pair's male-child probability (reported as residuals).
     """
-    sets = classify(P).f_qso_sets
-    if not sets:
-        raise ClassificationError("convergence certificate requires a two-sex (F-QSO) operator")
-    mode = "certified" if frozenset(range(2, P.n)) in sets else "empirical"
-
     traj = trajectory(P, x0, max_steps=n_max)
+    if traj.females is None:
+        raise ClassificationError("convergence certificate requires a two-sex (F-QSO) operator")
     coords = traj.coords
     phis = traj.lyapunov_values
     bounds = np.array([lyapunov_bound(n).value for n in range(len(traj))])
@@ -457,7 +456,6 @@ def convergence_report(
     first_below = int(below[0]) if below.size else None
 
     return ConvergenceReport(
-        mode=mode,
         trajectory=traj,
         bounds=bounds,
         bound_ok=bound_ok,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsodyn import (
+    EVIDENCE_NOTE,
     CubicMatrix,
     FQsoSpec,
     build_f_qso,
@@ -415,4 +416,4 @@ class TestConjectureScan:
 
     def test_report_carries_evidence_note(self):
         report = conjecture_scan(m=2, trials=2, iterations=5, seed=9, females={1})
-        assert "evidence" in report.note
+        assert report.note == EVIDENCE_NOTE and "theorem" in report.note

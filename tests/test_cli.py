@@ -13,11 +13,15 @@ from qsodyn import (
     CubicMatrix,
     OperatorDocument,
     SingleMaleCoefficients,
+    build_f_qso,
     build_fqso_m2,
     build_single_male,
     document_from_matrix,
+    lyapunov_bound,
+    sample_random_f_qso,
     save_document,
 )
+from qsodyn import analysis, cli, core, dynamics
 from qsodyn.cli import main
 from qsodyn.documents import MAX_N
 
@@ -186,6 +190,53 @@ class TestTrajectory:
         assert main(["replay", str(out_csv), "--operator", m2_doc]) == 1
 
 
+class TestPhiColumn:
+    """Each phi cell is phi_F of its own row, bitwise; every F-QSO gets bound cells and the snap."""
+
+    def cells(self, tmp_path, doc, n, seed):
+        out = tmp_path / "traj.csv"
+        argv = ["trajectory", doc, "--start", f"random:{seed}", "--steps", "60", "--reference", "none"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert main(["replay", str(out), "--operator", doc]) == 0
+        rows = read_rows(out)[1:]
+        return [(np.array([float(v) for v in row[1 : 1 + n]]), *row[1 + n :]) for row in rows]
+
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_single_male_cells_are_the_per_row_sum(self, tmp_path, n):
+        """Row sums of a column-major copy differ in the last bit at these n; the cells must not."""
+        doc = single_male_doc_of(tmp_path, n)
+        for seed in range(10):
+            for x, phi, _, _ in self.cells(tmp_path, doc, n, seed):
+                assert float(phi) == x[1] * x[2:].sum()
+
+    def test_general_f_qso_cells_are_phi_f(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        save_document(document_from_matrix(build_f_qso(sample_random_f_qso(5, {2, 4}, seed=3))), path)
+        for seed in range(5):
+            rows = self.cells(tmp_path, str(path), 6, seed)
+            assert len(rows) < 61 and "stop reason: converged" in capsys.readouterr().out
+            for step, (x, phi, bound, _) in enumerate(rows):
+                assert float(phi) == x[[2, 4]].sum() * x[[1, 3, 5]].sum()
+                assert bound == repr(lyapunov_bound(step).value)
+
+    def test_pair_graph_is_read_twice_per_trajectory_and_once_per_replay(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(P):
+            calls.append(P.n)
+            return core_female_sets(P)
+
+        core_female_sets = core.female_sets
+        for module in (core, dynamics, analysis, cli):
+            monkeypatch.setattr(module, "female_sets", counting)
+        doc, out = single_male_doc_of(tmp_path, 9), str(tmp_path / "traj.csv")
+        assert main(["trajectory", doc, "--start", "uniform", "--output", out]) == 0
+        assert len(calls) <= 2
+        calls.clear()
+        assert main(["replay", out, "--operator", doc]) == 0
+        assert len(calls) == 1
+
+
 class TestFixedPoints:
     def test_m2_prints_rejected_algebraic_candidate(self, m2_doc, capsys):
         assert main(["fixed-points", m2_doc, "--starts", "20", "--seed", "3"]) == 0
@@ -305,7 +356,7 @@ class TestConjecture:
 
     def test_evidence_note_printed(self, capsys):
         main(["conjecture", "--m", "2", "--f", "2", "--trials", "2"])
-        assert "evidence only" in capsys.readouterr().out
+        assert "note: randomized check of a theorem" in capsys.readouterr().out
 
 
 class TestPresetsCommand:

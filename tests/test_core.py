@@ -18,7 +18,6 @@ from qsodyn import (
     build_fqso_m2,
     classify,
     female_sets,
-    is_single_male_shape,
     preset,
     proper_subsets,
     renormalize,
@@ -322,6 +321,7 @@ def assert_matches_oracle(P, sets=None):
     assert sets.total == len(expected) == len(sets)
     assert bool(sets) == bool(expected)
     assert sets.first == (expected[0] if expected else None)
+    assert sets.first is None or matches_partition(P, sets.first)
     for females in proper_subsets(P.n - 1):
         assert (females in sets) == (females in expected)
     return sets
@@ -413,14 +413,14 @@ class TestPairGraphClassification:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_unvalidated_cubes(self, n):
-        """female_sets and is_single_male_shape agree with the oracle on asymmetric cubes."""
+        """female_sets agrees with the oracle on asymmetric cubes, for M = {1} too."""
         rng = np.random.default_rng(700 + n)
         found = one_sided = 0
         for _ in range(300):
             P = unvalidated_cube(rng, n)
             sets = assert_matches_oracle(P, female_sets(P))
             single_male = n >= 3 and matches_partition(P, frozenset(range(2, n)))
-            assert is_single_male_shape(P) == single_male
+            assert (frozenset(range(2, n)) in sets) == single_male
             found += bool(sets)
             empty = empty_body_pattern(P.p)
             one_sided += bool((empty != empty.T).any())

@@ -19,10 +19,10 @@ from qsodyn import (
     build_single_male,
     cesaro_average,
     cesaro_running,
+    conjecture_scan,
     convergence_report,
     find_fixed_points,
     fixed_points_m2,
-    is_single_male_shape,
     iterate_batch,
     lyapunov,
     lyapunov_bound,
@@ -32,6 +32,7 @@ from qsodyn import (
     trajectory,
 )
 from qsodyn import dynamics
+from qsodyn.core import proper_subset
 from qsodyn.operators import SkewMatrix, apply_normalized, cubic_from_skew
 from helpers import random_cubic, random_simplex, random_simplex_batch
 
@@ -482,11 +483,11 @@ class TestConvergenceReport:
             assert np.all(report.coordinate_bound_ok)
             assert report.first_below is not None
 
-    def test_general_two_sex_is_empirical(self):
+    def test_general_two_sex_is_certified(self):
         P = build_f_qso(sample_random_f_qso(3, {2}, seed=5))  # males {1, 3}
-        assert not is_single_male_shape(P)
         report = convergence_report(P, SimplexPoint.uniform(4), n_max=10)
-        assert report.mode == "empirical"
+        assert report.mode == "certified" and report.trajectory.females == frozenset({2})
+        assert report.bound_ok.all() and report.squared_contraction_ok.all() and report.coordinate_bound_ok.all()
 
     def test_coordinate_bound_matches_per_step_loop(self):
         P = build_f_qso(sample_random_f_qso(4, {2}, seed=1))  # males {1, 3, 4}
@@ -494,15 +495,15 @@ class TestConvergenceReport:
         coords, phis = report.trajectory.coords, report.trajectory.lyapunov_values
         expected = [bool(np.all(coords[n + 1, 1:] <= 2.0 * phis[n] + 1e-12)) for n in range(len(coords) - 1)]
         assert report.coordinate_bound_ok.tolist() == expected
-        assert not all(expected)  # the bound is only proved for the single-male shape
+        assert all(expected)  # proved for every female set
 
-    def test_two_sex_beyond_seventeen_states_is_empirical(self):
+    def test_two_sex_beyond_seventeen_states_is_certified(self):
         """A 21-state F-QSO with |F| = |M| = 10 is classified, not refused."""
         females = frozenset(range(1, 21, 2))
         P = build_f_qso(sample_random_f_qso(20, females, seed=8))
-        assert not is_single_male_shape(P)
         report = convergence_report(P, SimplexPoint.uniform(21), n_max=10)
-        assert report.mode == "empirical"
+        assert report.mode == "certified" and report.trajectory.females == females
+        assert report.bound_ok.all() and report.squared_contraction_ok.all() and report.coordinate_bound_ok.all()
 
     def test_rejects_non_two_sex_operator(self):
         with pytest.raises(ClassificationError):
@@ -519,14 +520,43 @@ class TestConvergenceReport:
             assert np.all(phis[1:] <= phis[:-1] ** 2 + 1e-15)
 
 
-class TestSingleMaleShape:
-    def test_recognizes_builders(self):
-        rng = np.random.default_rng(29)
-        assert is_single_male_shape(random_single_male(rng, 2))
-        assert is_single_male_shape(random_single_male(rng, 5))
+def skewed_start(rng, n):
+    """A simplex point of random skew: powers of uniforms, sometimes with x0 = 0."""
+    draw = rng.random(n) ** (10.0 ** rng.uniform(-1.0, 1.6))
+    if rng.random() < 0.3:
+        draw[0] = 0.0
+    return SimplexPoint(draw / draw.sum())
 
-    def test_rejects_others(self):
-        assert not is_single_male_shape(preset("ganikhodzhaev_v0"))
-        assert not is_single_male_shape(preset("constant_m1"))
-        P = build_f_qso(sample_random_f_qso(3, {2}, seed=6))
-        assert not is_single_male_shape(P)
+
+class TestEveryFemaleSetIsCertified:
+    """phi_F = x_F * x_M certifies every F-QSO, not only M = {1}."""
+
+    @pytest.mark.parametrize("policy", ["fixed", "all", "random"])
+    def test_three_inequalities_at_every_step(self, policy):
+        """The scan's own (F, seed) operators at m = 2..12, from starts of varied skew."""
+        rng = np.random.default_rng(["fixed", "all", "random"].index(policy))
+        steps = 0
+        for m in range(2, 13):
+            fixed = proper_subset(m, int(rng.integers(2**m - 2))) if policy == "fixed" else None
+            scan = conjecture_scan(m, trials=20, iterations=1, seed=m, f_policy=policy, females=fixed)
+            for row in scan.results:
+                P = build_f_qso(sample_random_f_qso(m, row.females, row.seed))
+                males = sorted(set(range(1, m + 1)) - row.females)
+                report = convergence_report(P, skewed_start(rng, m + 1), n_max=12)
+                assert report.bound_ok.all() and report.squared_contraction_ok.all()
+                assert report.coordinate_bound_ok.all()
+                # The same three checks with phi_F of the drawn F, which need not be the first set.
+                X = report.trajectory.coords
+                phi = X[:, sorted(row.females)].sum(axis=1) * X[:, males].sum(axis=1)
+                assert np.all(phi[1:] <= phi[:-1] ** 2 + 1e-15)
+                assert np.all(phi <= report.bounds + 1e-15)
+                assert np.all(X[1:, 1:] <= 2.0 * phi[:-1, None] + 1e-12)
+                steps += len(X) - 1
+        assert steps >= 11 * 20 * 3
+
+    @pytest.mark.parametrize("m, females, seed", [(2, {1}, 1), (4, {2, 3}, 2), (7, {1, 5, 6}, 3), (12, {4}, 4)])
+    def test_vertex_is_the_unique_fixed_point(self, m, females, seed):
+        """Every orbit reaches the vertex bitwise, so no polish runs."""
+        report = find_fixed_points(build_f_qso(sample_random_f_qso(m, females, seed)), starts=40, seed=seed)
+        assert np.array_equal(report.unique_in_simplex.coords, SimplexPoint.vertex(m + 1).coords)
+        assert len(report.candidates) == 1 and report.polishes == 0
