@@ -10,6 +10,7 @@ round-tripping representation so replays reload exact values.
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -360,6 +361,7 @@ def cmd_replay(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+@functools.cache  # built on the first call, then reused: parsing leaves no state on it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsodyn",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy  # scipy.optimize loads on the first polish, not at import
+import scipy  # unused: kept only because bench/worker.py reads sys.modules["scipy"]
 
 from .core import (
     TOL_FIX,
@@ -286,22 +286,35 @@ def fixed_points_m2(a: float, b: float, c: float) -> FixedPointReport:
     return FixedPointReport(candidates=tuple(candidates), unique_in_simplex=unique)
 
 
-def _polish(P: CubicMatrix, guess: np.ndarray) -> np.ndarray | None:
-    """Damped residual minimization of ||V(x) - x|| over the simplex."""
+def _polish(P: CubicMatrix, guesses: np.ndarray) -> np.ndarray:
+    """Projected Gauss-Newton on ``[V(x) - x; sum(x) - 1]`` for each row of a ``(k, n)`` stack.
 
-    def fun(x):
-        return np.concatenate([apply_unnormalized(P, x) - x, [x.sum() - 1.0]])
-
-    x0 = np.clip(guess, 0.0, 1.0)
-    try:
-        sol = scipy.optimize.least_squares(fun, x0, bounds=(0.0, 1.0), xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    except ValueError:  # infeasible start or non-finite residuals
-        return None
-    x = np.clip(sol.x, 0.0, None)
-    total = x.sum()
-    if total <= 0.0:
-        return None
-    return x / total
+    Each step solves all rows through the pseudo-inverses of their
+    analytic Jacobians and clips to [0, 1]; a row leaves once a step
+    returns it bitwise unchanged (at most 60 steps) and is divided by its
+    sum.  Rows are independent, so a row polishes bitwise alike in any
+    stack.  A row whose residual or Jacobian turns non-finite leaves
+    before the solve; it, and a row of zero sum, comes back NaN.
+    """
+    sym = P.p + P.p.transpose(1, 0, 2)
+    out = np.clip(guesses, 0.0, 1.0)
+    active = np.arange(out.shape[0])
+    x = out
+    for _ in range(60):
+        if not active.size:
+            break
+        residual = np.concatenate([apply_unnormalized(P, x) - x, x.sum(axis=1, keepdims=True) - 1.0], axis=1)
+        jac = np.einsum("ijk,bi->bkj", sym, x) - np.eye(P.n)
+        jac = np.concatenate([jac, np.ones((x.shape[0], 1, P.n))], axis=1)
+        finite = np.isfinite(residual).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
+        out[active[~finite]] = np.nan
+        active, x, residual, jac = active[finite], x[finite], residual[finite], jac[finite]
+        step = np.clip(x - (np.linalg.pinv(jac) @ residual[:, :, None])[:, :, 0], 0.0, 1.0)
+        out[active] = step
+        moving = ~np.all(step == x, axis=1)
+        active, x = active[moving], step[moving]
+    total = out.sum(axis=1, keepdims=True)
+    return np.divide(out, total, out=np.full_like(out, np.nan), where=total > 0.0)
 
 
 def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> FixedPointReport:
@@ -309,13 +322,13 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
 
     Pure map iteration from each random start finds attracting points:
     all starts iterate as one batch for up to 200 steps, each leaving it
-    once a step returns it bitwise unchanged.  For every start whose
-    endpoint is not a fixed point, in start order, a damped residual
-    minimization (run from both the start and the endpoint) catches
-    repelling or neutral ones.  Candidates with max-norm residual at
-    most ``TOL_FIX`` are clustered within 1e-8 and reported with the
-    best residual per cluster.  An empty candidate list is a legal
-    outcome.
+    once a step returns it bitwise unchanged.  Every start whose
+    endpoint is not a fixed point is polished twice, from the start and
+    from the endpoint, as rows of one projected Gauss-Newton stack
+    (``_polish``), which catches repelling or neutral fixed points.
+    Candidates with max-norm residual at most ``TOL_FIX`` are clustered
+    within 1e-8 and reported with the best residual per cluster.  An
+    empty candidate list is a legal outcome.
     """
     require_valid(P)
     if starts < 1:
@@ -335,18 +348,14 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
             break
     residuals = np.max(np.abs(apply_unnormalized(P, ends) - ends), axis=1)
 
+    unsettled = ~(residuals <= TOL_FIX)
+    guesses = np.stack([starts_x[unsettled], ends[unsettled]], axis=1).reshape(-1, P.n)
+    tried = iter([(x, _residual(P, x)) for x in _polish(P, guesses)])
     found: list[tuple[np.ndarray, float]] = []
-    polishes = accepted = 0
-    for start, end, r in zip(starts_x, ends, residuals.tolist()):
-        if r <= TOL_FIX:
-            found.append((end, r))
-            continue
-        for guess in (start, end):
-            polishes += 1
-            polished = _polish(P, guess)
-            if polished is not None and (residual := _residual(P, polished)) <= TOL_FIX:
-                found.append((polished, residual))
-                accepted += 1
+    for end, r, polish in zip(ends, residuals.tolist(), unsettled.tolist()):
+        found += [next(tried), next(tried)] if polish else [(end, r)]
+    found = [(x, r) for x, r in found if r <= TOL_FIX]
+    accepted = len(found) - int(np.count_nonzero(~unsettled))
 
     # Greedy clustering: best residual first, 1e-8 max-norm radius.
     found.sort(key=lambda item: item[1])
@@ -356,12 +365,10 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
             representatives.append((x, r))
     representatives.sort(key=lambda item: tuple(item[0]))
 
-    candidates = tuple(
-        FixedPointCandidate(x, r, _in_simplex(x)) for x, r in representatives
-    )
+    candidates = tuple(FixedPointCandidate(x, r, _in_simplex(x)) for x, r in representatives)
     in_simplex = [cand for cand in candidates if cand.in_simplex]
     unique = renormalize(in_simplex[0].point) if len(in_simplex) == 1 else None
-    return FixedPointReport(candidates, unique, polishes=polishes, polishes_accepted=accepted)
+    return FixedPointReport(candidates, unique, polishes=len(guesses), polishes_accepted=accepted)
 
 
 def cesaro_average(P: CubicMatrix, x0: SimplexPoint, n: int) -> SimplexPoint:

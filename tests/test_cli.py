@@ -538,6 +538,73 @@ class TestMalformedDocumentsExit2:
         assert main(["conjecture", "--m", "1", "--f-policy", "all", "--trials", "2"]) == 2
 
 
+class TestParserReuse:
+    """``main`` builds the parser once per process; reusing it changes no result."""
+
+    def _fresh(self, argv, capsys):
+        cli.build_parser.cache_clear()
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    def test_two_commands_back_to_back(self, rps_doc, m2_doc, capsys):
+        runs = [["validate", m2_doc], ["fixed-points", rps_doc, "--starts", "20", "--seed", "1"], ["validate", m2_doc]]
+        expected = [self._fresh(argv, capsys) for argv in runs]
+        cli.build_parser.cache_clear()
+        got = []
+        for argv in runs:
+            code = main(argv)
+            got.append((code, capsys.readouterr()))
+        assert got == expected
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_usage_error_then_valid_command(self, rps_doc, capsys):
+        expected = self._fresh(["fixed-points", rps_doc, "--seed", "3"], capsys)
+        for bad in (["no-such-command"], ["fixed-points", rps_doc, "--starts", "many"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+            assert "usage: qsodyn" in capsys.readouterr().err
+        assert (main(["fixed-points", rps_doc, "--seed", "3"]), capsys.readouterr()) == expected
+        assert "starts=100, seed=3" in expected[1].out
+
+    def test_help_is_unchanged(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == TOP_LEVEL_HELP
+        for command in ("validate", "trajectory", "fixed-points", "ergodic", "conjecture", "presets", "replay"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            reused = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                cli.build_parser.__wrapped__().parse_args([command, "--help"])
+            assert reused == capsys.readouterr().out
+
+
+TOP_LEVEL_HELP = """\
+usage: qsodyn [-h]
+              {validate,trajectory,fixed-points,ergodic,conjecture,presets,replay}
+              ...
+
+Quadratic stochastic operators on the simplex: validation, dynamics, scanning.
+
+positional arguments:
+  {validate,trajectory,fixed-points,ergodic,conjecture,presets,replay}
+    validate            stochasticity, classification and first-row counts
+    trajectory          iterate an operator and write per-step CSV
+    fixed-points        multistart fixed-point search
+    ergodic             running Cesaro averages at a logarithmic schedule
+    conjecture          randomized check of the two-sex convergence theorem
+    presets             list the named operators
+    replay              recompute an emitted CSV and check consistency
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
 class TestEntryPoint:
     def test_module_invocation(self, m2_doc):
         """python -m qsodyn works and respects the exit-code contract."""
@@ -549,8 +616,8 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "stochasticity: OK" in proc.stdout
 
-    def test_only_a_polish_loads_scipy_optimize(self, rps_doc):
-        """Importing the CLI leaves scipy.optimize unloaded; fixed-points loads it and prints as before."""
+    def test_fixed_points_never_loads_scipy_optimize(self, rps_doc):
+        """No command loads scipy.optimize: the fixed-point polish is numpy Gauss-Newton."""
         probe = (
             "import sys\n"
             "import qsodyn.cli\n"
@@ -560,12 +627,12 @@ class TestEntryPoint:
         )
         proc = subprocess.run([sys.executable, "-c", probe, rps_doc], capture_output=True, text=True)
         assert proc.returncode == 0
-        assert proc.stderr.split() == ["True", "False", "True"]
+        assert proc.stderr.split() == ["True", "False", "False"]
         assert proc.stdout == (
             "multistart search: starts=20, seed=1\n"
             "  (0.0, 0.0, 1.0) residual=0.000e+00 [in simplex]\n"
             "  (0.0, 1.0, 0.0) residual=0.000e+00 [in simplex]\n"
-            "  (0.33333333333333337, 0.33333333333333337, 0.33333333333333326) residual=0.000e+00 [in simplex]\n"
+            "  (0.3333333333333333, 0.3333333333333333, 0.3333333333333333) residual=0.000e+00 [in simplex]\n"
             "  (1.0, 0.0, 0.0) residual=0.000e+00 [in simplex]\n"
         )
 

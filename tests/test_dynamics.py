@@ -1,9 +1,11 @@
 """Trajectories, the convergence functional, fixed points, Cesaro averages."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +35,7 @@ from qsodyn import (
 )
 from qsodyn import dynamics
 from qsodyn.core import proper_subset
-from qsodyn.operators import SkewMatrix, apply_normalized, cubic_from_skew
+from qsodyn.operators import SkewMatrix, apply_normalized, apply_unnormalized, cubic_from_skew
 from helpers import random_cubic, random_simplex, random_simplex_batch
 
 
@@ -321,8 +323,25 @@ class TestFindFixedPoints:
         assert np.array_equal(report.candidates[0].point, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_polish_gives_up_on_non_finite_residuals(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "apply_unnormalized", lambda P, x: np.full(P.n, np.nan))
-        assert dynamics._polish(preset("ganikhodzhaev_v0"), np.full(3, 1 / 3)) is None
+        """Non-finite rows leave the stack before the solve, as rejected (NaN) polishes."""
+        P = preset("ganikhodzhaev_v0")
+        guesses = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8]])
+        expected = dynamics._polish(P, guesses[[0, 2]])
+        for bad in (np.nan, np.inf):
+
+            def poisoned(P, x):
+                out = apply_unnormalized(P, x)
+                out[np.all(x == guesses[1], axis=-1)] = bad
+                return out
+
+            monkeypatch.setattr(dynamics, "apply_unnormalized", poisoned)
+            started = time.perf_counter()
+            polished = dynamics._polish(P, guesses)
+            assert time.perf_counter() - started < 1.0
+            assert np.isnan(polished[1]).all()
+            assert np.array_equal(polished[[0, 2]], expected)
+            monkeypatch.setattr(dynamics, "apply_unnormalized", lambda P, x: np.full(x.shape, bad))
+            assert np.isnan(dynamics._polish(P, guesses)).all()
 
     def test_polish_propagates_unrelated_errors(self, monkeypatch):
         def broken(P, x):
@@ -330,7 +349,7 @@ class TestFindFixedPoints:
 
         monkeypatch.setattr(dynamics, "apply_unnormalized", broken)
         with pytest.raises(RuntimeError):
-            dynamics._polish(preset("ganikhodzhaev_v0"), np.full(3, 1 / 3))
+            dynamics._polish(preset("ganikhodzhaev_v0"), np.full((1, 3), 1 / 3))
 
     def test_deterministic(self):
         P = preset("ganikhodzhaev_v0")
@@ -342,7 +361,7 @@ class TestFindFixedPoints:
 
 
 def reference_fixed_point_search(P, starts, seed):
-    """The per-start multistart loop: each start iterated alone, polished in turn.
+    """The per-start multistart loop: each start iterated alone, polished in turn as a one-row stack.
 
     Returns the clustered (point, residual) pairs and the polish counts.
     """
@@ -351,8 +370,6 @@ def reference_fixed_point_search(P, starts, seed):
     polishes = accepted = 0
 
     def consider(x):
-        if x is None:
-            return False
         r = dynamics._residual(P, x)
         if r <= TOL_FIX:
             found.append((x, r))
@@ -371,7 +388,7 @@ def reference_fixed_point_search(P, starts, seed):
             continue
         for guess in (x0, x):
             polishes += 1
-            accepted += consider(dynamics._polish(P, guess))
+            accepted += consider(dynamics._polish(P, guess[None])[0])
 
     found.sort(key=lambda item: item[1])
     representatives = []
@@ -421,6 +438,67 @@ class TestBatchedFixedPointSearch:
         report = find_fixed_points(preset("ganikhodzhaev_v0"), starts=10, seed=2)
         assert report.polishes % 2 == 0 and 0 < report.polishes_accepted <= report.polishes
         assert fixed_points_m2(0.2, 0.5, 0.3).polishes == 0
+
+
+def scipy_polish(P, guess):
+    """The scipy ``least_squares`` polish the Gauss-Newton stack replaced; None when it gives up."""
+
+    def fun(x):
+        return np.concatenate([apply_unnormalized(P, x) - x, [x.sum() - 1.0]])
+
+    x0 = np.clip(guess, 0.0, 1.0)
+    try:
+        sol = scipy.optimize.least_squares(fun, x0, bounds=(0.0, 1.0), xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    except ValueError:  # infeasible start or non-finite residuals
+        return None
+    x = np.clip(sol.x, 0.0, None)
+    total = x.sum()
+    if total <= 0.0:
+        return None
+    return x / total
+
+
+def scipy_polish_stack(P, guesses):
+    """``scipy_polish`` behind ``_polish``'s stack signature: NaN rows where it gave up."""
+    rows = [scipy_polish(P, guess) for guess in guesses]
+    return np.array([np.full(P.n, np.nan) if x is None else x for x in rows]).reshape(guesses.shape)
+
+
+def _random_skew_cube(n, seed):
+    a = np.triu(np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n)), 1)
+    return cubic_from_skew(SkewMatrix(a - a.T))
+
+
+QUALITY_OPERATORS = {
+    **REFERENCE_OPERATORS,
+    **{f"skew{n}_{s}": (lambda n=n, s=s: _random_skew_cube(n, 100 * n + s)) for n in (3, 4, 5) for s in range(6)},
+}
+
+
+class TestPolishQuality:
+    """The Gauss-Newton search finds every fixed point the scipy polish found, at 100 starts.
+
+    Not asserted at 1 or 7 starts: there the two polishes may settle on
+    different points (at 7 starts, seed 0, Gauss-Newton misses skew3's
+    interior point).
+    """
+
+    @pytest.mark.parametrize("name", sorted(QUALITY_OPERATORS))
+    def test_finds_every_scipy_cluster(self, name, monkeypatch):
+        P = QUALITY_OPERATORS[name]()
+        for seed in (0, 1, 2):
+            found = [cand.point for cand in find_fixed_points(P, starts=100, seed=seed).candidates]
+            for x in found:
+                assert np.max(np.abs(np.einsum("ijk,i,j->k", P.p, x, x) - x)) <= TOL_FIX
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_polish", scipy_polish_stack)
+                reference = find_fixed_points(P, starts=100, seed=seed)
+            # A residual within TOL_FIX places a degenerate root (residual
+            # quadratic in the distance, as at a skew's neutral vertex) only
+            # to within sqrt(TOL_FIX); scipy stops up to 2.5e-8 from the
+            # vertex that Gauss-Newton reaches exactly.
+            for cand in reference.candidates:
+                assert min(np.max(np.abs(cand.point - x)) for x in found) <= math.sqrt(TOL_FIX)
 
 
 class TestCesaro:
