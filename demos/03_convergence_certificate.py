@@ -12,7 +12,6 @@ import numpy as np
 
 from qsodyn import (
     SimplexPoint,
-    SingleMaleCoefficients,
     build_f_qso,
     build_single_male,
     convergence_report,
@@ -24,7 +23,7 @@ rng = np.random.default_rng(12)
 m = 5
 table = rng.standard_exponential((m - 1, m + 1))
 table /= table.sum(axis=1, keepdims=True)
-P = build_single_male(SingleMaleCoefficients(table))
+P = build_single_male(table)
 
 draw = rng.standard_exponential(m + 1)
 x0 = SimplexPoint(draw / draw.sum())

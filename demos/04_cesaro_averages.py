@@ -9,7 +9,6 @@ import numpy as np
 
 from qsodyn import (
     SimplexPoint,
-    SingleMaleCoefficients,
     build_single_male,
     cesaro_running,
     preset,
@@ -19,7 +18,7 @@ from qsodyn import (
 rng = np.random.default_rng(3)
 table = rng.standard_exponential((3, 5))
 table /= table.sum(axis=1, keepdims=True)
-P = build_single_male(SingleMaleCoefficients(table))
+P = build_single_male(table)
 draw = rng.standard_exponential(5)
 x0 = SimplexPoint(draw / draw.sum())
 

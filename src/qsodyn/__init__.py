@@ -75,7 +75,6 @@ from .dynamics import (
 from .operators import (
     FQsoSpec,
     PRESETS,
-    SingleMaleCoefficients,
     SkewMatrix,
     apply,
     apply_normalized,

@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TOL_SUM, CubicMatrix, female_sets, proper_subset, proper_subsets, require_valid
+from .core import CubicMatrix, female_sets, proper_subset, proper_subsets, require_valid
 from .documents import MAX_N
-from .operators import FQsoSpec, _f_qso_cube, apply_normalized
+from .operators import FQsoSpec, _check_rows, _f_qso_cube, _mixed_pairs, apply_normalized
 
 #: What every scan report checks.
 EVIDENCE_NOTE = "randomized check of a theorem: phi_F = x_F*x_M proves every two-sex orbit reaches the vertex"
@@ -90,18 +90,13 @@ def count_first_row(P: CubicMatrix) -> CountReport:
 
 def _mixed_block(m: int, females, seed: int):
     """Check the arguments, then return (F, sorted mixed pairs, one normalised exponential row per pair)."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
     if m + 1 > MAX_N:
         raise ValueError(f"m + 1 = {m + 1} states exceed the limit of {MAX_N}")
     females = frozenset(females)
-    if not females or not females < set(range(1, m + 1)):
-        raise ValueError(f"female set {set(females)} must be a nonempty proper subset of {{1,...,{m}}}")
-    pairs = [(i, j) for i in sorted(females) for j in sorted(set(range(1, m + 1)) - females)]
+    pairs = _mixed_pairs(m + 1, females)
     rows = np.random.default_rng(seed).standard_exponential((len(pairs), m + 1))
     rows /= rows.sum(axis=1, keepdims=True)
-    if not ((rows >= 0.0).all() and (abs(rows.sum(axis=1) - 1.0) <= TOL_SUM).all()):
-        raise ValueError("mixed-pair draws are not probability vectors")
+    _check_rows(rows, pairs)
     return females, pairs, rows
 
 

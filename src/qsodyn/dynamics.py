@@ -137,7 +137,6 @@ class Trajectory:
     females: frozenset[int] | None
     dist_to_limit: np.ndarray | None
     stop_reason: str
-    tol: float | None
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -210,7 +209,6 @@ def trajectory(
         females=females,
         dist_to_limit=np.max(np.abs(coords - ref), axis=1) if ref is not None else None,
         stop_reason=stop,
-        tol=tol,
     )
 
 
@@ -386,12 +384,16 @@ def cesaro_average(P: CubicMatrix, x0: SimplexPoint, n: int) -> SimplexPoint:
 
 def cesaro_running(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]) -> list[tuple[int, np.ndarray]]:
     """Running Cesaro averages at the given increasing point counts."""
+    return list(_cesaro_rows(P, x0, schedule))
+
+
+def _cesaro_rows(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]):
+    """Yield :func:`cesaro_running`'s rows one by one, each as soon as its count is reached."""
     if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing and start at >= 1")
     require_valid(P)
     if x0.dim != P.n:
         raise DimensionError(f"start of dim {x0.dim} does not match operator with n={P.n}")
-    out: list[tuple[int, np.ndarray]] = []
     acc = np.zeros(P.n)
     x = x0.coords
     wanted = set(schedule)
@@ -400,8 +402,7 @@ def cesaro_running(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]) -> lis
             x = apply_normalized(P, x)
         acc += x
         if count in wanted:
-            out.append((count, acc / count))
-    return out
+            yield count, acc / count
 
 
 @dataclass(frozen=True, eq=False)

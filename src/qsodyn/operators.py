@@ -4,8 +4,8 @@ The general quadratic action, builders for the two-sex (F-QSO)
 families studied by this package, the skew-symmetric canonical form of
 Volterra operators, and a preset zoo.  All builders return full cubic
 matrices so that every downstream operation (classification, counting,
-dynamics) works through one code path; closed-form evaluators appear
-only as cross-check oracles in the tests.
+dynamics) works through one code path.  The one closed-form evaluator
+here, :func:`volterra_from_skew`, serves as a cross-check of that path.
 """
 
 from dataclasses import dataclass
@@ -64,6 +64,21 @@ def apply(P: CubicMatrix, x: SimplexPoint) -> SimplexPoint:
     return SimplexPoint(apply_normalized(P, x.coords))
 
 
+def _mixed_pairs(n: int, females: frozenset[int]) -> list[tuple[int, int]]:
+    """The sorted (female, male) pairs over states 1..n-1, once F is a nonempty proper subset of them."""
+    states = set(range(1, n))
+    if not females or not females < states:
+        raise ValueError(f"female set {set(females)} must be a nonempty proper subset of {{1,...,{n - 1}}}")
+    return [(i, j) for i in sorted(females) for j in sorted(states - females)]
+
+
+def _check_rows(rows: np.ndarray, pairs) -> None:
+    """Refuse a (k, n) block unless each row is nonnegative and sums to 1 within ``TOL_SUM``; NaN fails."""
+    bad = ~((rows >= 0.0).all(axis=1) & (abs(rows.sum(axis=1) - 1.0) <= TOL_SUM))
+    if bad.any():
+        raise ValueError(f"mixed-pair rows are not probability vectors: pair {pairs[int(bad.argmax())]}")
+
+
 @dataclass(frozen=True, eq=False)
 class FQsoSpec:
     """Compact description of a two-sex operator: a female set plus the
@@ -72,7 +87,9 @@ class FQsoSpec:
     ``mixed`` maps each pair ``(i, j)`` with ``i`` female and ``j`` male
     to a probability distribution over the n child states.  Only the
     (female, male) orientation is stored; expansion writes both
-    orientations of the symmetric cubic matrix.
+    orientations of the symmetric cubic matrix.  The distributions are
+    stacked into one read-only (pairs, n) block, checked at once, and
+    ``mixed`` becomes a read-only mapping onto its rows, in the given order.
     """
 
     n: int
@@ -80,35 +97,20 @@ class FQsoSpec:
     mixed: Mapping[tuple[int, int], np.ndarray]
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("an F-QSO needs n >= 3 (the female set must be nonempty and proper)")
-        all_states = set(range(1, self.n))
         females = frozenset(self.females)
-        if not females or not females < all_states:
-            raise ValueError(
-                f"female set {set(females)} must be a nonempty proper subset of {{1,...,{self.n - 1}}}"
-            )
-        males = all_states - females
-        expected = {(i, j) for i in females for j in males}
+        expected = set(_mixed_pairs(self.n, females))
         if set(self.mixed) != expected:
             raise ValueError(
                 "mixed distributions must be given for exactly the (female, male) pairs; "
                 f"missing {expected - set(self.mixed)}, unexpected {set(self.mixed) - expected}"
             )
-        frozen = {}
-        for key, dist in self.mixed.items():
-            arr = np.asarray(dist, dtype=float)
-            if arr.shape != (self.n,):
-                raise ValueError(f"distribution for pair {key} has shape {arr.shape}, expected ({self.n},)")
-            if not (np.all(arr >= 0.0) and abs(float(arr.sum()) - 1.0) <= TOL_SUM):
-                raise ValueError(f"distribution for pair {key} is not a probability vector")
-            frozen[key] = _as_readonly(arr)
+        rows = np.array(list(self.mixed.values()), dtype=float)
+        if rows.shape != (len(expected), self.n):
+            raise ValueError(f"mixed distributions need {self.n} entries each; they stack to {rows.shape}")
+        _check_rows(rows, list(self.mixed))
+        rows.flags.writeable = False
         object.__setattr__(self, "females", females)
-        object.__setattr__(self, "mixed", MappingProxyType(frozen))
-
-    @property
-    def males(self) -> frozenset[int]:
-        return frozenset(range(1, self.n)) - self.females
+        object.__setattr__(self, "mixed", MappingProxyType(dict(zip(self.mixed, rows))))
 
 
 def build_f_qso(spec: FQsoSpec) -> CubicMatrix:
@@ -141,60 +143,28 @@ def build_fqso_m2(a: float, b: float, c: float) -> CubicMatrix:
 
         x0' = 1 - 2(1-a) x1 x2,   x1' = 2b x1 x2,   x2' = 2c x1 x2.
     """
-    if not (min(a, b, c) >= 0.0 and abs((a + b + c) - 1.0) <= TOL_SUM):
-        raise ValueError(f"(a, b, c) = {(a, b, c)} must be nonnegative and sum to 1")
-    spec = FQsoSpec(n=3, females=frozenset({2}), mixed={(2, 1): np.array([a, b, c], dtype=float)})
-    return build_f_qso(spec)
+    # Unary plus refuses a non-number with TypeError; FQsoSpec's float conversion would parse a string.
+    return build_f_qso(FQsoSpec(n=3, females=frozenset({2}), mixed={(2, 1): [+a, +b, +c]}))
 
 
-@dataclass(frozen=True, eq=False)
-class SingleMaleCoefficients:
-    """Offspring distributions for the family with males M = {1}.
-
-    Row ``r`` of ``table`` (shape (m-1, m+1)) is the child distribution
-    of the mixed pair (male 1, female r+2); every row must be
-    nonnegative and sum to 1 within ``TOL_SUM``.
-    """
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.table, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != arr.shape[0] + 2:
-            raise DimensionError(
-                f"table shape {arr.shape} invalid: expected (m-1, m+1) with m >= 2"
-            )
-        if not (np.all(arr >= 0.0) and np.all(np.abs(arr.sum(axis=1) - 1.0) <= TOL_SUM)):
-            raise ValueError("every row must be a probability distribution")
-        object.__setattr__(self, "table", _as_readonly(arr))
-
-    @property
-    def m(self) -> int:
-        return self.table.shape[0] + 1
-
-    def row(self, i: int) -> np.ndarray:
-        """Distribution of the pair (1, i) for a female i in {2, ..., m}."""
-        return self.table[i - 2]
-
-
-def build_single_male(coeffs: SingleMaleCoefficients) -> CubicMatrix:
+def build_single_male(table) -> CubicMatrix:
     """The two-sex operator on states {0, ..., m} with M = {1}, F = {2, ..., m}.
 
-    Coordinates map as
+    Row ``i - 2`` of ``table`` (shape (m-1, m+1), m >= 2) is the
+    offspring distribution t[i, :] of the mixed pair (1, i); coordinates
+    map as
 
         x0' = 1 - 2 x1 sum_{i>=2} (1 - t[i,0]) x_i,
-        xk' = 2 x1 sum_{i>=2} t[i,k] x_i          (k >= 1),
+        xk' = 2 x1 sum_{i>=2} t[i,k] x_i          (k >= 1).
 
-    where t[i, :] is the offspring distribution of the pair (1, i).
     With m = 2 this is exactly :func:`build_fqso_m2`.
     """
-    m = coeffs.m
-    spec = FQsoSpec(
-        n=m + 1,
-        females=frozenset(range(2, m + 1)),
-        mixed={(i, 1): coeffs.row(i) for i in range(2, m + 1)},
-    )
-    return build_f_qso(spec)
+    rows = np.asarray(table, dtype=float)
+    if rows.ndim != 2 or not 1 <= rows.shape[0] == rows.shape[1] - 2:
+        raise DimensionError(f"table shape {rows.shape} invalid: expected (m-1, m+1) with m >= 2")
+    m = rows.shape[0] + 1
+    mixed = {(i, 1): rows[i - 2] for i in range(2, m + 1)}
+    return build_f_qso(FQsoSpec(n=m + 1, females=frozenset(range(2, m + 1)), mixed=mixed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,10 +292,6 @@ def _constant_m1() -> CubicMatrix:
     return CubicMatrix(p)
 
 
-def _single_male_from_table(table) -> CubicMatrix:
-    return build_single_male(SingleMaleCoefficients(np.asarray(table, dtype=float)))
-
-
 PRESETS: dict[str, tuple[Callable[..., CubicMatrix], str]] = {
     "ganikhodzhaev_v0": (
         lambda: _ganikhodzhaev_v0(),
@@ -344,7 +310,7 @@ PRESETS: dict[str, tuple[Callable[..., CubicMatrix], str]] = {
         "two-sex operator on 3 states, mixed-pair offspring distribution (a, b, c)",
     ),
     "single_male": (
-        _single_male_from_table,
+        build_single_male,
         "two-sex operator with males M = {1}; parameter table of shape (m-1, m+1)",
     ),
     "constant_m1": (

@@ -8,7 +8,6 @@ import pytest
 
 from qsodyn import (
     SimplexPoint,
-    SingleMaleCoefficients,
     apply,
     build_f_qso,
     build_fqso_m2,
@@ -90,7 +89,7 @@ def test_criterion_2_single_male_family_all_m():
     worst = 0.0
     for m in range(2, 11):
         for index in range(100):
-            P = build_single_male(SingleMaleCoefficients(random_table(rng, m)))
+            P = build_single_male(random_table(rng, m))
             worst = max(worst, batch_final_distance(P, rng, 100, MAX_STEPS))
             if index < 10:
                 report = find_fixed_points(P, starts=100, seed=index)
@@ -116,7 +115,7 @@ def test_criterion_3_certified_decay_along_trajectories():
     worst_bound_gap = worst_square_gap = worst_coord_gap = -np.inf
     for m in range(2, 11):
         for _ in range(100):
-            P = build_single_male(SingleMaleCoefficients(random_table(rng, m)))
+            P = build_single_male(random_table(rng, m))
             history = iterate_batch(P, random_simplex_batch(rng, 100, m + 1), steps, return_history=True)
             phis = history[:, :, 1] * history[:, :, 2:].sum(axis=2)
             worst_bound_gap = max(worst_bound_gap, float(np.max(phis - bounds[:, None])))
@@ -250,7 +249,7 @@ def test_criterion_7_ergodic_averages_and_irregular_contrast():
     worst = 0.0
     for m in (2, 3, 5, 8):
         for _ in range(3):
-            P = build_single_male(SingleMaleCoefficients(random_table(rng, m)))
+            P = build_single_male(random_table(rng, m))
             x0 = SimplexPoint(random_simplex(rng, m + 1))
             avg = cesaro_average(P, x0, 2000)
             vertex = np.zeros(m + 1)

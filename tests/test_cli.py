@@ -12,7 +12,6 @@ import pytest
 from qsodyn import (
     CubicMatrix,
     OperatorDocument,
-    SingleMaleCoefficients,
     build_f_qso,
     build_fqso_m2,
     build_single_male,
@@ -37,7 +36,7 @@ def m2_doc(tmp_path):
 def single_male_doc(tmp_path):
     table = np.full((4, 6), 1.0 / 6.0)
     path = tmp_path / "sm5.json"
-    save_document(document_from_matrix(build_single_male(SingleMaleCoefficients(table))), path)
+    save_document(document_from_matrix(build_single_male(table)), path)
     return str(path)
 
 
@@ -106,7 +105,7 @@ def single_male_doc_of(tmp_path, n, seed=0):
     table = rng.standard_exponential((n - 2, n))
     table /= table.sum(axis=1, keepdims=True)
     path = tmp_path / f"sm{n}.json"
-    save_document(document_from_matrix(build_single_male(SingleMaleCoefficients(table))), path)
+    save_document(document_from_matrix(build_single_male(table)), path)
     return str(path)
 
 
@@ -461,6 +460,19 @@ class TestReplayRejectsMalformedCsv:
         assert time.perf_counter() - start < 0.5
         assert "doubling schedule" in capsys.readouterr().err
 
+    def test_forged_ergodic_averages_on_the_schedule_fail_at_once(self, rps_doc, tmp_path, capsys):
+        """Counts 1, 2, 4, ..., 2**40 pass the schedule check; the wrong average at n=2 stops the replay."""
+        out_csv = tmp_path / "avg.csv"
+        assert main(["ergodic", rps_doc, "--start", "random:4", "--n", "16", "--output", str(out_csv)]) == 0
+        rows = read_rows(out_csv)
+        forged = [rows[0], rows[1]] + [[str(2**k)] + rows[1][1:] for k in range(1, 41)]
+        write_rows(out_csv, forged)
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["replay", str(out_csv), "--operator", rps_doc]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out.startswith("replayed 2 ergodic rows; max deviation")
+
     def test_ergodic_counts_must_be_the_written_schedule(self, rps_doc, tmp_path):
         out_csv = tmp_path / "avg.csv"
         assert main(["ergodic", rps_doc, "--start", "random:4", "--n", "16", "--output", str(out_csv)]) == 0
@@ -497,6 +509,9 @@ class TestMalformedDocumentsExit2:
             ("volterra_skew", 2, {"a": [{"x": 0}, {"y": 1}]}),
             ("cubic", 2, {"entries": [[0, 0, 0, 10**400]]}),
             ("preset", 3, {"name": "fqso_m2", "params": {"a": 10**400, "b": 0.0, "c": 0.0}}),
+            ("preset", 2, {"name": "single_male", "params": {"table": []}}),
+            ("preset", 4, {"name": "single_male", "params": {"table": [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0]]}}),
+            ("preset", 3, {"name": "single_male", "params": {"table": [[0.5, float("nan"), 0.5]]}}),
         ],
     )
     def test_validate_exits_2(self, tmp_path, capsys, kind, n, payload):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from qsodyn import (
     OperatorDocument,
-    SingleMaleCoefficients,
     build_fqso_m2,
     build_single_male,
     document_from_matrix,
@@ -134,7 +133,7 @@ def emitted(workdir):
     """One CSV of each replayable kind, written by the CLI itself."""
     operator = workdir / "sm.json"
     table = [[0.25, 0.25, 0.25, 0.25]] * 2
-    P = build_single_male(SingleMaleCoefficients(table))
+    P = build_single_male(table)
     operator.write_text(json.dumps(as_json(document_from_matrix(P))))
     traj, erg, scan = workdir / "traj.csv", workdir / "erg.csv", workdir / "scan.csv"
     assert run(["trajectory", operator, "--start", "random:1", "--steps", "6", "--output", traj]) == 0

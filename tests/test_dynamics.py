@@ -14,7 +14,6 @@ from qsodyn import (
     ClassificationError,
     DimensionError,
     SimplexPoint,
-    SingleMaleCoefficients,
     apply,
     build_f_qso,
     build_fqso_m2,
@@ -42,7 +41,7 @@ from helpers import random_cubic, random_simplex, random_simplex_batch
 def random_single_male(rng, m):
     table = rng.standard_exponential((m - 1, m + 1))
     table /= table.sum(axis=1, keepdims=True)
-    return build_single_male(SingleMaleCoefficients(table))
+    return build_single_male(table)
 
 
 class TestLyapunov:

@@ -9,7 +9,6 @@ from qsodyn import (
     DimensionError,
     FQsoSpec,
     SimplexPoint,
-    SingleMaleCoefficients,
     SkewMatrix,
     apply,
     apply_normalized,
@@ -58,8 +57,7 @@ class TestApply:
 
     def test_single_male_uniform_oracle(self):
         """Uniform quarter table, start (0, 1/2, 1/4, 1/4) -> (5/8, 1/8, 1/8, 1/8)."""
-        coeffs = SingleMaleCoefficients(np.full((2, 4), 0.25))
-        P = build_single_male(coeffs)
+        P = build_single_male(np.full((2, 4), 0.25))
         out = apply(P, SimplexPoint(np.array([0.0, 0.5, 0.25, 0.25])))
         np.testing.assert_allclose(out.coords, [5 / 8, 1 / 8, 1 / 8, 1 / 8], rtol=0, atol=1e-15)
 
@@ -131,6 +129,17 @@ class TestFQsoSpec:
             FQsoSpec(n=3, females=frozenset({2}), mixed={(2, 1): np.array([np.nan, 0.5, 0.5])})
 
 
+    def test_mixed_is_a_read_only_mapping_onto_one_block(self):
+        dist = [0.5, 0.25, 0.25, 0.0]
+        spec = FQsoSpec(n=4, females=frozenset({2}), mixed={(2, 3): dist, (2, 1): np.array(dist)})
+        assert list(spec.mixed) == [(2, 3), (2, 1)]
+        first, second = spec.mixed.values()
+        assert first.base is second.base and first.base.shape == (2, 4)
+        assert not first.flags.writeable and np.array_equal(second, dist)
+        with pytest.raises(TypeError):
+            spec.mixed[(2, 1)] = dist
+
+
 def mask_built(spec):
     """Reference expansion: the same-class pairs found by a mask, then the mixed rows."""
     n = spec.n
@@ -162,7 +171,7 @@ class TestBuildFQso:
         table = rng.standard_exponential((m - 1, m + 1))
         table /= table.sum(axis=1, keepdims=True)
         spec = FQsoSpec(m + 1, frozenset(range(2, m + 1)), {(i, 1): table[i - 2] for i in range(2, m + 1)})
-        assert np.array_equal(build_single_male(SingleMaleCoefficients(table)).p, mask_built(spec))
+        assert np.array_equal(build_single_male(table).p, mask_built(spec))
         if m == 2:
             assert np.array_equal(build_fqso_m2(*table[0]).p, mask_built(spec))
 
@@ -251,13 +260,15 @@ class TestM2Family:
             build_fqso_m2(-0.1, 0.6, 0.5)
         with pytest.raises(ValueError):
             build_fqso_m2(np.nan, 0.5, 0.5)
+        for not_a_number in ("0.5", None, [0.5]):
+            with pytest.raises(TypeError):
+                build_fqso_m2(not_a_number, 0.3, 0.2)
 
 
 class TestSingleMaleFamily:
     def test_m2_agrees_with_m2_builder_exactly(self):
         a, b, c = 0.2, 0.5, 0.3
-        coeffs = SingleMaleCoefficients(np.array([[a, b, c]]))
-        assert np.array_equal(build_single_male(coeffs).p, build_fqso_m2(a, b, c).p)
+        assert np.array_equal(build_single_male(np.array([[a, b, c]])).p, build_fqso_m2(a, b, c).p)
 
     def test_coordinate_formulas(self):
         rng = np.random.default_rng(6)
@@ -265,7 +276,7 @@ class TestSingleMaleFamily:
             m = int(rng.integers(2, 7))
             table = rng.standard_exponential((m - 1, m + 1))
             table /= table.sum(axis=1, keepdims=True)
-            P = build_single_male(SingleMaleCoefficients(table))
+            P = build_single_male(table)
             x = random_simplex(rng, m + 1)
             np.testing.assert_allclose(
                 apply(P, SimplexPoint(x)).coords,
@@ -278,18 +289,20 @@ class TestSingleMaleFamily:
         rng = np.random.default_rng(7)
         table = rng.standard_exponential((3, 5))
         table /= table.sum(axis=1, keepdims=True)
-        P = build_single_male(SingleMaleCoefficients(table))
+        P = build_single_male(table)
         x = np.array([0.25, 0.0, 0.25, 0.25, 0.25])
         out = apply(P, SimplexPoint(x))
         assert np.array_equal(out.coords, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_rejects_bad_table(self):
         with pytest.raises(DimensionError):
-            SingleMaleCoefficients(np.full((2, 3), 0.5))
+            build_single_male(np.full((2, 3), 0.5))
+        with pytest.raises(DimensionError):
+            build_single_male([])
         with pytest.raises(ValueError):
-            SingleMaleCoefficients(np.array([[0.5, 0.5, 0.2]]))
+            build_single_male(np.array([[0.5, 0.5, 0.2]]))
         with pytest.raises(ValueError):
-            SingleMaleCoefficients(np.array([[0.5, np.nan, 0.5]]))
+            build_single_male(np.array([[0.5, np.nan, 0.5]]))
 
 
 def cubic_from_skew_loop(A):
