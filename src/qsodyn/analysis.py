@@ -89,14 +89,13 @@ def count_first_row(P: CubicMatrix) -> CountReport:
 
 
 def _mixed_block(m: int, females, seed: int):
-    """Check the arguments, then return (F, sorted mixed pairs, one normalised exponential row per pair)."""
+    """Check the arguments, then return (F, sorted mixed pairs, one unchecked normalised exponential row per pair)."""
     if m + 1 > MAX_N:
         raise ValueError(f"m + 1 = {m + 1} states exceed the limit of {MAX_N}")
     females = frozenset(females)
     pairs = _mixed_pairs(m + 1, females)
     rows = np.random.default_rng(seed).standard_exponential((len(pairs), m + 1))
     rows /= rows.sum(axis=1, keepdims=True)
-    _check_rows(rows, pairs)
     return females, pairs, rows
 
 
@@ -168,6 +167,7 @@ def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[
     tol or -1, final distance, final-step converged flag, final point).
     """
     females, pairs, rows = _mixed_block(m, females, seed)
+    _check_rows(rows, pairs)
     n = m + 1
     P = _f_qso_cube(n, pairs, rows)
     draw = np.random.default_rng(np.random.SeedSequence([seed, 1])).standard_exponential(n)

@@ -48,7 +48,8 @@ class ClassificationError(QsoError):
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
+    # C order keeps the kernel's (n, n*n) reshape of a cube a view.
+    out = np.array(arr, dtype=float, order="C", copy=True)
     out.flags.writeable = False
     return out
 

@@ -94,6 +94,16 @@ def load_document(path) -> OperatorDocument:
     return OperatorDocument(kind=raw["kind"], n=raw["n"], payload=raw["payload"])
 
 
+def _require_numbers(value, where: str) -> None:
+    """Refuse all but a number or nested lists of numbers: a JSON string, boolean or null is not one."""
+    items = [value]
+    for item in items:  # a nested list's entries are appended and visited in turn
+        if isinstance(item, list):
+            items.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise DocumentError(f"{where} must hold numbers, got {item!r}")
+
+
 def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
     entries = payload.get("entries")
     if not isinstance(entries, list):
@@ -142,6 +152,7 @@ def _expand_f_qso(n: int, payload: dict) -> CubicMatrix:
             raise DocumentError(f"mixed row {row!r} needs keys i, j, dist")
         if not all(isinstance(row[key], int) for key in ("i", "j")):
             raise DocumentError(f"mixed row {row!r} has non-integer states")
+        _require_numbers(row["dist"], f"mixed row {row!r} dist")
         mixed[(row["i"], row["j"])] = row["dist"]
     try:
         spec = FQsoSpec(n=n, females=frozenset(females), mixed=mixed)
@@ -154,6 +165,7 @@ def _expand_skew(n: int, payload: dict) -> CubicMatrix:
     rows = payload.get("a")
     if not isinstance(rows, list):
         raise DocumentError("volterra_skew payload needs an 'a' matrix")
+    _require_numbers(rows, "volterra_skew 'a'")
     try:
         skew = SkewMatrix(np.asarray(rows, dtype=float))
     except _REJECTED as exc:
@@ -172,6 +184,7 @@ def _expand_preset(n: int, payload: dict) -> CubicMatrix:
     table = params.get("table")
     if name == "single_male" and isinstance(table, list) and len(table) != n - 2:
         raise DocumentError(f"preset 'single_male' table has {len(table)} rows but n={n} needs {n - 2}")
+    _require_numbers(list(params.values()), f"preset {name!r} params")
     try:
         matrix = preset(name, **params)
     except _REJECTED as exc:

@@ -230,6 +230,22 @@ class TestSampleRandomFQso:
         with pytest.raises(ValueError, match="not probability vectors"):
             run_trial(4, {1, 2}, 0, 50, 1e-8)
 
+    def test_each_path_checks_its_block_once(self, monkeypatch):
+        """``sample_random_f_qso`` (through ``FQsoSpec``) and ``run_trial`` each run ``_check_rows`` once."""
+        calls = []
+        check = analysis._check_rows
+
+        def counted(rows, pairs):
+            calls.append(rows.shape)
+            check(rows, pairs)
+
+        monkeypatch.setattr(analysis, "_check_rows", counted)
+        monkeypatch.setattr("qsodyn.operators._check_rows", counted)
+        sample_random_f_qso(8, {2, 3, 5}, 1)
+        assert calls == [(15, 9)]
+        run_trial(8, {2, 3, 5}, 1, 50, 1e-8)
+        assert calls == [(15, 9), (15, 9)]
+
     def test_rejects_bad_female_set(self):
         with pytest.raises(ValueError):
             sample_random_f_qso(3, set(), seed=0)

