@@ -39,7 +39,6 @@ from .core import (
     StochasticityReport,
     StochasticityViolation,
     classify,
-    female_sets,
     proper_subsets,
     renormalize,
     require_valid,

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CubicMatrix, female_sets, proper_subset, proper_subsets, require_valid
+from .core import CubicMatrix, proper_subset, proper_subsets, require_valid
 from .documents import MAX_N
 from .operators import FQsoSpec, _check_rows, _f_qso_cube, _mixed_pairs, apply_normalized
 
@@ -61,7 +61,7 @@ def count_first_row(P: CubicMatrix) -> CountReport:
     """Count exact-1 and below-1 empty-body coefficients over unordered pairs.
 
     Equality with 1 is bitwise (two-sex builders write exact ones); the
-    bounds are included when :func:`qsodyn.core.female_sets` finds a
+    bounds are included when :attr:`CubicMatrix.female_sets` finds a
     female set, and omitted otherwise.  Any such set gives valid bounds;
     the first in (size, lexicographic) order is used.
     """
@@ -72,7 +72,7 @@ def count_first_row(P: CubicMatrix) -> CountReport:
     n1 = int(np.count_nonzero(vals == 1.0))
     n1_tilde = int(np.count_nonzero(vals < 1.0))
 
-    females = female_sets(P).first
+    females = P.female_sets.first
     if females is not None:
         lower, upper = remark_bounds(n, females)
     else:

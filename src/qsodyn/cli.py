@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, dynamics
-from .core import QsoError, SimplexPoint, classify, female_sets, validate_stochastic
+from .core import QsoError, SimplexPoint, classify, require_valid
 from .documents import DocumentError, expand, load_document
 from .operators import PRESETS, apply_normalized
 
@@ -80,7 +80,7 @@ def _open_writer(path):
 def cmd_validate(args) -> int:
     doc, P = _load_matrix(args.file, symmetrize=args.symmetrize)
     print(f"document: {args.file} (kind={doc.kind}, n={doc.n})")
-    report = validate_stochastic(P)
+    report = P.stochasticity
     if not report.ok:
         print(f"stochasticity: FAILED ({len(report.violations)} violation(s))")
         for v in report.violations:
@@ -130,7 +130,7 @@ def _resolve_reference(spec: str, P) -> SimplexPoint | None:
     if spec == "vertex0":
         return SimplexPoint.vertex(P.n)
     if spec == "auto":
-        return SimplexPoint.vertex(P.n) if female_sets(P) else None
+        return SimplexPoint.vertex(P.n) if P.female_sets else None
     return _coords(spec)
 
 
@@ -164,7 +164,7 @@ def cmd_fixed_points(args) -> int:
         flag = "in simplex" if cand.in_simplex else "REJECTED: not in simplex"
         print(f"  {_fmt_point(cand.point)} residual={cand.residual:.3e} [{flag}]")
 
-    if P.n == 3 and female_sets(P):
+    if P.n == 3 and P.female_sets:
         a, b, c = (float(P.p[1, 2, k]) for k in range(3))
         alg = dynamics.fixed_points_m2(a, b, c)
         print(f"algebraic candidates of the three-state family (a={_fmt(a)}, b={_fmt(b)}, c={_fmt(c)}):")
@@ -287,6 +287,7 @@ def _replay_trajectory(rows: list[list[str]], args) -> int:
     if args.operator is None:
         raise DocumentError("replaying a trajectory CSV requires --operator")
     _, P = _load_matrix(args.operator)
+    require_valid(P)
     n = P.n
     if rows[0][1 : 1 + n] != [f"x_{i}" for i in range(n)]:
         raise DocumentError("CSV columns do not match the operator's state count")
@@ -296,7 +297,7 @@ def _replay_trajectory(rows: list[list[str]], args) -> int:
     phi, bound, _ = (_numbers(col, optional=True)[1:] for col in columns[1 + n :])
 
     nxt = X[1:]
-    females = female_sets(P).first
+    females = P.female_sets.first
     exact = [dynamics.lyapunov_bound(step).value if females is not None else math.nan for step in steps]
     kernel = np.abs(apply_normalized(P, X[:-1]) - nxt).ravel()
     # Empty phi and bound cells read as NaN and are skipped.

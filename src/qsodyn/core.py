@@ -13,6 +13,7 @@ States are 0-based everywhere.  For F-QSOs, state 0 is the absorbing
 remaining states {1, ..., n-1}.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import InitVar, dataclass
@@ -47,11 +48,11 @@ class ClassificationError(QsoError):
     """An operation requiring a specific operator class received another."""
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    # C order keeps the kernel's (n, n*n) reshape of a cube a view.
-    out = np.array(arr, dtype=float, order="C", copy=True)
-    out.flags.writeable = False
-    return out
+def _as_readonly(arr) -> np.ndarray:
+    # A view of an immutable bytes copy: numpy refuses to make it, or its base,
+    # writable again.  C order keeps the kernel's (n, n*n) reshape of a cube a view.
+    arr = np.ascontiguousarray(arr, dtype=float)
+    return np.frombuffer(arr.tobytes(), dtype=float).reshape(arr.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +154,55 @@ class CubicMatrix:
     def n(self) -> int:
         return self.p.shape[0]
 
+    def __reduce__(self):  # a copy or an unpickled cube is built anew: frozen, with nothing cached
+        return CubicMatrix, (self.p,)
+
+    @functools.cached_property
+    def stochasticity(self) -> "StochasticityReport":
+        """The :func:`validate_stochastic` report, computed once: ``p`` cannot be made writable."""
+        return validate_stochastic(self)
+
+    @functools.cached_property
+    def female_sets(self) -> "FemaleSets":
+        """The female sets whose two-sex pattern ``p`` matches, read off the pair graph once.
+
+        Reads the pattern only, with no stochasticity check, so it is exact
+        on any finite cube.  A same-class pair (both parents in F+{0}, or
+        both in M+{0}) must be the point mass on state 0 in both
+        orientations, so the graph takes the symmetric closure of that
+        pattern: every (0, i), (i, 0) and diagonal pair must be empty-body,
+        and two states whose pair is not must lie on opposite sides, which
+        a graph search 2-colours in O(n^2).  Comparisons with 0 and 1 are
+        exact: membership is structural.
+        """
+        p = self.p
+        empty = (p[:, :, 0] == 1.0) & np.all(p[:, :, 1:] == 0.0, axis=2)
+        empty &= empty.T
+        m = self.n - 1
+        if not (empty[0].all() and empty.diagonal().all()):
+            return FemaleSets(m, None)
+        neighbours = [[] for _ in range(m)]
+        for v, w in zip(*(a.tolist() for a in np.nonzero(~empty[1:, 1:]))):
+            neighbours[v].append(w)
+        side = [-1] * m
+        components = []
+        for root in range(m):
+            if side[root] >= 0:
+                continue
+            side[root] = 0
+            members, queue = [root], [root]
+            while queue:
+                v = queue.pop()
+                for w in neighbours[v]:
+                    if side[w] < 0:
+                        side[w] = 1 - side[v]
+                        members.append(w)
+                        queue.append(w)
+                    elif side[w] == side[v]:
+                        return FemaleSets(m, None)  # an odd cycle
+            components.append(tuple(frozenset(v + 1 for v in members if side[v] == s) for s in (0, 1)))
+        return FemaleSets(m, tuple(components))
+
 
 class StochasticityViolation(NamedTuple):
     kind: str  # "asymmetry" | "negative" | "row_sum"
@@ -204,7 +254,7 @@ def validate_stochastic(P: CubicMatrix) -> StochasticityReport:
 
 def require_valid(P: CubicMatrix) -> None:
     """Raise :class:`StochasticityError` unless ``P`` passes validation."""
-    report = validate_stochastic(P)
+    report = P.stochasticity
     if not report.ok:
         first = report.violations[0]
         raise StochasticityError(
@@ -255,9 +305,9 @@ class ClassWitness(NamedTuple):
 class FemaleSets:
     """The valid female sets of an operator, read off its pair graph.
 
-    Built by :func:`female_sets`, the package's one female-set test.  The
-    sets are the proper 2-colourings of the "non-empty-body" graph on
-    the states {1, ..., m}: one side of a colouring is F, the other M.
+    Built by :attr:`CubicMatrix.female_sets`, the package's one female-set
+    test.  The sets are the proper 2-colourings of the "non-empty-body"
+    graph on the states {1, ..., m}: one side of a colouring is F, the other M.
     ``components`` holds, for each connected component ordered by its
     smallest state, the two sides of its colouring, the side with that
     smallest state first (an isolated state has an empty second side).
@@ -330,50 +380,6 @@ class ClassReport:
     violations: tuple[ClassWitness, ...]
 
 
-def female_sets(P: CubicMatrix) -> FemaleSets:
-    """The female sets whose two-sex pattern ``P`` matches, read off the pair graph.
-
-    Reads the coefficient pattern only and runs no stochasticity check,
-    so it is exact on any finite cube.  A same-class pair (both parents
-    in F+{0}, or both in M+{0}) must map exactly to the point mass on
-    state 0 in both orientations, so the graph is built from the
-    symmetric closure of that pattern: every (0, i), (i, 0) and diagonal
-    pair must be empty-body, and two distinct states whose pair is not
-    (in either order) must lie on opposite sides, which a graph search
-    2-colours in O(n^2).  Comparisons with 0 and 1 are exact: pattern
-    membership is structural, not numeric.
-    """
-    p = P.p
-    empty = (p[:, :, 0] == 1.0) & np.all(p[:, :, 1:] == 0.0, axis=2)
-    empty &= empty.T
-    m = P.n - 1
-    if not (empty[0].all() and empty.diagonal().all()):
-        return FemaleSets(m, None)
-    neighbours = [[] for _ in range(m)]
-    for v, w in zip(*(a.tolist() for a in np.nonzero(~empty[1:, 1:]))):
-        neighbours[v].append(w)
-    side = [-1] * m
-    components = []
-    for root in range(m):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        members, queue = [root], [root]
-        while queue:
-            v = queue.pop()
-            for w in neighbours[v]:
-                if side[w] < 0:
-                    side[w] = 1 - side[v]
-                    members.append(w)
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return FemaleSets(m, None)  # an odd cycle
-        components.append(
-            tuple(frozenset(v + 1 for v in members if side[v] == s) for s in (0, 1))
-        )
-    return FemaleSets(m, tuple(components))
-
-
 def classify(P: CubicMatrix) -> ClassReport:
     """Detect Volterra, strictly non-Volterra, and F-QSO membership.
 
@@ -383,14 +389,8 @@ def classify(P: CubicMatrix) -> ClassReport:
     exact comparison with 0.  Witnesses for whichever of the two
     conditions fail are collected in ``violations``.
 
-    ``f_qso_sets`` is :func:`female_sets`: F is a valid female set
-    exactly when every (0, i) pair and every diagonal (i, i) pair is the
-    point mass on state 0 and every other pair (i, j) of states 1..n-1
-    that is not crosses the partition.  So the female sets are the
-    proper 2-colourings of that non-empty-body graph: none if it has an
-    odd cycle, 2^c for c components (isolated states count), or
-    2^(n-1) - 2 when it has no edge at all.  A validated matrix is
-    symmetric, so the graph's symmetric closure changes nothing here.
+    ``f_qso_sets`` is ``P.female_sets``; a validated matrix is symmetric,
+    so the pair graph's symmetric closure changes nothing here.
     """
     require_valid(P)
     p = P.p
@@ -415,6 +415,6 @@ def classify(P: CubicMatrix) -> ClassReport:
     return ClassReport(
         is_volterra=not volterra_bad.any(),
         is_strictly_non_volterra=not snv_bad.any(),
-        f_qso_sets=female_sets(P),
+        f_qso_sets=P.female_sets,
         violations=tuple(witnesses),
     )

@@ -104,6 +104,13 @@ def _require_numbers(value, where: str) -> None:
             raise DocumentError(f"{where} must hold numbers, got {item!r}")
 
 
+def _require_states(values, n: int, where: str) -> None:
+    """Refuse all but states 0..n-1 written as integers; ``type`` is exact, so a JSON boolean is not one."""
+    for value in values:
+        if type(value) is not int or not 0 <= value < n:
+            raise DocumentError(f"{where} must be integers from 0 to {n - 1}, got {values!r}")
+
+
 def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
     entries = payload.get("entries")
     if not isinstance(entries, list):
@@ -113,16 +120,12 @@ def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             raise DocumentError(f"cubic entry {row!r} is not an (i, j, k, value) row")
         i, j, k, value = row
-        if not all(isinstance(v, int) for v in (i, j, k)):
-            raise DocumentError(f"cubic entry {row!r} has non-integer indices")
-        if not all(0 <= v < n for v in (i, j, k)):
-            raise DocumentError(f"cubic entry {row!r} out of range for n={n}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise DocumentError(f"cubic entry {row!r} has a non-numeric value")
+        _require_states((i, j, k), n, "cubic entry indices")
+        _require_numbers(value, "cubic entry value")
         try:
             value = float(value)
-        except OverflowError:
-            raise DocumentError(f"cubic entry {row!r} is out of floating-point range") from None
+        except (OverflowError, TypeError):  # a huge integer, or a list
+            raise DocumentError(f"cubic entry {row!r} value is not a number in floating-point range") from None
         if i > j and not symmetrize:
             raise DocumentError(
                 f"cubic entry {row!r} has i > j; store pairs with i <= j, or load with symmetrize"
@@ -144,14 +147,12 @@ def _expand_f_qso(n: int, payload: dict) -> CubicMatrix:
     mixed_rows = payload.get("mixed")
     if not isinstance(females, list) or not isinstance(mixed_rows, list):
         raise DocumentError("f_qso payload needs 'f' (list) and 'mixed' (list)")
-    if not all(isinstance(i, int) for i in females):
-        raise DocumentError(f"female set {females!r} must list integer states")
+    _require_states(females, n, "female set states")
     mixed = {}
     for row in mixed_rows:
         if not isinstance(row, dict) or not {"i", "j", "dist"} <= set(row):
             raise DocumentError(f"mixed row {row!r} needs keys i, j, dist")
-        if not all(isinstance(row[key], int) for key in ("i", "j")):
-            raise DocumentError(f"mixed row {row!r} has non-integer states")
+        _require_states((row["i"], row["j"]), n, "mixed row states")
         _require_numbers(row["dist"], f"mixed row {row!r} dist")
         mixed[(row["i"], row["j"])] = row["dist"]
     try:

@@ -26,7 +26,7 @@ from .core import (
     DimensionError,
     InvalidPointError,
     SimplexPoint,
-    female_sets,
+    _as_readonly,
     renormalize,
     require_valid,
 )
@@ -174,7 +174,7 @@ def trajectory(
     ref = reference.coords if reference is not None else None
     watch = ref is not None and tol is not None
     vertex = SimplexPoint.vertex(P.n).coords
-    females = female_sets(P).first
+    females = P.female_sets.first
     phi = _phi(P.n, females)
     # The snap claims convergence to the vertex; honor a user-supplied
     # reference only when the vertex itself satisfies it.
@@ -201,8 +201,7 @@ def trajectory(
             break
         rows.append(x)
 
-    coords = np.array(rows)
-    coords.flags.writeable = False
+    coords = _as_readonly(rows)
     return Trajectory(
         coords=coords,
         lyapunov_values=phi(coords) if P.n >= 3 else np.full(len(rows), math.nan),

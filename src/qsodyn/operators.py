@@ -107,11 +107,10 @@ class FQsoSpec:
                 "mixed distributions must be given for exactly the (female, male) pairs; "
                 f"missing {expected - set(self.mixed)}, unexpected {set(self.mixed) - expected}"
             )
-        rows = np.array(list(self.mixed.values()), dtype=float)
+        rows = _as_readonly(list(self.mixed.values()))
         if rows.shape != (len(expected), self.n):
             raise ValueError(f"mixed distributions need {self.n} entries each; they stack to {rows.shape}")
         _check_rows(rows, list(self.mixed))
-        rows.flags.writeable = False
         object.__setattr__(self, "females", females)
         object.__setattr__(self, "mixed", MappingProxyType(dict(zip(self.mixed, rows))))
 

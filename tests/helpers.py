@@ -1,8 +1,16 @@
 """Shared generators for randomized tests."""
 
 import numpy as np
+import pytest
 
 from qsodyn import CubicMatrix
+
+
+def assert_frozen(arr: np.ndarray) -> None:
+    """Neither ``arr`` nor its base can be made writable again."""
+    for frozen in (arr, arr.base):
+        with pytest.raises(ValueError):
+            frozen.flags.writeable = True
 
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:

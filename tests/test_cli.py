@@ -12,6 +12,7 @@ import pytest
 from qsodyn import (
     CubicMatrix,
     OperatorDocument,
+    apply_normalized,
     build_f_qso,
     build_fqso_m2,
     build_single_male,
@@ -20,7 +21,7 @@ from qsodyn import (
     sample_random_f_qso,
     save_document,
 )
-from qsodyn import analysis, cli, core, dynamics
+from qsodyn import cli, core
 from qsodyn.cli import main
 from qsodyn.documents import MAX_N
 
@@ -188,6 +189,24 @@ class TestTrajectory:
             csv.writer(handle, lineterminator="\n").writerows(rows)
         assert main(["replay", str(out_csv), "--operator", m2_doc]) == 1
 
+    def test_replay_refuses_an_invalid_operator(self, tmp_path, capsys):
+        """The kernel reproduces every row, but a cube that fails stochasticity vouches for nothing."""
+        p = build_fqso_m2(0.0, 0.5, 0.5).p.copy()
+        p[0, 0, 0] = 0.5
+        P = CubicMatrix(p)
+        doc, out_csv = str(tmp_path / "bad.json"), tmp_path / "traj.csv"
+        save_document(document_from_matrix(P), doc)
+        rows = [np.full(3, 1 / 3)]
+        for _ in range(3):
+            rows.append(apply_normalized(P, rows[-1]))
+        with open(out_csv, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["step", "x_0", "x_1", "x_2", "phi", "phi_bound", "dist_max"])
+            writer.writerows([str(step), *map(repr, x.tolist()), "", "", ""] for step, x in enumerate(rows))
+        assert main(["trajectory", doc, "--start", "uniform", "--output", str(tmp_path / "t.csv")]) == 1
+        assert main(["replay", str(out_csv), "--operator", doc]) == 1
+        assert "row_sum at (0,0,None)" in capsys.readouterr().err
+
 
 class TestPhiColumn:
     """Each phi cell is phi_F of its own row, bitwise; every F-QSO gets bound cells and the snap."""
@@ -218,22 +237,28 @@ class TestPhiColumn:
                 assert float(phi) == x[[2, 4]].sum() * x[[1, 3, 5]].sum()
                 assert bound == repr(lyapunov_bound(step).value)
 
-    def test_pair_graph_is_read_twice_per_trajectory_and_once_per_replay(self, tmp_path, monkeypatch):
-        calls = []
 
-        def counting(P):
-            calls.append(P.n)
-            return core_female_sets(P)
-
-        core_female_sets = core.female_sets
-        for module in (core, dynamics, analysis, cli):
-            monkeypatch.setattr(module, "female_sets", counting)
-        doc, out = single_male_doc_of(tmp_path, 9), str(tmp_path / "traj.csv")
-        assert main(["trajectory", doc, "--start", "uniform", "--output", out]) == 0
-        assert len(calls) <= 2
-        calls.clear()
-        assert main(["replay", out, "--operator", doc]) == 0
-        assert len(calls) == 1
+class TestOperatorFacts:
+    def test_each_command_computes_each_fact_at_most_once(self, m2_doc, tmp_path, monkeypatch):
+        """Stochasticity is checked once, and the pair graph read at most once, per command."""
+        checks, graphs = [], []
+        validate, female_sets = core.validate_stochastic, core.FemaleSets
+        monkeypatch.setattr(core, "validate_stochastic", lambda P: checks.append(P) or validate(P))
+        monkeypatch.setattr(core, "FemaleSets", lambda *args: graphs.append(args) or female_sets(*args))
+        traj, erg = str(tmp_path / "traj.csv"), str(tmp_path / "erg.csv")
+        commands = [
+            (["validate", m2_doc], 1),
+            (["trajectory", m2_doc, "--start", "uniform", "--output", traj], 1),
+            (["fixed-points", m2_doc, "--starts", "5"], 1),
+            (["ergodic", m2_doc, "--start", "uniform", "--n", "8", "--output", erg], 0),
+            (["replay", traj, "--operator", m2_doc], 1),
+            (["replay", erg, "--operator", m2_doc], 0),
+        ]
+        for argv, reads in commands:
+            checks.clear()
+            graphs.clear()
+            assert main(argv) == 0
+            assert (len(checks), len(graphs)) == (1, reads), argv
 
 
 class TestFixedPoints:
@@ -517,6 +542,9 @@ class TestMalformedDocumentsExit2:
             ("f_qso", 3, {"f": [2], "mixed": [{"i": 2, "j": 1, "dist": [True, 0.0, 0.0]}]}),
             ("preset", 3, {"name": "single_male", "params": {"table": [["0.5", "0.25", "0.25"]]}}),
             ("volterra_skew", 2, {"a": [["0", "0.5"], ["-0.5", "0"]]}),
+            # Booleans as state indices, which Python counts as the integers 0 and 1.
+            ("f_qso", 3, {"f": [True], "mixed": [{"i": True, "j": 2, "dist": [0.0, 0.5, 0.5]}]}),
+            ("cubic", 2, {"entries": [[False, False, False, 1.0], [0, 1, 0, 1.0], [1, 1, 0, 1.0]]}),
         ],
     )
     def test_validate_exits_2(self, tmp_path, capsys, kind, n, payload):

@@ -1,5 +1,7 @@
 """Core types: simplex points, cubic matrices, validation, classification."""
 
+import copy
+import pickle
 import time
 
 import numpy as np
@@ -17,14 +19,14 @@ from qsodyn import (
     build_f_qso,
     build_fqso_m2,
     classify,
-    female_sets,
     preset,
     proper_subsets,
     renormalize,
     sample_random_f_qso,
     validate_stochastic,
 )
-from helpers import random_cubic
+from qsodyn import core
+from helpers import assert_frozen, random_cubic
 
 
 class TestSimplexPoint:
@@ -32,6 +34,7 @@ class TestSimplexPoint:
         pt = SimplexPoint(np.array([0.25, 0.25, 0.5]))
         assert pt.dim == 3
         assert not pt.coords.flags.writeable
+        assert_frozen(pt.coords)
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidPointError):
@@ -105,6 +108,22 @@ class TestCubicMatrix:
         P = build_fqso_m2(0.0, 0.5, 0.5)
         with pytest.raises(ValueError):
             P.p[0, 0, 0] = 2.0
+        assert_frozen(P.p)
+
+    def test_copies_are_rebuilt_frozen_and_uncached(self):
+        P = build_fqso_m2(0.0, 0.5, 0.5)
+        assert P.stochasticity.ok and P.female_sets
+        for duplicate in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+            assert_frozen(duplicate.p)
+            assert np.array_equal(duplicate.p, P.p) and "stochasticity" not in vars(duplicate)
+
+    def test_facts_are_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core, "validate_stochastic", lambda P: calls.append(P) or validate_stochastic(P))
+        P = build_fqso_m2(0.0, 0.5, 0.5)
+        assert P.stochasticity is P.stochasticity and P.stochasticity.ok and len(calls) == 1
+        assert P.female_sets is P.female_sets and tuple(P.female_sets) == (frozenset({1}), frozenset({2}))
+        assert classify(P).f_qso_sets is P.female_sets and len(calls) == 1
 
 
 class TestValidateStochastic:
@@ -413,12 +432,12 @@ class TestPairGraphClassification:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_unvalidated_cubes(self, n):
-        """female_sets agrees with the oracle on asymmetric cubes, for M = {1} too."""
+        """P.female_sets agrees with the oracle on asymmetric cubes, for M = {1} too."""
         rng = np.random.default_rng(700 + n)
         found = one_sided = 0
         for _ in range(300):
             P = unvalidated_cube(rng, n)
-            sets = assert_matches_oracle(P, female_sets(P))
+            sets = assert_matches_oracle(P, P.female_sets)
             single_male = n >= 3 and matches_partition(P, frozenset(range(2, n)))
             assert (frozenset(range(2, n)) in sets) == single_male
             found += bool(sets)
@@ -432,10 +451,10 @@ class TestPairGraphClassification:
         p[2, 1] = [0.5, 0.25, 0.25]
         P = CubicMatrix(p)
         assert not validate_stochastic(P).ok
-        sets = assert_matches_oracle(P, female_sets(P))
+        sets = assert_matches_oracle(P, P.female_sets)
         assert tuple(sets) == (frozenset({1}), frozenset({2}))
         p[1, 0] = [0.5, 0.25, 0.25]
-        assert not assert_matches_oracle(CubicMatrix(p), female_sets(CubicMatrix(p)))
+        assert not assert_matches_oracle(CubicMatrix(p), CubicMatrix(p).female_sets)
 
 
 class TestProperSubsets:

@@ -35,7 +35,7 @@ from qsodyn import (
 from qsodyn import dynamics
 from qsodyn.core import proper_subset
 from qsodyn.operators import SkewMatrix, apply_normalized, apply_unnormalized, cubic_from_skew
-from helpers import random_cubic, random_simplex, random_simplex_batch
+from helpers import assert_frozen, random_cubic, random_simplex, random_simplex_batch
 
 
 def random_single_male(rng, m):
@@ -200,6 +200,7 @@ class TestTrajectory:
         traj = trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=3)
         assert traj.coords.shape == (4, 3)
         assert not traj.coords.flags.writeable
+        assert_frozen(traj.coords)
 
     def test_huge_step_budget_is_not_allocated(self):
         """A snapping single-male orbit stops early; nothing is sized by max_steps."""

@@ -24,7 +24,7 @@ from qsodyn import (
     validate_stochastic,
     volterra_from_skew,
 )
-from helpers import random_cubic, random_simplex, random_skew
+from helpers import assert_frozen, random_cubic, random_simplex, random_skew
 
 
 def m2_formulas(a, b, c, x):
@@ -148,8 +148,9 @@ class TestFQsoSpec:
         spec = FQsoSpec(n=4, females=frozenset({2}), mixed={(2, 3): dist, (2, 1): np.array(dist)})
         assert list(spec.mixed) == [(2, 3), (2, 1)]
         first, second = spec.mixed.values()
-        assert first.base is second.base and first.base.shape == (2, 4)
+        assert first.base is second.base and first.base.size == 8
         assert not first.flags.writeable and np.array_equal(second, dist)
+        assert_frozen(first)
         with pytest.raises(TypeError):
             spec.mixed[(2, 1)] = dist
 
