@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import CubicMatrix, proper_subset, proper_subsets, require_valid
 from .documents import MAX_N
-from .operators import FQsoSpec, _check_rows, _f_qso_cube, _mixed_pairs, apply_normalized
+from .operators import FQsoSpec, _check_rows, _f_qso_cube, _mixed_pairs, _stepper
 
 #: What every scan report checks.
 EVIDENCE_NOTE = "randomized check of a theorem: phi_F = x_F*x_M proves every two-sex orbit reaches the vertex"
@@ -169,7 +169,7 @@ def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[
     females, pairs, rows = _mixed_block(m, females, seed)
     _check_rows(rows, pairs)
     n = m + 1
-    P = _f_qso_cube(n, pairs, rows)
+    advance = _stepper(_f_qso_cube(n, pairs, rows), batch=False)
     draw = np.random.default_rng(np.random.SeedSequence([seed, 1])).standard_exponential(n)
     x = draw / draw.sum()
 
@@ -180,7 +180,7 @@ def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[
     step = 0
     while step < iterations and dist != 0.0:
         step += 1
-        x = apply_normalized(P, x)
+        x = advance(x)
         dist = float(abs(x - vertex).max())
         if first_hit < 0 and dist <= tol:
             first_hit = step

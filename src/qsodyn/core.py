@@ -85,6 +85,9 @@ class SimplexPoint:
     def dim(self) -> int:
         return self.coords.shape[0]
 
+    def __reduce__(self):  # a copy or an unpickled point is built anew, so it is frozen again
+        return SimplexPoint, (self.coords,)
+
     @staticmethod
     def uniform(n: int) -> "SimplexPoint":
         """The barycenter (1/n, ..., 1/n)."""

@@ -9,6 +9,7 @@ byte-identical.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,30 +116,42 @@ def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
     entries = payload.get("entries")
     if not isinstance(entries, list):
         raise DocumentError("cubic payload needs an 'entries' list")
-    collected: dict[tuple[int, int, int], list[float]] = {}
+    values = []
+    seen = set()
     for row in entries:
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             raise DocumentError(f"cubic entry {row!r} is not an (i, j, k, value) row")
         i, j, k, value = row
-        _require_states((i, j, k), n, "cubic entry indices")
-        _require_numbers(value, "cubic entry value")
-        try:
-            value = float(value)
-        except (OverflowError, TypeError):  # a huge integer, or a list
-            raise DocumentError(f"cubic entry {row!r} value is not a number in floating-point range") from None
-        if i > j and not symmetrize:
-            raise DocumentError(
-                f"cubic entry {row!r} has i > j; store pairs with i <= j, or load with symmetrize"
-            )
-        key = (min(i, j), max(i, j), k)
-        if not symmetrize and key in collected:
-            raise DocumentError(f"duplicate cubic entry for pair {key}")
-        collected.setdefault(key, []).append(value)
-    p = np.zeros((n, n, n))
-    for (i, j, k), values in collected.items():
-        value = sum(values) / len(values)
-        p[i, j, k] = value
-        p[j, i, k] = value
+        # The helpers raise the messages; the inline tests only spare them the calls on a good entry.
+        if not (type(i) is type(j) is type(k) is int and 0 <= i < n and 0 <= j < n and 0 <= k < n):
+            _require_states((i, j, k), n, "cubic entry indices")
+        if type(value) is not float:
+            _require_numbers(value, "cubic entry value")
+            try:
+                value = float(value)
+            except (OverflowError, TypeError):  # a huge integer, or a list
+                raise DocumentError(f"cubic entry {row!r} value is not a number in floating-point range") from None
+        if not math.isfinite(value):
+            raise DocumentError(f"cubic entry {row!r} value is not finite")
+        if not symmetrize:
+            if i > j:
+                raise DocumentError(
+                    f"cubic entry {row!r} has i > j; store pairs with i <= j, or load with symmetrize"
+                )
+            if (i, j, k) in seen:
+                raise DocumentError(f"duplicate cubic entry for pair {(i, j, k)}")
+            seen.add((i, j, k))
+        values.append(value)
+    columns = list(zip(*entries)) or [()] * 4
+    i, j, k = (np.array(column, dtype=np.intp) for column in columns[:3])
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    # Entries of one pair are summed from 0.0 in entry order, then averaged: sum(values) / len(values).
+    cells = np.ravel_multi_index((i, j, k), (n, n, n))
+    total, count = np.zeros(n**3), np.zeros(n**3)
+    np.add.at(total, cells, values)
+    np.add.at(count, cells, 1.0)
+    p = np.divide(total, count, out=np.zeros(n**3), where=count > 0.0).reshape(n, n, n)
+    p[j, i, k] = p[i, j, k]
     return CubicMatrix(p, declared_n=n)
 
 

@@ -30,7 +30,7 @@ from .core import (
     renormalize,
     require_valid,
 )
-from .operators import apply_normalized, apply_unnormalized, build_fqso_m2
+from .operators import _stepper, apply_unnormalized, build_fqso_m2
 
 #: Once phi_F falls below this, a two-sex trajectory is snapped to the
 #: exact vertex: the next true iterate is provably within twice this
@@ -138,6 +138,12 @@ class Trajectory:
     dist_to_limit: np.ndarray | None
     stop_reason: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "coords", _as_readonly(self.coords))
+
+    def __reduce__(self):  # a copy or an unpickled trajectory is built anew, so its coordinates are frozen again
+        return Trajectory, (self.coords, self.lyapunov_values, self.females, self.dist_to_limit, self.stop_reason)
+
     def __len__(self) -> int:
         return self.coords.shape[0]
 
@@ -180,6 +186,7 @@ def trajectory(
     # reference only when the vertex itself satisfies it.
     snap = females is not None and (not watch or _max_dist(vertex, ref) <= tol)
 
+    step = _stepper(P, batch=False)
     x = x0.coords
     rows = [x]
     for count in range(max_steps + 1):
@@ -194,14 +201,14 @@ def trajectory(
                 rows.append(vertex)
             stop = STOP_CONVERGED
             break
-        x = apply_normalized(P, x)
+        x = step(x)
         # A NaN fails the first comparison, an infinity the second.
-        if not (x.min() >= 0.0 and abs(x.sum() - 1.0) <= TOL_SUM):
+        if not (np.minimum.reduce(x) >= 0.0 and abs(np.add.reduce(x) - 1.0) <= TOL_SUM):
             stop = STOP_INVALID
             break
         rows.append(x)
 
-    coords = _as_readonly(rows)
+    coords = np.array(rows)
     return Trajectory(
         coords=coords,
         lyapunov_values=phi(coords) if P.n >= 3 else np.full(len(rows), math.nan),
@@ -218,12 +225,13 @@ def iterate_batch(P: CubicMatrix, starts: np.ndarray, steps: int, return_history
     applications, or the full history of shape (steps+1, B, n) when
     ``return_history`` is set.  Each step renormalizes by the row sum.
     """
-    X = np.array(starts, dtype=float, copy=True)
+    X = np.array(starts, dtype=float, copy=True, order="C")
     if X.ndim != 2 or X.shape[1] != P.n:
         raise DimensionError(f"starts of shape {X.shape} do not match operator with n={P.n}")
+    step = _stepper(P, batch=True)
     history = [X]
     for _ in range(steps):
-        X = apply_normalized(P, X)
+        X = step(X)
         if return_history:
             history.append(X)
     return np.stack(history) if return_history else X
@@ -336,8 +344,9 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
     ends = starts_x.copy()
     active = np.arange(starts)
     x = starts_x
+    step = _stepper(P, batch=True)
     for _ in range(200):
-        x, previous = apply_normalized(P, x), x
+        x, previous = step(x), x
         ends[active] = x
         moving = ~np.all(x == previous, axis=1)
         active, x = active[moving], x[moving]
@@ -394,11 +403,12 @@ def _cesaro_rows(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]):
     if x0.dim != P.n:
         raise DimensionError(f"start of dim {x0.dim} does not match operator with n={P.n}")
     acc = np.zeros(P.n)
+    step = _stepper(P, batch=False)
     x = x0.coords
     wanted = set(schedule)
     for count in range(1, schedule[-1] + 1):
         if count > 1:
-            x = apply_normalized(P, x)
+            x = step(x)
         acc += x
         if count in wanted:
             yield count, acc / count

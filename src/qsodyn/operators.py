@@ -42,8 +42,36 @@ def apply_unnormalized(P: CubicMatrix, values) -> np.ndarray:
     n = P.n
     if X.ndim not in (1, 2) or X.shape[-1] != n:
         raise DimensionError(f"point of dim {X.shape} does not match operator with n={n}")
-    T = np.vecmat(X, P.p.reshape(n, n * n)).reshape(X.shape[:-1] + (n, n))
-    return np.vecmat(X, T)
+    return _quadratic(X, P.p.reshape(n, n * n), X.shape[:-1] + (n, n))
+
+
+def _quadratic(X: np.ndarray, Q: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The kernel's body: ``X`` against the ``(n, n*n)`` view ``Q``, the intermediate reshaped to ``shape``.
+
+    ``X`` must be C-contiguous floats: the products then make the same BLAS call per row.
+    """
+    return np.vecmat(X, np.vecmat(X, Q).reshape(shape))
+
+
+def _stepper(P: CubicMatrix, batch: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`apply_normalized` for a loop: the view, the intermediate's shape and the sum's form fixed once.
+
+    ``step(X)`` takes a C-contiguous float point ``(n,)``, or with ``batch``
+    a stack ``(B, n)`` whose ``B`` may change between calls, and returns
+    its image bitwise as :func:`apply_normalized` would, without that
+    function's per-call conversion and shape check.  A point divides by a
+    0-d sum, which gives the same bits as a ``(1,)`` one.
+    """
+    n = P.n
+    Q = P.p.reshape(n, n * n)
+    shape = (-1, n, n) if batch else (n, n)
+
+    def step(X: np.ndarray) -> np.ndarray:
+        Y = _quadratic(X, Q, shape)
+        Y /= np.add.reduce(Y, axis=-1, keepdims=batch)
+        return Y
+
+    return step
 
 
 def apply_normalized(P: CubicMatrix, values) -> np.ndarray:
@@ -113,6 +141,9 @@ class FQsoSpec:
         _check_rows(rows, list(self.mixed))
         object.__setattr__(self, "females", females)
         object.__setattr__(self, "mixed", MappingProxyType(dict(zip(self.mixed, rows))))
+
+    def __reduce__(self):  # a copy or an unpickled spec is built anew: a read-only mapping onto a frozen block
+        return FQsoSpec, (self.n, self.females, dict(self.mixed))
 
 
 def build_f_qso(spec: FQsoSpec) -> CubicMatrix:
@@ -194,6 +225,9 @@ class SkewMatrix:
         if not np.max(np.abs(arr)) <= 1.0 + SKEW_TOL:
             raise ValueError("entries must satisfy |a| <= 1")
         object.__setattr__(self, "a", _as_readonly(arr))
+
+    def __reduce__(self):  # a copy or an unpickled skew matrix is built anew, so it is frozen again
+        return SkewMatrix, (self.a,)
 
     @property
     def m(self) -> int:

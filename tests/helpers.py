@@ -1,16 +1,26 @@
 """Shared generators for randomized tests."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from qsodyn import CubicMatrix
 
 
-def assert_frozen(arr: np.ndarray) -> None:
-    """Neither ``arr`` nor its base can be made writable again."""
-    for frozen in (arr, arr.base):
-        with pytest.raises(ValueError):
-            frozen.flags.writeable = True
+def assert_frozen(owner, read) -> None:
+    """Neither the array ``read(owner)`` nor its base can be made writable again, in ``owner`` or in any copy.
+
+    A shallow copy, a deep copy and a pickle round trip of ``owner`` must
+    each hold an equal array that is frozen in the same way.
+    """
+    for duplicate in (owner, copy.copy(owner), copy.deepcopy(owner), pickle.loads(pickle.dumps(owner))):
+        arr = read(duplicate)
+        assert np.array_equal(arr, read(owner))
+        for frozen in (arr, arr.base):
+            with pytest.raises(ValueError):
+                frozen.flags.writeable = True
 
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from qsodyn import (
 )
 from qsodyn import analysis
 from qsodyn.core import proper_subset
-from qsodyn.operators import apply_normalized
+from qsodyn.operators import _stepper, apply_normalized
 from helpers import random_cubic
 
 
@@ -375,12 +375,11 @@ class TestConjectureScan:
         tols = (0.0, 1e-8, -1.0)
         cubes = []
 
-        def recording(P, x):
-            if not cubes or cubes[-1] is not P:
-                cubes.append(P)
-            return apply_normalized(P, x)
+        def recording(P, batch):
+            cubes.append(P)
+            return _stepper(P, batch)
 
-        monkeypatch.setattr(analysis, "apply_normalized", recording)
+        monkeypatch.setattr(analysis, "_stepper", recording)
         trials = 3 if m <= 13 else 1
         for iterations in (1, 3, 50):
             oracles = {}
@@ -404,11 +403,16 @@ class TestConjectureScan:
     def test_stops_at_the_first_step_at_the_vertex(self, m, monkeypatch):
         calls = []
 
-        def counting(P, x):
-            calls.append(1)
-            return apply_normalized(P, x)
+        def counting(P, batch):
+            step = _stepper(P, batch)
 
-        monkeypatch.setattr(analysis, "apply_normalized", counting)
+            def counted(x):
+                calls.append(1)
+                return step(x)
+
+            return counted
+
+        monkeypatch.setattr(analysis, "_stepper", counting)
         females = set(range(1, m // 2 + 1))
         for t in range(5):
             seed = trial_seed(m, t)

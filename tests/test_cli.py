@@ -545,6 +545,9 @@ class TestMalformedDocumentsExit2:
             # Booleans as state indices, which Python counts as the integers 0 and 1.
             ("f_qso", 3, {"f": [True], "mixed": [{"i": True, "j": 2, "dist": [0.0, 0.5, 0.5]}]}),
             ("cubic", 2, {"entries": [[False, False, False, 1.0], [0, 1, 0, 1.0], [1, 1, 0, 1.0]]}),
+            # Non-finite cubic values, which JSON writes as Infinity (1e400 parses to it) and NaN.
+            ("cubic", 2, {"entries": [[0, 0, 0, 1e400], [0, 1, 0, 1.0], [1, 1, 0, 1.0]]}),
+            ("cubic", 2, {"entries": [[0, 0, 0, 1.0], [0, 1, 0, float("nan")], [1, 1, 0, 1.0]]}),
         ],
     )
     def test_validate_exits_2(self, tmp_path, capsys, kind, n, payload):

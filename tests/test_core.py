@@ -34,7 +34,7 @@ class TestSimplexPoint:
         pt = SimplexPoint(np.array([0.25, 0.25, 0.5]))
         assert pt.dim == 3
         assert not pt.coords.flags.writeable
-        assert_frozen(pt.coords)
+        assert_frozen(pt, lambda point: point.coords)
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidPointError):
@@ -108,13 +108,13 @@ class TestCubicMatrix:
         P = build_fqso_m2(0.0, 0.5, 0.5)
         with pytest.raises(ValueError):
             P.p[0, 0, 0] = 2.0
-        assert_frozen(P.p)
+        assert_frozen(P, lambda cube: cube.p)
 
     def test_copies_are_rebuilt_frozen_and_uncached(self):
         P = build_fqso_m2(0.0, 0.5, 0.5)
         assert P.stochasticity.ok and P.female_sets
         for duplicate in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
-            assert_frozen(duplicate.p)
+            assert_frozen(duplicate, lambda cube: cube.p)
             assert np.array_equal(duplicate.p, P.p) and "stochasticity" not in vars(duplicate)
 
     def test_facts_are_computed_once(self, monkeypatch):

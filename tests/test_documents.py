@@ -38,6 +38,40 @@ def document_by_loop(P):
     return OperatorDocument(kind="cubic", n=P.n, payload={"entries": entries})
 
 
+def expand_cubic_by_loop(n, entries, symmetrize):
+    """Reference expansion: entries checked one by one, each pair's values summed in order and averaged."""
+    collected = {}
+    for row in entries:
+        if not isinstance(row, (list, tuple)) or len(row) != 4:
+            raise DocumentError(f"cubic entry {row!r} is not an (i, j, k, value) row")
+        i, j, k, value = row
+        for index in (i, j, k):
+            if type(index) is not int or not 0 <= index < n:
+                raise DocumentError(f"cubic entry indices must be integers from 0 to {n - 1}, got {(i, j, k)!r}")
+        items = [value]
+        for item in items:
+            if isinstance(item, list):
+                items.extend(item)
+            elif isinstance(item, bool) or not isinstance(item, (int, float)):
+                raise DocumentError(f"cubic entry value must hold numbers, got {item!r}")
+        try:
+            value = float(value)
+        except (OverflowError, TypeError):
+            raise DocumentError(f"cubic entry {row!r} value is not a number in floating-point range") from None
+        if not np.isfinite(value):
+            raise DocumentError(f"cubic entry {row!r} value is not finite")
+        if i > j and not symmetrize:
+            raise DocumentError(f"cubic entry {row!r} has i > j; store pairs with i <= j, or load with symmetrize")
+        key = (min(i, j), max(i, j), k)
+        if not symmetrize and key in collected:
+            raise DocumentError(f"duplicate cubic entry for pair {key}")
+        collected.setdefault(key, []).append(value)
+    p = np.zeros((n, n, n))
+    for (i, j, k), values in collected.items():
+        p[i, j, k] = p[j, i, k] = sum(values) / len(values)
+    return p
+
+
 class TestCanonicalForm:
     def test_round_trip_bytes_identical(self, m2_doc_path):
         first = m2_doc_path.read_bytes()
@@ -148,6 +182,41 @@ class TestCubicExpansion:
         doc = OperatorDocument(kind="cubic", n=2, payload={"entries": [[0, 0, 2, 1.0]]})
         with pytest.raises(DocumentError):
             expand(doc)
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_matches_the_entry_by_entry_loop(self, symmetrize):
+        """Damaged and duplicated entries give the loop's first error text; clean ones its bits."""
+        rng = np.random.default_rng(17)
+        damages = [
+            [0, 1], "row", (0, 1, 0, 0.5), [True, 0, 0, 1.0], [0, 9, 0, 1.0], [0, 0, 1.5, 1.0],
+            [0, 0, 0, "0.5"], [0, 0, 0, None], [0, 0, 0, [0.5]], [0, 0, 0, False], [0, 0, 0, 10**400],
+            [0, 0, 0, float("inf")], [0, 0, 0, float("nan")], [1, 0, 1, 0.25], [0, 0, 0, -0.0], [0, 1, 1, 2**60 + 1],
+        ]
+        outcomes = set()
+        for _ in range(400):
+            n = int(rng.integers(2, 5))
+            entries = []
+            for _ in range(int(rng.integers(0, 12))):
+                i, j = sorted(rng.integers(0, n, 2).tolist())
+                if symmetrize and rng.random() < 0.5:
+                    i, j = j, i
+                entries.append([i, j, int(rng.integers(0, n)), float(rng.random())])
+            for _ in range(int(rng.integers(0, 3))):
+                entries.insert(int(rng.integers(0, len(entries) + 1)), damages[int(rng.integers(len(damages)))])
+            if entries and rng.random() < 0.3:
+                entries.insert(int(rng.integers(0, len(entries) + 1)), list(entries[int(rng.integers(len(entries)))]))
+            doc = OperatorDocument(kind="cubic", n=n, payload={"entries": entries})
+            try:
+                expected = expand_cubic_by_loop(n, entries, symmetrize)
+            except DocumentError as exc:
+                with pytest.raises(DocumentError) as got:
+                    expand(doc, symmetrize=symmetrize)
+                assert str(got.value) == str(exc)
+                outcomes.add(str(exc).split(" ")[-1])
+            else:
+                assert expand(doc, symmetrize=symmetrize).p.tobytes() == expected.tobytes()
+                outcomes.add("built")
+        assert len(outcomes) >= 8
 
     def test_invalid_matrix_loads_but_fails_validation(self):
         """Value-level defects are a validation concern, not a parse error."""

@@ -29,6 +29,7 @@ from qsodyn import (
     lyapunov_bound,
     lyapunov_closed_form,
     preset,
+    run_trial,
     sample_random_f_qso,
     trajectory,
 )
@@ -200,7 +201,7 @@ class TestTrajectory:
         traj = trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=3)
         assert traj.coords.shape == (4, 3)
         assert not traj.coords.flags.writeable
-        assert_frozen(traj.coords)
+        assert_frozen(traj, lambda copied: copied.coords)
 
     def test_huge_step_budget_is_not_allocated(self):
         """A snapping single-male orbit stops early; nothing is sized by max_steps."""
@@ -212,21 +213,27 @@ class TestTrajectory:
     def test_off_simplex_step_stops_as_invalid_state(self, monkeypatch):
         calls = []
 
-        def broken(P, x):
-            calls.append(x)
-            return np.full(P.n, np.nan) if len(calls) == 3 else x
+        def broken(P, batch):
+            def step(x):
+                calls.append(x)
+                return np.full(P.n, np.nan) if len(calls) == 3 else x
 
-        monkeypatch.setattr(dynamics, "apply_normalized", broken)
+            return step
+
+        monkeypatch.setattr(dynamics, "_stepper", broken)
         traj = trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=10)
         assert traj.stop_reason == "invalid_state"
         assert len(traj) == 3
         assert np.all(np.isfinite(traj.coords))
 
     def test_errors_inside_a_step_propagate(self, monkeypatch):
-        def broken(P, x):
-            raise RuntimeError("bug in the kernel")
+        def broken(P, batch):
+            def step(x):
+                raise RuntimeError("bug in the kernel")
 
-        monkeypatch.setattr(dynamics, "apply_normalized", broken)
+            return step
+
+        monkeypatch.setattr(dynamics, "_stepper", broken)
         with pytest.raises(RuntimeError):
             trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=10)
 
@@ -536,6 +543,65 @@ class TestCesaro:
         x0 = SimplexPoint(random_simplex(rng, 5))
         [(_, running)] = cesaro_running(P, x0, [37])
         assert np.array_equal(cesaro_average(P, x0, 37).coords, running)
+
+
+def reference_orbit(P, x, steps):
+    """``steps`` calls of :func:`apply_normalized` from ``x``: the rows x(0), ..., x(steps)."""
+    rows = [x]
+    for _ in range(steps):
+        rows.append(apply_normalized(P, rows[-1]))
+    return np.stack(rows)
+
+
+class TestPreparedLoops:
+    """Every loop that prepares its step once gives bitwise the points of a loop of apply_normalized calls."""
+
+    @pytest.mark.parametrize("n", [3, 9, 33])
+    def test_loops_match_apply_normalized_bitwise(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        P = random_cubic(rng, n)
+        x0 = random_simplex(rng, n)
+        orbit = reference_orbit(P, x0, 300)
+
+        assert np.array_equal(trajectory(P, SimplexPoint(x0), max_steps=300).coords, orbit)
+        schedule = [1, 2, 4, 64, 256, 301]
+        running, acc = [], np.zeros(n)
+        for x in orbit:
+            acc = acc + x
+            running.append(acc)
+        for count, mean in cesaro_running(P, SimplexPoint(x0), schedule):
+            assert np.array_equal(mean, running[count - 1] / count)
+
+        starts = np.asfortranarray(random_simplex_batch(rng, 6, n))
+        assert starts.flags.f_contiguous and not starts.flags.c_contiguous
+        history = reference_orbit(P, starts, 300)
+        assert np.array_equal(iterate_batch(P, starts, 300, return_history=True), history)
+        assert np.array_equal(iterate_batch(P, starts, 300), history[-1])
+
+        # The residual evaluated right after the iteration receives every start's endpoint.
+        evaluated = []
+        monkeypatch.setattr(dynamics, "apply_unnormalized", lambda P, x: evaluated.append(x) or apply_unnormalized(P, x))
+        find_fixed_points(P, starts=8, seed=n)
+        draws = np.random.default_rng(n).standard_exponential((8, n))
+        ends = []
+        for x in draws / draws.sum(axis=1, keepdims=True):
+            for _ in range(200):
+                x, previous = apply_normalized(P, x), x
+                if np.array_equal(x, previous):
+                    break
+            ends.append(x)
+        assert np.array_equal(evaluated[0], ends)
+
+        m, females, seed = n - 1, set(range(1, n // 2 + 1)), 100 + n
+        draw = np.random.default_rng(np.random.SeedSequence([seed, 1])).standard_exponential(n)
+        x = draw / draw.sum()
+        Q = build_f_qso(sample_random_f_qso(m, females, seed=seed))
+        for steps in range(1, 301):
+            x = apply_normalized(Q, x)
+            if np.array_equal(x, np.eye(n)[0]):
+                break
+        assert np.array_equal(run_trial(m, females, seed, 300, -1.0)[4], x)
+        assert steps < 300
 
 
 class TestConvergenceReport:

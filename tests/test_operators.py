@@ -1,5 +1,8 @@
 """Operator builders, evaluation, skew round trips, and the preset zoo."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -150,9 +153,14 @@ class TestFQsoSpec:
         first, second = spec.mixed.values()
         assert first.base is second.base and first.base.size == 8
         assert not first.flags.writeable and np.array_equal(second, dist)
-        assert_frozen(first)
+        assert_frozen(spec, lambda copied: next(iter(copied.mixed.values())))
         with pytest.raises(TypeError):
             spec.mixed[(2, 1)] = dist
+        for copied in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert (copied.n, copied.females, list(copied.mixed)) == (4, frozenset({2}), [(2, 3), (2, 1)])
+            assert np.array_equal(np.stack(list(copied.mixed.values())), [dist, dist])
+            with pytest.raises(TypeError):
+                copied.mixed[(2, 1)] = dist
 
 
 def mask_built(spec):
@@ -358,6 +366,9 @@ class TestSkewForms:
             SkewMatrix(np.array([[0.0, 1.5], [-1.5, 0.0]]))  # |a| > 1
         with pytest.raises(ValueError):
             SkewMatrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))  # NaN off the diagonal
+
+    def test_matrix_is_frozen_in_every_copy(self):
+        assert_frozen(SkewMatrix(random_skew(np.random.default_rng(4), 5)), lambda copied: copied.a)
 
     def test_zero_skew_is_identity(self):
         op = volterra_from_skew(SkewMatrix(np.zeros((4, 4))))
