@@ -10,6 +10,7 @@ every trajectory reaches the absorbing vertex, within
 2*(1/4)^(2^(n-1)) in max norm after n >= 1 steps.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -165,7 +166,10 @@ def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[
     exact vertex, which is fixed (V(e0) = e0 bitwise), so every ``tol``
     gets the result of all the steps.  Returns (females, first step within
     tol or -1, final distance, final-step converged flag, final point).
+    A NaN ``tol``, which no distance can fall within, raises ``ValueError``.
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     females, pairs, rows = _mixed_block(m, females, seed)
     _check_rows(rows, pairs)
     n = m + 1

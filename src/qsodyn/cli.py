@@ -157,21 +157,18 @@ def cmd_trajectory(args) -> int:
 def cmd_fixed_points(args) -> int:
     _, P = _load_matrix(args.file)
     report = dynamics.find_fixed_points(P, starts=args.starts, seed=args.seed)
-    print(f"multistart search: starts={args.starts}, seed={args.seed}")
-    if not report.candidates:
-        print("  no candidates found (legal outcome; residual threshold 1e-10)")
-    for cand in report.candidates:
-        flag = "in simplex" if cand.in_simplex else "REJECTED: not in simplex"
-        print(f"  {_fmt_point(cand.point)} residual={cand.residual:.3e} [{flag}]")
-
+    blocks = [(f"multistart search: starts={args.starts}, seed={args.seed}", report)]
     if P.n == 3 and P.female_sets:
         a, b, c = (float(P.p[1, 2, k]) for k in range(3))
-        alg = dynamics.fixed_points_m2(a, b, c)
-        print(f"algebraic candidates of the three-state family (a={_fmt(a)}, b={_fmt(b)}, c={_fmt(c)}):")
-        for cand in alg.candidates:
+        title = f"algebraic candidates of the three-state family (a={_fmt(a)}, b={_fmt(b)}, c={_fmt(c)}):"
+        blocks.append((title, dynamics.fixed_points_m2(a, b, c)))
+    for title, block in blocks:
+        print(title)
+        if not block.candidates:  # the algebraic block always holds the vertex
+            print("  no candidates found (legal outcome; residual threshold 1e-10)")
+        for cand in block.candidates:
             flag = "in simplex" if cand.in_simplex else "REJECTED: not in simplex"
             print(f"  {_fmt_point(cand.point)} residual={cand.residual:.3e} [{flag}]")
-
     if report.unique_in_simplex is not None:
         print(f"unique in-simplex fixed point: {_fmt_point(report.unique_in_simplex.coords)}")
     return 0

@@ -16,7 +16,7 @@ remaining states {1, ..., n-1}.
 import functools
 import itertools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -129,26 +129,20 @@ def renormalize(values) -> SimplexPoint:
 class CubicMatrix:
     """Heredity coefficients ``p[i, j, k]`` of a quadratic operator.
 
-    Construction checks structure only (a cube of finite floats, with an
-    optional declared state count that must match the extents).  The
+    Construction checks structure only (a cube of finite floats).  The
     stochasticity invariants - symmetry in (i, j), nonnegativity, unit
     row sums over k - are checked by :func:`validate_stochastic`, so that
     defective data can be loaded and reported on.
     """
 
     p: np.ndarray
-    declared_n: InitVar[int | None] = None
 
-    def __post_init__(self, declared_n):
+    def __post_init__(self):
         arr = np.asarray(self.p, dtype=float)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise DimensionError(f"expected a cubic array, got shape {arr.shape}")
         if arr.shape[0] < 2:
             raise DimensionError("need at least 2 states")
-        if declared_n is not None and declared_n != arr.shape[0]:
-            raise DimensionError(
-                f"declared n={declared_n} does not match array extent {arr.shape[0]}"
-            )
         if not np.all(np.isfinite(arr)):
             raise InvalidPointError("coefficients must be finite")
         object.__setattr__(self, "p", _as_readonly(arr))

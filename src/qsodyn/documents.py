@@ -152,7 +152,7 @@ def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
     np.add.at(count, cells, 1.0)
     p = np.divide(total, count, out=np.zeros(n**3), where=count > 0.0).reshape(n, n, n)
     p[j, i, k] = p[i, j, k]
-    return CubicMatrix(p, declared_n=n)
+    return CubicMatrix(p)
 
 
 def _expand_f_qso(n: int, payload: dict) -> CubicMatrix:

@@ -165,15 +165,17 @@ def trajectory(
     ``stop_reason="converged"`` when a reference point and tolerance are
     given and the max-norm distance to the reference falls within
     ``tol`` (checked from step 0 onward), or when the two-sex underflow
-    snap fires, or with ``"invalid_state"`` when a step leaves
-    the simplex (a non-finite, negative or non-unit-sum image, which a
-    validated matrix cannot produce from a simplex point).
+    snap fires, or with ``"invalid_state"`` when a step leaves the simplex
+    (a non-finite, negative or non-unit-sum image, which a validated matrix
+    cannot produce from a simplex point).  A NaN ``tol`` raises ``ValueError``.
     """
     require_valid(P)
     if x0.dim != P.n:
         raise DimensionError(f"start of dim {x0.dim} does not match operator with n={P.n}")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if tol is not None and math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     if reference is not None and reference.dim != P.n:
         raise DimensionError("reference dimension does not match the operator")
 
@@ -260,8 +262,9 @@ class FixedPointReport:
     polishes_accepted: int = 0
 
 
-def _residual(P: CubicMatrix, x: np.ndarray) -> float:
-    return float(np.max(np.abs(apply_unnormalized(P, x) - x)))
+def _residual(P: CubicMatrix, X: np.ndarray) -> np.ndarray:
+    """``max|V(x) - x|`` for each row of a ``(k, n)`` stack, in one row-invariant kernel call."""
+    return np.max(np.abs(apply_unnormalized(P, X) - X), axis=1)
 
 
 def _in_simplex(x: np.ndarray) -> bool:
@@ -281,43 +284,51 @@ def fixed_points_m2(a: float, b: float, c: float) -> FixedPointReport:
     is reported with ``in_simplex=False`` as a diagnostic.
     """
     P = build_fqso_m2(a, b, c)
-    vertex = np.array([1.0, 0.0, 0.0])
-    candidates = [FixedPointCandidate(vertex, _residual(P, vertex), True)]
+    points = [np.array([1.0, 0.0, 0.0])]
     if b * c != 0.0:
-        x_star = np.array([(2.0 * b * c - b - c) / (2.0 * b * c), 1.0 / (2.0 * c), 1.0 / (2.0 * b)])
-        candidates.append(FixedPointCandidate(x_star, _residual(P, x_star), _in_simplex(x_star)))
+        points.append(np.array([(2.0 * b * c - b - c) / (2.0 * b * c), 1.0 / (2.0 * c), 1.0 / (2.0 * b)]))
+    residuals = _residual(P, np.array(points)).tolist()
+    candidates = [FixedPointCandidate(x, r, _in_simplex(x)) for x, r in zip(points, residuals)]
     in_simplex = [cand for cand in candidates if cand.in_simplex]
     unique = SimplexPoint(in_simplex[0].point) if len(in_simplex) == 1 else None
     return FixedPointReport(candidates=tuple(candidates), unique_in_simplex=unique)
+
+
+def _settle(step, X: np.ndarray, steps: int) -> np.ndarray:
+    """``X`` after up to ``steps`` row-wise ``step`` calls; a row leaves once a step returns it bitwise unchanged."""
+    out = X.copy()
+    active = np.arange(X.shape[0])
+    for _ in range(steps):
+        if not active.size:
+            break
+        Y = step(X)
+        out[active] = Y
+        moving = ~np.all(Y == X, axis=1)
+        active, X = active[moving], Y[moving]
+    return out
 
 
 def _polish(P: CubicMatrix, guesses: np.ndarray) -> np.ndarray:
     """Projected Gauss-Newton on ``[V(x) - x; sum(x) - 1]`` for each row of a ``(k, n)`` stack.
 
     Each step solves all rows through the pseudo-inverses of their
-    analytic Jacobians and clips to [0, 1]; a row leaves once a step
-    returns it bitwise unchanged (at most 60 steps) and is divided by its
-    sum.  Rows are independent, so a row polishes bitwise alike in any
-    stack.  A row whose residual or Jacobian turns non-finite leaves
-    before the solve; it, and a row of zero sum, comes back NaN.
+    analytic Jacobians ``2 sum_i p[i, j, k] x_i - I`` and clips to [0, 1];
+    rows leave by :func:`_settle`'s rule (at most 60 steps) and are divided
+    by their sums.  Rows are independent, so a row polishes bitwise alike
+    in any stack.  A row whose residual or Jacobian turns non-finite is
+    kept out of the solve as NaN; it, and a row of zero sum, comes back NaN.
     """
-    sym = P.p + P.p.transpose(1, 0, 2)
-    out = np.clip(guesses, 0.0, 1.0)
-    active = np.arange(out.shape[0])
-    x = out
-    for _ in range(60):
-        if not active.size:
-            break
+    def gauss_newton(x: np.ndarray) -> np.ndarray:
         residual = np.concatenate([apply_unnormalized(P, x) - x, x.sum(axis=1, keepdims=True) - 1.0], axis=1)
-        jac = np.einsum("ijk,bi->bkj", sym, x) - np.eye(P.n)
+        jac = 2.0 * np.einsum("ijk,bi->bkj", P.p, x) - np.eye(P.n)  # p is exactly symmetric once validated
         jac = np.concatenate([jac, np.ones((x.shape[0], 1, P.n))], axis=1)
         finite = np.isfinite(residual).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
-        out[active[~finite]] = np.nan
-        active, x, residual, jac = active[finite], x[finite], residual[finite], jac[finite]
-        step = np.clip(x - (np.linalg.pinv(jac) @ residual[:, :, None])[:, :, 0], 0.0, 1.0)
-        out[active] = step
-        moving = ~np.all(step == x, axis=1)
-        active, x = active[moving], step[moving]
+        image = np.full_like(x, np.nan)
+        solve = np.linalg.pinv(jac[finite]) @ residual[finite][:, :, None]
+        image[finite] = np.clip(x[finite] - solve[:, :, 0], 0.0, 1.0)
+        return image
+
+    out = _settle(gauss_newton, np.clip(guesses, 0.0, 1.0), 60)
     total = out.sum(axis=1, keepdims=True)
     return np.divide(out, total, out=np.full_like(out, np.nan), where=total > 0.0)
 
@@ -325,38 +336,29 @@ def _polish(P: CubicMatrix, guesses: np.ndarray) -> np.ndarray:
 def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> FixedPointReport:
     """Seeded multistart fixed-point search: iterate, then polish.
 
-    Pure map iteration from each random start finds attracting points:
-    all starts iterate as one batch for up to 200 steps, each leaving it
-    once a step returns it bitwise unchanged.  Every start whose
-    endpoint is not a fixed point is polished twice, from the start and
-    from the endpoint, as rows of one projected Gauss-Newton stack
-    (``_polish``), which catches repelling or neutral fixed points.
-    Candidates with max-norm residual at most ``TOL_FIX`` are clustered
-    within 1e-8 and reported with the best residual per cluster.  An
-    empty candidate list is a legal outcome.
+    All starts iterate as one batch for up to 200 steps, which finds the
+    attracting points.  Every start whose endpoint is not a fixed point is
+    polished twice, from the start and from the endpoint, as rows of one
+    projected Gauss-Newton stack (``_polish``), which catches repelling or
+    neutral fixed points.  Both stacks leave by :func:`_settle`'s one rule,
+    and each is scored by one batched ``_residual`` call.  Candidates with
+    max-norm residual at most ``TOL_FIX`` are clustered within 1e-8 and
+    reported with the best residual per cluster.  An empty candidate list
+    is a legal outcome.  ``starts * n * n`` may not exceed 2**24.
     """
     require_valid(P)
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    if not 1 <= starts <= 2**24 // P.n**2:  # the batch step's (starts, n*n) product: 128 MiB, as a MAX_N cube
+        raise ValueError(f"starts must be from 1 to {2**24 // P.n**2} at n={P.n}, got {starts}")
     draws = np.random.default_rng(seed).standard_exponential((starts, P.n))
     starts_x = draws / draws.sum(axis=1, keepdims=True)
 
-    ends = starts_x.copy()
-    active = np.arange(starts)
-    x = starts_x
-    step = _stepper(P, batch=True)
-    for _ in range(200):
-        x, previous = step(x), x
-        ends[active] = x
-        moving = ~np.all(x == previous, axis=1)
-        active, x = active[moving], x[moving]
-        if not active.size:
-            break
-    residuals = np.max(np.abs(apply_unnormalized(P, ends) - ends), axis=1)
+    ends = _settle(_stepper(P, batch=True), starts_x, 200)
+    residuals = _residual(P, ends)
 
     unsettled = ~(residuals <= TOL_FIX)
     guesses = np.stack([starts_x[unsettled], ends[unsettled]], axis=1).reshape(-1, P.n)
-    tried = iter([(x, _residual(P, x)) for x in _polish(P, guesses)])
+    polished = _polish(P, guesses)
+    tried = zip(polished, _residual(P, polished).tolist())
     found: list[tuple[np.ndarray, float]] = []
     for end, r, polish in zip(ends, residuals.tolist(), unsettled.tolist()):
         found += [next(tried), next(tried)] if polish else [(end, r)]
@@ -445,8 +447,8 @@ def convergence_report(
 
     Requires a two-sex (F-QSO) operator; raises
     :class:`ClassificationError` otherwise, once the trajectory, which
-    finds the female set, has run.  Checks, for each recorded step n,
-    with phi = phi_F:
+    finds the female set, has run, and ``ValueError`` for a NaN ``tol``.
+    Checks, for each recorded step n, with phi = phi_F:
 
     * ``phi(x(n)) <= (1/4)^(2^n) + 1e-15`` (tail bound),
     * ``phi(x(n+1)) <= phi(x(n))^2 + 1e-15`` (squared contraction),
@@ -454,6 +456,8 @@ def convergence_report(
     * for three states, ``x1(n) = 2b phi(x(n-1))`` with b the mixed
       pair's male-child probability (reported as residuals).
     """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     traj = trajectory(P, x0, max_steps=n_max)
     if traj.females is None:
         raise ClassificationError("convergence certificate requires a two-sex (F-QSO) operator")

@@ -356,6 +356,14 @@ class TestConjectureScan:
         assert report.worst_case.final_dist == report.max_final_distance
         assert report.worst_case.final_dist == max(r.final_dist for r in report.results)
 
+    def test_nan_tolerance_is_refused(self):
+        """A NaN tolerance would count every trial as not converged and every replay as a mismatch."""
+        with pytest.raises(ValueError, match="NaN"):
+            conjecture_scan(m=4, trials=3, tol=float("nan"), females={1})
+        with pytest.raises(ValueError, match="NaN"):
+            run_trial(4, {1}, 0, 50, float("nan"))
+        assert run_trial(4, {1}, 0, 50, -1.0)[1:4:2] == (-1, False)
+
     def test_run_trial_reproduces_scan_rows(self):
         report = conjecture_scan(m=3, trials=8, iterations=15, tol=1e-8, seed=8, females={3})
         for row in report.results:

@@ -156,6 +156,13 @@ class TestTrajectory:
         assert rows[2][4] == "0.0625"
         assert "converged" in capsys.readouterr().out
 
+    def test_nan_tolerance_is_a_usage_error(self, m2_doc, tmp_path, capsys):
+        """With a NaN tol the run could never converge, and would not say so."""
+        out_csv = tmp_path / "traj.csv"
+        argv = ["trajectory", m2_doc, "--start", "uniform", "--reference", "vertex0", "--output", str(out_csv)]
+        assert main([*argv, "--tol", "nan"]) == 2
+        assert "NaN" in capsys.readouterr().err and not out_csv.exists()
+
     def test_uniform_start(self, m2_doc, tmp_path):
         out_csv = tmp_path / "traj.csv"
         assert main(["trajectory", m2_doc, "--start", "uniform", "--steps", "3", "--output", str(out_csv)]) == 0
@@ -279,6 +286,15 @@ class TestFixedPoints:
         out = capsys.readouterr().out
         assert "unique in-simplex fixed point: (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)" in out
 
+    @pytest.mark.parametrize("starts", [10**12, 2**24 // 9 + 1, 0])
+    def test_start_count_beyond_the_block_cap_is_refused_before_drawing(self, rps_doc, capsys, starts):
+        """The batch step's (starts, n*n) product may hold at most 2**24 floats."""
+        start = time.perf_counter()
+        assert main(["fixed-points", rps_doc, "--starts", str(starts)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith("error: starts must be from 1 to 1864135 at n=3") and "Traceback" not in err
+
 
 class TestErgodic:
     def test_csv_and_replay(self, single_male_doc, tmp_path, capsys):
@@ -310,6 +326,15 @@ class TestConjecture:
                 ]
             ) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_nan_tolerance_is_a_usage_error(self, tmp_path, capsys):
+        """A NaN tol counted every trial as unconverged at exit 0, and every replayed row as a mismatch."""
+        out = tmp_path / "scan.csv"
+        assert main(["conjecture", "--m", "4", "--trials", "3", "--f", "1", "--tol", "nan", "--csv", str(out)]) == 2
+        assert "NaN" in capsys.readouterr().err and not out.exists()
+        assert main(["conjecture", "--m", "4", "--trials", "3", "--f", "1", "--csv", str(out)]) == 0
+        assert main(["replay", str(out), "--m", "4", "--iterations", "50", "--tol", "nan"]) == 2
+        assert "NaN" in capsys.readouterr().err
 
     def test_replay_conjecture_csv(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -96,10 +96,6 @@ class TestCubicMatrix:
         with pytest.raises(DimensionError):
             CubicMatrix(np.zeros((2, 3, 2)))
 
-    def test_rejects_declared_n_mismatch(self):
-        with pytest.raises(DimensionError):
-            CubicMatrix(np.zeros((3, 3, 3)), declared_n=4)
-
     def test_rejects_tiny(self):
         with pytest.raises(DimensionError):
             CubicMatrix(np.zeros((1, 1, 1)))

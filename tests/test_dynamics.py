@@ -237,6 +237,14 @@ class TestTrajectory:
         with pytest.raises(RuntimeError):
             trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=10)
 
+    def test_nan_tolerance_is_refused(self):
+        """No distance is within a NaN tolerance, so the run could never converge."""
+        vertex = SimplexPoint.vertex(3)
+        with pytest.raises(ValueError, match="NaN"):
+            trajectory(build_fqso_m2(0.0, 0.5, 0.5), SimplexPoint.uniform(3), 10, tol=math.nan, reference=vertex)
+        negative = trajectory(build_fqso_m2(0.0, 0.5, 0.5), SimplexPoint.uniform(3), 10, tol=-1.0, reference=vertex)
+        assert negative.stop_reason == "max_steps"
+
     @pytest.mark.parametrize("m", [2, 8, 32])
     def test_diagnostics_match_per_row_loop(self, m):
         """The vectorized functional and distances equal the per-point values bitwise."""
@@ -330,7 +338,7 @@ class TestFindFixedPoints:
         assert np.array_equal(report.candidates[0].point, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_polish_gives_up_on_non_finite_residuals(self, monkeypatch):
-        """Non-finite rows leave the stack before the solve, as rejected (NaN) polishes."""
+        """Non-finite rows are kept out of the solve and come back NaN, as rejected polishes."""
         P = preset("ganikhodzhaev_v0")
         guesses = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8]])
         expected = dynamics._polish(P, guesses[[0, 2]])
@@ -377,7 +385,7 @@ def reference_fixed_point_search(P, starts, seed):
     polishes = accepted = 0
 
     def consider(x):
-        r = dynamics._residual(P, x)
+        r = float(dynamics._residual(P, x[None])[0])
         if r <= TOL_FIX:
             found.append((x, r))
             return True
@@ -445,6 +453,93 @@ class TestBatchedFixedPointSearch:
         report = find_fixed_points(preset("ganikhodzhaev_v0"), starts=10, seed=2)
         assert report.polishes % 2 == 0 and 0 < report.polishes_accepted <= report.polishes
         assert fixed_points_m2(0.2, 0.5, 0.3).polishes == 0
+
+
+def loop_polish(P, guesses):
+    """The Gauss-Newton stack with its own leave loop and the Jacobian from the symmetrised cube."""
+    sym = P.p + P.p.transpose(1, 0, 2)
+    out = np.clip(guesses, 0.0, 1.0)
+    active = np.arange(out.shape[0])
+    x = out
+    for _ in range(60):
+        if not active.size:
+            break
+        residual = np.concatenate([apply_unnormalized(P, x) - x, x.sum(axis=1, keepdims=True) - 1.0], axis=1)
+        jac = np.einsum("ijk,bi->bkj", sym, x) - np.eye(P.n)
+        jac = np.concatenate([jac, np.ones((x.shape[0], 1, P.n))], axis=1)
+        finite = np.isfinite(residual).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
+        out[active[~finite]] = np.nan
+        active, x, residual, jac = active[finite], x[finite], residual[finite], jac[finite]
+        step = np.clip(x - (np.linalg.pinv(jac) @ residual[:, :, None])[:, :, 0], 0.0, 1.0)
+        out[active] = step
+        moving = ~np.all(step == x, axis=1)
+        active, x = active[moving], step[moving]
+    total = out.sum(axis=1, keepdims=True)
+    return np.divide(out, total, out=np.full_like(out, np.nan), where=total > 0.0)
+
+
+def loop_fixed_point_search(P, starts, seed):
+    """The batched search written with its own loops: the iteration and :func:`loop_polish` each
+    leave rows by hand, and every polished row is scored alone.
+
+    Returns the clustered (point, residual) pairs and the polish counts.
+    """
+    draws = np.random.default_rng(seed).standard_exponential((starts, P.n))
+    starts_x = draws / draws.sum(axis=1, keepdims=True)
+    ends = starts_x.copy()
+    active = np.arange(starts)
+    x = starts_x
+    for _ in range(200):
+        x, previous = apply_normalized(P, x), x
+        ends[active] = x
+        moving = ~np.all(x == previous, axis=1)
+        active, x = active[moving], x[moving]
+        if not active.size:
+            break
+    residuals = np.max(np.abs(apply_unnormalized(P, ends) - ends), axis=1)
+
+    unsettled = ~(residuals <= TOL_FIX)
+    guesses = np.stack([starts_x[unsettled], ends[unsettled]], axis=1).reshape(-1, P.n)
+    tried = iter([(x, float(np.max(np.abs(apply_unnormalized(P, x) - x)))) for x in loop_polish(P, guesses)])
+    found = []
+    for end, r, polish in zip(ends, residuals.tolist(), unsettled.tolist()):
+        found += [next(tried), next(tried)] if polish else [(end, r)]
+    found = [(x, r) for x, r in found if r <= TOL_FIX]
+    accepted = len(found) - int(np.count_nonzero(~unsettled))
+
+    found.sort(key=lambda item: item[1])
+    representatives = []
+    for x, r in found:
+        if all(float(np.max(np.abs(x - y))) > 1e-8 for y, _ in representatives):
+            representatives.append((x, r))
+    representatives.sort(key=lambda item: tuple(item[0]))
+    return representatives, len(guesses), accepted
+
+
+class TestSearchMatchesLoopReference:
+    """One settle loop, one batched residual and the Jacobian on ``p`` give bitwise the hand-looped search."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_random_skews_bitwise(self, n):
+        for s in range(6):
+            P = _random_skew_cube(n, 1000 * n + s)
+            for seed in (0, 1):
+                report = find_fixed_points(P, starts=100, seed=seed)
+                expected, polishes, accepted = loop_fixed_point_search(P, 100, seed)
+                assert len(report.candidates) == len(expected)
+                for cand, (x, r) in zip(report.candidates, expected):
+                    assert np.array_equal(cand.point, x)
+                    assert np.array_equal(cand.residual, r)
+                assert (report.polishes, report.polishes_accepted) == (polishes, accepted)
+
+    def test_polish_matches_loop_polish_bitwise(self):
+        """Also on rows that turn non-finite, and on an empty stack."""
+        P = _random_skew_cube(5, 5000)
+        guesses = random_simplex_batch(np.random.default_rng(5), 40, 5)
+        guesses[3] = np.nan
+        guesses[7, 2] = np.inf
+        assert np.array_equal(dynamics._polish(P, guesses), loop_polish(P, guesses), equal_nan=True)
+        assert dynamics._polish(P, np.zeros((0, 5))).shape == (0, 5)
 
 
 def scipy_polish(P, guess):
@@ -578,9 +673,9 @@ class TestPreparedLoops:
         assert np.array_equal(iterate_batch(P, starts, 300, return_history=True), history)
         assert np.array_equal(iterate_batch(P, starts, 300), history[-1])
 
-        # The residual evaluated right after the iteration receives every start's endpoint.
-        evaluated = []
-        monkeypatch.setattr(dynamics, "apply_unnormalized", lambda P, x: evaluated.append(x) or apply_unnormalized(P, x))
+        # The residual scored right after the iteration receives every start's endpoint.
+        evaluated, residual = [], dynamics._residual
+        monkeypatch.setattr(dynamics, "_residual", lambda P, X: evaluated.append(X) or residual(P, X))
         find_fixed_points(P, starts=8, seed=n)
         draws = np.random.default_rng(n).standard_exponential((8, n))
         ends = []
@@ -652,6 +747,12 @@ class TestConvergenceReport:
     def test_rejects_non_two_sex_operator(self):
         with pytest.raises(ClassificationError):
             convergence_report(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), n_max=5)
+
+    def test_nan_tolerance_is_refused(self):
+        P = build_fqso_m2(0.0, 0.5, 0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            convergence_report(P, SimplexPoint.uniform(3), n_max=5, tol=math.nan)
+        assert convergence_report(P, SimplexPoint.uniform(3), n_max=5, tol=-1.0).first_below is None
 
     def test_squared_contraction_property(self):
         """phi(x(n+1)) <= phi(x(n))^2 stepwise along single-male orbits."""
