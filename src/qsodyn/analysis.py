@@ -166,8 +166,10 @@ def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[
     exact vertex, which is fixed (V(e0) = e0 bitwise), so every ``tol``
     gets the result of all the steps.  Returns (females, first step within
     tol or -1, final distance, final-step converged flag, final point).
-    A NaN ``tol``, which no distance can fall within, raises ``ValueError``.
+    ``iterations < 1``, or a NaN ``tol``, which no distance can fall within, raises ``ValueError``.
     """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
     females, pairs, rows = _mixed_block(m, females, seed)

@@ -16,7 +16,7 @@ remaining states {1, ..., n-1}.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -55,13 +55,28 @@ def _as_readonly(arr) -> np.ndarray:
     return np.frombuffer(arr.tobytes(), dtype=float).reshape(arr.shape)
 
 
+def _on_simplex(x: np.ndarray):
+    """The package's one simplex test: is each row (last axis) >= 0, with a sum within ``TOL_SUM`` of 1?
+
+    A NaN fails the first comparison, an infinity the second.  Positional axes keep a trajectory step's test cheap.
+    """
+    return (np.minimum.reduce(x, -1) >= 0.0) & (abs(np.add.reduce(x, -1) - 1.0) <= TOL_SUM)
+
+
+class _Rebuilt:
+    """Base of frozen dataclasses whose copies and unpickled values run the constructor again: frozen, nothing cached."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class SimplexPoint:
+class SimplexPoint(_Rebuilt):
     """A probability vector: nonnegative coordinates summing to 1.
 
     Construction validates the invariants exactly: every coordinate must
-    be >= 0 and the sum must lie within ``TOL_SUM`` of 1.  Use
-    :func:`renormalize` for raw data that needs clamping or rescaling.
+    be >= 0 and the sum must lie within ``TOL_SUM`` of 1 (:func:`_on_simplex`).
+    Use :func:`renormalize` for raw data that needs clamping or rescaling.
     """
 
     coords: np.ndarray
@@ -72,21 +87,13 @@ class SimplexPoint:
             raise DimensionError(f"simplex point must be 1-d, got shape {arr.shape}")
         if arr.shape[0] < 2:
             raise DimensionError("simplex point needs at least 2 coordinates")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidPointError("coordinates must be finite")
-        if np.any(arr < 0.0):
-            raise InvalidPointError(f"negative coordinate in {arr!r}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > TOL_SUM:
-            raise InvalidPointError(f"coordinates sum to {total!r}, not 1")
+        if not _on_simplex(arr):
+            raise InvalidPointError(f"not a simplex point (coordinates >= 0 summing to 1): {arr!r}")
         object.__setattr__(self, "coords", _as_readonly(arr))
 
     @property
     def dim(self) -> int:
         return self.coords.shape[0]
-
-    def __reduce__(self):  # a copy or an unpickled point is built anew, so it is frozen again
-        return SimplexPoint, (self.coords,)
 
     @staticmethod
     def uniform(n: int) -> "SimplexPoint":
@@ -126,7 +133,7 @@ def renormalize(values) -> SimplexPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class CubicMatrix:
+class CubicMatrix(_Rebuilt):
     """Heredity coefficients ``p[i, j, k]`` of a quadratic operator.
 
     Construction checks structure only (a cube of finite floats).  The
@@ -150,9 +157,6 @@ class CubicMatrix:
     @property
     def n(self) -> int:
         return self.p.shape[0]
-
-    def __reduce__(self):  # a copy or an unpickled cube is built anew: frozen, with nothing cached
-        return CubicMatrix, (self.p,)
 
     @functools.cached_property
     def stochasticity(self) -> "StochasticityReport":

@@ -11,6 +11,7 @@ both algebraically (three states) and by seeded multistart search, and
 computes Cesaro (ergodic) averages.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,6 +28,8 @@ from .core import (
     InvalidPointError,
     SimplexPoint,
     _as_readonly,
+    _on_simplex,
+    _Rebuilt,
     renormalize,
     require_valid,
 )
@@ -71,10 +74,13 @@ def lyapunov_closed_form(b: float, c: float, phi0: float, n: int) -> float:
 
     Equals ``(4bc)^{-1} (4bc phi0)^{2^n}`` for bc != 0, evaluated by a
     squaring chain so huge ``n`` underflows cleanly to 0.  ``n = 0``
-    returns ``phi0`` itself (zero applications), also when bc = 0.
+    returns ``phi0`` itself (zero applications), also when bc = 0.  A
+    (b, c) that no mixed pair has (NaN, negative, or b + c > 1 +
+    ``TOL_SUM``) raises ``ValueError``; so 4bc*phi0 <= 1/4, and the chain
+    reaches 0 within about ten squarings.
     """
-    if b < 0.0 or c < 0.0:
-        raise ValueError("b and c must be nonnegative")
+    if not (b >= 0.0 and c >= 0.0 and b + c <= 1.0 + TOL_SUM):
+        raise ValueError(f"b={b!r} and c={c!r} must be nonnegative with b + c <= 1")
     if not -1e-15 <= phi0 <= 0.25 + 1e-15:
         raise ValueError(f"phi0={phi0!r} outside [0, 1/4], impossible on the simplex")
     if n < 0:
@@ -119,7 +125,7 @@ def lyapunov_bound(n: int) -> LyapunovBound:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_Rebuilt):
     """An orbit x(0), x(1) = V(x(0)), ... as a read-only (len, n) array, with diagnostics.
 
     ``lyapunov_values[n]`` is phi_F at step n for F = ``females``, the
@@ -140,9 +146,6 @@ class Trajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _as_readonly(self.coords))
-
-    def __reduce__(self):  # a copy or an unpickled trajectory is built anew, so its coordinates are frozen again
-        return Trajectory, (self.coords, self.lyapunov_values, self.females, self.dist_to_limit, self.stop_reason)
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -204,8 +207,7 @@ def trajectory(
             stop = STOP_CONVERGED
             break
         x = step(x)
-        # A NaN fails the first comparison, an infinity the second.
-        if not (np.minimum.reduce(x) >= 0.0 and abs(np.add.reduce(x) - 1.0) <= TOL_SUM):
+        if not _on_simplex(x):
             stop = STOP_INVALID
             break
         rows.append(x)
@@ -226,7 +228,10 @@ def iterate_batch(P: CubicMatrix, starts: np.ndarray, steps: int, return_history
     ``starts`` has shape (B, n); returns the array after ``steps``
     applications, or the full history of shape (steps+1, B, n) when
     ``return_history`` is set.  Each step renormalizes by the row sum.
+    A negative ``steps`` raises ``ValueError``.
     """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     X = np.array(starts, dtype=float, copy=True, order="C")
     if X.ndim != 2 or X.shape[1] != P.n:
         raise DimensionError(f"starts of shape {X.shape} do not match operator with n={P.n}")
@@ -249,17 +254,21 @@ class FixedPointCandidate(NamedTuple):
 class FixedPointReport:
     """Candidate fixed points with residuals and simplex-membership flags.
 
-    ``unique_in_simplex`` is set iff exactly one candidate lies in the
-    simplex.  Every candidate flagged in-simplex has max-norm residual
-    at most ``TOL_FIX``.  ``polishes`` counts the residual minimizations
-    a multistart search ran and ``polishes_accepted`` those whose result
+    Every candidate flagged in-simplex has max-norm residual at most
+    ``TOL_FIX``.  ``polishes`` counts the residual minimizations a
+    multistart search ran and ``polishes_accepted`` those whose result
     passed that threshold (both 0 for the algebraic report).
     """
 
     candidates: tuple[FixedPointCandidate, ...]
-    unique_in_simplex: SimplexPoint | None
     polishes: int = 0
     polishes_accepted: int = 0
+
+    @functools.cached_property
+    def unique_in_simplex(self) -> SimplexPoint | None:
+        """The in-simplex candidate projected onto the simplex, if exactly one candidate is in it, else ``None``."""
+        in_simplex = [cand.point for cand in self.candidates if cand.in_simplex]
+        return renormalize(in_simplex[0]) if len(in_simplex) == 1 else None
 
 
 def _residual(P: CubicMatrix, X: np.ndarray) -> np.ndarray:
@@ -288,10 +297,7 @@ def fixed_points_m2(a: float, b: float, c: float) -> FixedPointReport:
     if b * c != 0.0:
         points.append(np.array([(2.0 * b * c - b - c) / (2.0 * b * c), 1.0 / (2.0 * c), 1.0 / (2.0 * b)]))
     residuals = _residual(P, np.array(points)).tolist()
-    candidates = [FixedPointCandidate(x, r, _in_simplex(x)) for x, r in zip(points, residuals)]
-    in_simplex = [cand for cand in candidates if cand.in_simplex]
-    unique = SimplexPoint(in_simplex[0].point) if len(in_simplex) == 1 else None
-    return FixedPointReport(candidates=tuple(candidates), unique_in_simplex=unique)
+    return FixedPointReport(tuple(FixedPointCandidate(x, r, _in_simplex(x)) for x, r in zip(points, residuals)))
 
 
 def _settle(step, X: np.ndarray, steps: int) -> np.ndarray:
@@ -374,9 +380,7 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
     representatives.sort(key=lambda item: tuple(item[0]))
 
     candidates = tuple(FixedPointCandidate(x, r, _in_simplex(x)) for x, r in representatives)
-    in_simplex = [cand for cand in candidates if cand.in_simplex]
-    unique = renormalize(in_simplex[0].point) if len(in_simplex) == 1 else None
-    return FixedPointReport(candidates, unique, polishes=len(guesses), polishes_accepted=accepted)
+    return FixedPointReport(candidates, polishes=len(guesses), polishes_accepted=accepted)
 
 
 def cesaro_average(P: CubicMatrix, x0: SimplexPoint, n: int) -> SimplexPoint:

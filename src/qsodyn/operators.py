@@ -15,12 +15,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .core import (
-    TOL_SUM,
     ClassificationError,
     CubicMatrix,
     DimensionError,
     SimplexPoint,
     _as_readonly,
+    _on_simplex,
+    _Rebuilt,
     classify,
     renormalize,
 )
@@ -104,8 +105,8 @@ def _mixed_pairs(n: int, females: frozenset[int]) -> list[tuple[int, int]]:
 
 
 def _check_rows(rows: np.ndarray, pairs) -> None:
-    """Refuse a (k, n) block unless each row is nonnegative and sums to 1 within ``TOL_SUM``; NaN fails."""
-    bad = ~((rows >= 0.0).all(axis=1) & (abs(rows.sum(axis=1) - 1.0) <= TOL_SUM))
+    """Refuse a (k, n) block unless each row is a probability vector (:func:`~qsodyn.core._on_simplex`)."""
+    bad = ~_on_simplex(rows)
     if bad.any():
         raise ValueError(f"mixed-pair rows are not probability vectors: pair {pairs[int(bad.argmax())]}")
 
@@ -201,7 +202,7 @@ def build_single_male(table) -> CubicMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class SkewMatrix:
+class SkewMatrix(_Rebuilt):
     """Canonical skew-symmetric form of a Volterra operator.
 
     ``a[k, i] = 2 p[i, k, k] - 1`` off the diagonal (first index is the
@@ -225,9 +226,6 @@ class SkewMatrix:
         if not np.max(np.abs(arr)) <= 1.0 + SKEW_TOL:
             raise ValueError("entries must satisfy |a| <= 1")
         object.__setattr__(self, "a", _as_readonly(arr))
-
-    def __reduce__(self):  # a copy or an unpickled skew matrix is built anew, so it is frozen again
-        return SkewMatrix, (self.a,)
 
     @property
     def m(self) -> int:
@@ -288,28 +286,17 @@ def skew_from_cubic(P: CubicMatrix) -> SkewMatrix:
 
 
 def _ganikhodzhaev_v0() -> CubicMatrix:
-    # Volterra rock-paper-scissors on 3 states:
+    # Volterra rock-paper-scissors on 3 states, the cyclic tournament 0 > 1 > 2 > 0:
     # x0' = x0^2 + 2 x0 x1, x1' = x1^2 + 2 x1 x2, x2' = x2^2 + 2 x0 x2
-    p = np.zeros((3, 3, 3))
-    p[0, 0, 0] = 1.0
-    p[1, 1, 1] = 1.0
-    p[2, 2, 2] = 1.0
-    p[0, 1, 0] = p[1, 0, 0] = 1.0
-    p[1, 2, 1] = p[2, 1, 1] = 1.0
-    p[0, 2, 2] = p[2, 0, 2] = 1.0
-    return CubicMatrix(p)
+    return cubic_from_skew(SkewMatrix([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]))
 
 
 def _ganikhodzhaev_v1() -> CubicMatrix:
-    # Non-Volterra companion: each pair's child is the third state.
+    # Non-Volterra companion: a pair of equal types keeps its type, any other pair's child is the third state.
     # x0' = x0^2 + 2 x1 x2, x1' = x1^2 + 2 x0 x2, x2' = x2^2 + 2 x0 x1
+    i, j = np.indices((3, 3))
     p = np.zeros((3, 3, 3))
-    p[0, 0, 0] = 1.0
-    p[1, 1, 1] = 1.0
-    p[2, 2, 2] = 1.0
-    p[1, 2, 0] = p[2, 1, 0] = 1.0
-    p[0, 2, 1] = p[2, 0, 1] = 1.0
-    p[0, 1, 2] = p[1, 0, 2] = 1.0
+    p[i, j, np.where(i == j, i, 3 - i - j)] = 1.0
     return CubicMatrix(p)
 
 
@@ -330,11 +317,11 @@ def _constant_m1() -> CubicMatrix:
 
 PRESETS: dict[str, tuple[Callable[..., CubicMatrix], str]] = {
     "ganikhodzhaev_v0": (
-        lambda: _ganikhodzhaev_v0(),
+        _ganikhodzhaev_v0,
         "Volterra rock-paper-scissors family endpoint on 3 states (irregular trajectories)",
     ),
     "ganikhodzhaev_v1": (
-        lambda: _ganikhodzhaev_v1(),
+        _ganikhodzhaev_v1,
         "non-Volterra endpoint of the same family: each pair's child is the third state",
     ),
     "ganikhodzhaev_lambda": (
@@ -350,7 +337,7 @@ PRESETS: dict[str, tuple[Callable[..., CubicMatrix], str]] = {
         "two-sex operator with males M = {1}; parameter table of shape (m-1, m+1)",
     ),
     "constant_m1": (
-        lambda: _constant_m1(),
+        _constant_m1,
         "degenerate 2-state operator: every pair produces state 0, so V(x) = (1, 0)",
     ),
 }

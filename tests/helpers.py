@@ -1,7 +1,9 @@
 """Shared generators for randomized tests."""
 
 import copy
+import dataclasses
 import pickle
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -13,14 +15,29 @@ def assert_frozen(owner, read) -> None:
     """Neither the array ``read(owner)`` nor its base can be made writable again, in ``owner`` or in any copy.
 
     A shallow copy, a deep copy and a pickle round trip of ``owner`` must
-    each hold an equal array that is frozen in the same way.
+    each keep every dataclass field equal and hold that array frozen in the same way.
     """
     for duplicate in (owner, copy.copy(owner), copy.deepcopy(owner), pickle.loads(pickle.dumps(owner))):
+        assert type(duplicate) is type(owner)
+        for field in dataclasses.fields(owner):
+            _assert_same(getattr(duplicate, field.name), getattr(owner, field.name))
         arr = read(duplicate)
-        assert np.array_equal(arr, read(owner))
         for frozen in (arr, arr.base):
             with pytest.raises(ValueError):
                 frozen.flags.writeable = True
+
+
+def _assert_same(value, expected) -> None:
+    """Equal values of the same type: arrays bitwise (so NaN matches NaN), mappings entry by entry in order."""
+    assert type(value) is type(expected)
+    if isinstance(expected, np.ndarray):
+        assert (value.dtype, value.shape, value.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+    elif isinstance(expected, Mapping):
+        assert list(value) == list(expected)
+        for key in expected:
+            _assert_same(value[key], expected[key])
+    else:
+        assert value == expected
 
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -364,6 +364,12 @@ class TestConjectureScan:
             run_trial(4, {1}, 0, 50, float("nan"))
         assert run_trial(4, {1}, 0, 50, -1.0)[1:4:2] == (-1, False)
 
+    @pytest.mark.parametrize("iterations", [0, -2])
+    def test_run_trial_refuses_fewer_than_one_iteration(self, iterations):
+        """A replay with ``--iterations 0`` reported mismatches at exit 1; the scan refuses the same at exit 2."""
+        with pytest.raises(ValueError, match="iterations"):
+            run_trial(4, {1}, 0, iterations, 1e-8)
+
     def test_run_trial_reproduces_scan_rows(self):
         report = conjecture_scan(m=3, trials=8, iterations=15, tol=1e-8, seed=8, females={3})
         for row in report.results:

@@ -169,12 +169,13 @@ class TestTrajectory:
         first = read_rows(out_csv)[1]
         assert first[1] == first[2] == first[3] == repr(1 / 3)
 
-    def test_off_simplex_start_fails(self, m2_doc, tmp_path):
+    def test_off_simplex_start_fails(self, m2_doc, tmp_path, capsys):
         out_csv = tmp_path / "traj.csv"
         code = main(
             ["trajectory", m2_doc, "--start", "0.5,0.6,0.1", "--steps", "5", "--output", str(out_csv)]
         )
         assert code == 1
+        assert capsys.readouterr().err.startswith("error: not a simplex point") and not out_csv.exists()
 
     def test_random_start_is_seeded(self, m2_doc, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -335,6 +336,14 @@ class TestConjecture:
         assert main(["conjecture", "--m", "4", "--trials", "3", "--f", "1", "--csv", str(out)]) == 0
         assert main(["replay", str(out), "--m", "4", "--iterations", "50", "--tol", "nan"]) == 2
         assert "NaN" in capsys.readouterr().err
+
+    def test_replay_with_no_iterations_is_a_usage_error(self, tmp_path, capsys):
+        """It exited 1 with one mismatch per row, while ``conjecture --iterations 0`` exits 2."""
+        out = tmp_path / "scan.csv"
+        assert main(["conjecture", "--m", "4", "--trials", "3", "--f", "1", "--csv", str(out)]) == 0
+        assert main(["conjecture", "--m", "4", "--trials", "3", "--f", "1", "--iterations", "0"]) == 2
+        assert main(["replay", str(out), "--m", "4", "--iterations", "0", "--tol", "1e-8"]) == 2
+        assert "iterations must be >= 1" in capsys.readouterr().err
 
     def test_replay_conjecture_csv(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsodyn import (
+    TOL_SUM,
     CubicMatrix,
     DimensionError,
     FemaleSets,
     InvalidPointError,
     SimplexPoint,
+    SkewMatrix,
     StochasticityError,
     build_f_qso,
     build_fqso_m2,
@@ -23,10 +25,11 @@ from qsodyn import (
     proper_subsets,
     renormalize,
     sample_random_f_qso,
+    trajectory,
     validate_stochastic,
 )
-from qsodyn import core
-from helpers import assert_frozen, random_cubic
+from qsodyn import core, dynamics, operators
+from helpers import assert_frozen, random_cubic, random_simplex, random_skew
 
 
 class TestSimplexPoint:
@@ -56,6 +59,82 @@ class TestSimplexPoint:
         assert np.allclose(SimplexPoint.uniform(4).coords, 0.25)
         v = SimplexPoint.vertex(3, 1)
         assert np.array_equal(v.coords, [0.0, 1.0, 0.0])
+
+
+#: Rows over three states and whether each is a simplex point: the edge cases of the one simplex rule.
+SIMPLEX_VERDICTS = (
+    ([0.2, 0.3, 0.5], True),
+    ([-0.0, 0.5, 0.5], True),
+    ([0.5, 0.5, 0.5 * TOL_SUM], True),
+    ([0.5, 0.5 - 0.5 * TOL_SUM, 0.0], True),
+    ([np.nan, 0.5, 0.5], False),
+    ([np.inf, 0.0, 0.0], False),
+    ([-np.inf, 1.0, 1.0], False),
+    ([-1e-300, 0.5, 0.5], False),
+    ([0.5, 0.5, 2.0 * TOL_SUM], False),
+    ([0.5, 0.5 - 2.0 * TOL_SUM, 0.0], False),
+)
+
+
+def _accepts(call, error) -> bool:
+    try:
+        call()
+    except error:
+        return False
+    return True
+
+
+class TestOneSimplexRule:
+    """``SimplexPoint``, the mixed-row check and a trajectory step give the same verdict on every row."""
+
+    @pytest.mark.parametrize("row, ok", SIMPLEX_VERDICTS)
+    def test_point_rows_and_trajectory_step_agree(self, row, ok, monkeypatch):
+        row = np.array(row)
+        monkeypatch.setattr(dynamics, "_stepper", lambda P, batch: lambda x: row.copy())  # the step's image is ``row``
+        traj = trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=1)
+        assert bool(core._on_simplex(row)) is ok
+        assert _accepts(lambda: SimplexPoint(row), InvalidPointError) is ok
+        assert _accepts(lambda: operators._check_rows(row[None], [(2, 1)]), ValueError) is ok
+        assert (traj.stop_reason, len(traj)) == (("max_steps", 2) if ok else ("invalid_state", 1))
+
+    def test_block_verdicts_are_row_wise(self):
+        rows = np.array([row for row, _ in SIMPLEX_VERDICTS])
+        assert core._on_simplex(rows).tolist() == [ok for _, ok in SIMPLEX_VERDICTS]
+        pairs = [(2, index) for index in range(len(rows))]
+        first_bad = next(index for index, (_, ok) in enumerate(SIMPLEX_VERDICTS) if not ok)
+        with pytest.raises(ValueError, match=rf"pair \(2, {first_bad}\)"):
+            operators._check_rows(rows, pairs)
+
+    def test_off_simplex_point_gets_one_message(self):
+        for row in ([0.5, 0.6, 0.1], [1.1, -0.1, 0.0], [np.nan, 0.5, 0.5]):
+            with pytest.raises(InvalidPointError, match="^not a simplex point"):
+                SimplexPoint(np.array(row))
+
+
+def _two_sex_trajectory():
+    P = build_f_qso(sample_random_f_qso(4, {2, 4}, seed=5))
+    return trajectory(P, SimplexPoint.uniform(5), 6, tol=1e-9, reference=SimplexPoint.vertex(5))
+
+
+#: One value of each frozen class, every field set, and the frozen array it holds.
+FROZEN_VALUES = {
+    "SimplexPoint": (lambda: SimplexPoint(random_simplex(np.random.default_rng(31), 4)), lambda v: v.coords),
+    "CubicMatrix": (lambda: random_cubic(np.random.default_rng(32), 3), lambda v: v.p),
+    "SkewMatrix": (lambda: SkewMatrix(random_skew(np.random.default_rng(33), 4)), lambda v: v.a),
+    "FQsoSpec": (lambda: sample_random_f_qso(5, {1, 3}, seed=2), lambda v: next(iter(v.mixed.values()))),
+    "Trajectory": (_two_sex_trajectory, lambda v: v.coords),
+    "Trajectory without sides": (
+        lambda: trajectory(preset("constant_m1"), SimplexPoint.uniform(2), 2), lambda v: v.coords
+    ),
+}
+
+
+class TestRebuiltCopies:
+    @pytest.mark.parametrize("name", FROZEN_VALUES)
+    def test_copies_keep_every_field(self, name):
+        """A copy, a deep copy and a pickle run the constructor again and keep every field, not only the array."""
+        build, read = FROZEN_VALUES[name]
+        assert_frozen(build(), read)
 
 
 class TestRenormalize:

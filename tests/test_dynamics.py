@@ -104,6 +104,21 @@ class TestClosedForm:
     def test_huge_n_underflows_to_zero(self):
         assert lyapunov_closed_form(0.4, 0.4, 0.2, 10_000) == 0.0
 
+    @pytest.mark.parametrize(
+        "b, c, phi0",
+        [(np.nan, 0.5, 0.1), (0.5, np.nan, 0.1), (10.0, 10.0, 0.25), (1.0, 1.0, 0.25), (0.5, 0.5 + 3e-12, 0.25)],
+    )
+    def test_rejects_what_no_mixed_pair_has(self, b, c, phi0):
+        """NaN returned NaN, and b + c > 1 returned inf or squared the whole chain (43 ms at n = 10**6)."""
+        with pytest.raises(ValueError, match="b \\+ c <= 1"):
+            lyapunov_closed_form(b, c, phi0, 10**6)
+
+    def test_largest_factor_ends_within_a_few_squarings(self):
+        """At b + c = 1 + TOL_SUM the chain still underflows at once; a linear chain to 10**9 would take minutes."""
+        start = time.perf_counter()
+        assert lyapunov_closed_form(0.5, 0.5 + 0.5e-12, 0.25, 10**9) == 0.0
+        assert time.perf_counter() - start < 0.5
+
     def test_matches_trajectory_iteration(self):
         """The scalar recurrence tracks the functional along real orbits."""
         rng = np.random.default_rng(20)
@@ -266,6 +281,14 @@ class TestTrajectory:
             for _ in range(5):
                 x = apply(P, x)
             np.testing.assert_array_equal(row, x.coords)
+
+    def test_batch_refuses_negative_steps(self):
+        """``steps=-3`` returned the starts, or with history a one-row stack."""
+        starts = random_simplex_batch(np.random.default_rng(24), 4, 3)
+        assert np.array_equal(iterate_batch(preset("ganikhodzhaev_v0"), starts, 0), starts)
+        for history in (False, True):
+            with pytest.raises(ValueError, match="steps"):
+                iterate_batch(preset("ganikhodzhaev_v0"), starts, -3, return_history=history)
 
 
 class TestFixedPointsM2:

@@ -487,6 +487,23 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset("no_such_operator")
 
+    def test_rps_presets_match_hand_written_cubes(self):
+        """The skew-built and index-built presets equal, to the bit, the cubes once written entry by entry."""
+        v0 = np.zeros((3, 3, 3))
+        v0[0, 0, 0] = v0[1, 1, 1] = v0[2, 2, 2] = 1.0
+        v0[0, 1, 0] = v0[1, 0, 0] = 1.0
+        v0[1, 2, 1] = v0[2, 1, 1] = 1.0
+        v0[0, 2, 2] = v0[2, 0, 2] = 1.0
+        v1 = np.zeros((3, 3, 3))
+        v1[0, 0, 0] = v1[1, 1, 1] = v1[2, 2, 2] = 1.0
+        v1[1, 2, 0] = v1[2, 1, 0] = 1.0
+        v1[0, 2, 1] = v1[2, 0, 1] = 1.0
+        v1[0, 1, 2] = v1[1, 0, 2] = 1.0
+        assert preset("ganikhodzhaev_v0").p.tobytes() == v0.tobytes()
+        assert preset("ganikhodzhaev_v1").p.tobytes() == v1.tobytes()
+        for lam in (0.0, 0.3, 0.5, 0.7345, 1.0):
+            assert preset("ganikhodzhaev_lambda", lam=lam).p.tobytes() == ((1.0 - lam) * v0 + lam * v1).tobytes()
+
     def test_lambda_out_of_range(self):
         with pytest.raises(ValueError):
             preset("ganikhodzhaev_lambda", lam=1.5)
