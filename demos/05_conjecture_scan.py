@@ -22,11 +22,11 @@ print(f"  worst trial: seed={report.worst_case.seed} final_dist={report.worst_ca
 print(f"  {report.note}")
 
 # Sweep every partition of m=4 round-robin.
-report = conjecture_scan(m=4, trials=280, iterations=50, tol=1e-8, seed=14, f_policy="all")
+report = conjecture_scan(m=4, trials=280, iterations=50, tol=1e-8, seed=14, females="all")
 print(f"m=4, all partitions:            converged {report.converged}/{report.trials}")
 
 # Determinism: the same seed reproduces every trial bit for bit, and each
 # trial depends only on (seed, trial index), so runs can be sliced or
 # parallelized without changing the outcome.
-again = conjecture_scan(m=4, trials=280, iterations=50, tol=1e-8, seed=14, f_policy="all")
+again = conjecture_scan(m=4, trials=280, iterations=50, tol=1e-8, seed=14, females="all")
 print(f"same seed, same report: {[r.final_dist for r in report.results] == [r.final_dist for r in again.results]}")

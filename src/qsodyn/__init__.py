@@ -12,7 +12,6 @@ from .analysis import (
     CountReport,
     EVIDENCE_NOTE,
     PriorityReport,
-    ScanParameters,
     TrialResult,
     conjecture_scan,
     count_first_row,

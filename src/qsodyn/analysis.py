@@ -29,8 +29,8 @@ class CountReport:
     """Counts over the n(n+1)/2 unordered pairs of the first (k = 0) row.
 
     ``n1`` counts pairs with the empty-body coefficient exactly 1,
-    ``n1_tilde`` those with it below 1.  When a female set is identified
-    the two-sex bounds are filled in:
+    ``n1_tilde`` all the others, so the two add up to ``total_pairs``.
+    When a female set is identified the two-sex bounds are filled in:
     ``n1 >= (|F|^2 + |M|^2 + 3|E|)/2 + 1`` and ``n1_tilde <= |F|*|M|``.
     """
 
@@ -59,19 +59,20 @@ def remark_bounds(n_states: int, females: frozenset[int]) -> tuple[int, int]:
 
 
 def count_first_row(P: CubicMatrix) -> CountReport:
-    """Count exact-1 and below-1 empty-body coefficients over unordered pairs.
+    """Count exact-1 and other empty-body coefficients over unordered pairs.
 
-    Equality with 1 is bitwise (two-sex builders write exact ones); the
-    bounds are included when :attr:`CubicMatrix.female_sets` finds a
-    female set, and omitted otherwise.  Any such set gives valid bounds;
-    the first in (size, lexicographic) order is used.
+    Equality with 1 is bitwise (two-sex builders write exact ones), so an
+    entry just above 1, inside the ``TOL_SUM`` slack that validation
+    accepts, counts toward N1~ as one just below 1 does.  The bounds are
+    included when :attr:`CubicMatrix.female_sets` finds a female set, and
+    omitted otherwise.  Any such set gives valid bounds; the first in
+    (size, lexicographic) order is used.
     """
     require_valid(P)
     n = P.n
     iu = np.triu_indices(n)
     vals = P.p[:, :, 0][iu]
     n1 = int(np.count_nonzero(vals == 1.0))
-    n1_tilde = int(np.count_nonzero(vals < 1.0))
 
     females = P.female_sets.first
     if females is not None:
@@ -81,7 +82,7 @@ def count_first_row(P: CubicMatrix) -> CountReport:
 
     return CountReport(
         n1=n1,
-        n1_tilde=n1_tilde,
+        n1_tilde=vals.size - n1,
         total_pairs=pair_count(n),
         females=females,
         n1_lower_bound=lower,
@@ -121,35 +122,35 @@ class TrialResult(NamedTuple):
     final_point: np.ndarray
 
 
-@dataclass(frozen=True)
-class ScanParameters:
-    m: int
-    f_policy: str
-    females: frozenset[int] | None
-    trials: int
-    iterations: int
-    tol: float
-    seed: int
-
-
 @dataclass(frozen=True, eq=False)
 class ConjectureReport:
-    """Aggregate of a randomized convergence scan.
+    """A randomized convergence scan: its trials, with the totals read off them.
 
     ``converged`` counts trials whose final iterate lies within ``tol``
-    (max norm) of the absorbing vertex; ``worst_case`` is the trial with
-    the largest final distance.  Convergence is proved for every trial
-    (see ``note``), so a trial that misses ``tol`` had too few
+    (max norm) of the absorbing vertex; ``worst_case`` is the first trial
+    with the largest final distance.  Convergence is proved for every
+    trial (see ``note``), so a trial that misses ``tol`` had too few
     iterations, or exposes a fault.
     """
 
-    parameters: ScanParameters
-    trials: int
-    converged: int
-    max_final_distance: float
-    worst_case: TrialResult
     results: tuple[TrialResult, ...]
     note: str = EVIDENCE_NOTE
+
+    @property
+    def trials(self) -> int:
+        return len(self.results)
+
+    @property
+    def converged(self) -> int:
+        return sum(r.converged for r in self.results)
+
+    @property
+    def worst_case(self) -> TrialResult:
+        return max(self.results, key=lambda r: r.final_dist)
+
+    @property
+    def max_final_distance(self) -> float:
+        return self.worst_case.final_dist
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -199,66 +200,47 @@ def conjecture_scan(
     iterations: int = 50,
     tol: float = 1e-8,
     seed: int = 0,
-    f_policy: str = "fixed",
     females=None,
 ) -> ConjectureReport:
     """Randomized check of convergence to the vertex across two-sex operators.
 
-    Per trial: pick a female set (per policy), sample a random operator
-    (all mixed pairs drawn in one block) and a random interior start,
-    iterate up to ``iterations`` steps, stopping at the exact vertex,
-    which is fixed, and test the final max-norm distance to
-    (1, 0, ..., 0) against ``tol``.
-    Policies: "fixed" uses ``females`` every trial; "all" cycles through
-    every nonempty proper subset in (size, lexicographic) order;
-    "random" draws one per trial (an int64 index, so m < 64).  Both
-    unrank an index and never list the subsets.  Each trial depends only on
-    (seed, trial index), so reports are reproducible and independent of
-    execution order.  Non-convergent trials are counted, never raised.
+    Per trial: pick a female set, sample a random operator (all mixed
+    pairs drawn in one block) and a random interior start, iterate up to
+    ``iterations`` steps, stopping at the exact vertex, which is fixed,
+    and test the final max-norm distance to (1, 0, ..., 0) against ``tol``.
+    ``females`` is a set of states used in every trial, or "all", which
+    cycles through every nonempty proper subset in (size, lexicographic)
+    order, or "random", which draws one per trial (an int64 index, so
+    m < 64).  Both strings unrank an index and never list the subsets.
+    Each trial depends only on (seed, trial index), so reports are
+    reproducible and independent of execution order.  Non-convergent
+    trials are counted, never raised.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if trials < 1 or iterations < 1:
         raise ValueError("trials and iterations must be >= 1")
-    if f_policy not in ("fixed", "all", "random"):
-        raise ValueError(f"unknown f_policy {f_policy!r}")
-    if f_policy == "fixed":
-        if females is None:
-            raise ValueError("f_policy='fixed' requires a female set")
-        fixed_females = frozenset(females)
-    elif f_policy == "random" and m >= 64:
-        raise ValueError("f_policy='random' draws an int64 subset index, so m must be below 64")
+    if females is None or isinstance(females, str):  # before frozenset: "all" is no set {'a', 'l'}
+        if females not in ("all", "random"):
+            raise ValueError(f"females must be a set of states, 'all' or 'random', got {females!r}")
+        if females == "random" and m >= 64:
+            raise ValueError("females='random' draws an int64 subset index, so m must be below 64")
+    else:
+        females = frozenset(females)
 
     results = []
     for t in range(trials):
         s_t = trial_seed(seed, t)
-        if f_policy == "fixed":
-            chosen = fixed_females
-        elif f_policy == "all":
+        if females == "all":
             chosen = proper_subset(m, t % (2**m - 2))
-        else:
+        elif females == "random":
             pick_rng = np.random.default_rng(np.random.SeedSequence([s_t, 2]))
             chosen = proper_subset(m, int(pick_rng.integers(2**m - 2)))
+        else:
+            chosen = females
         fem, steps, final_dist, converged, final_point = run_trial(m, chosen, s_t, iterations, tol)
         results.append(TrialResult(t, s_t, fem, steps, final_dist, converged, final_point))
-
-    worst = max(results, key=lambda r: r.final_dist)
-    return ConjectureReport(
-        parameters=ScanParameters(
-            m=m,
-            f_policy=f_policy,
-            females=frozenset(females) if females is not None else None,
-            trials=trials,
-            iterations=iterations,
-            tol=tol,
-            seed=seed,
-        ),
-        trials=trials,
-        converged=sum(r.converged for r in results),
-        max_final_distance=worst.final_dist,
-        worst_case=worst,
-        results=tuple(results),
-    )
+    return ConjectureReport(results=tuple(results))
 
 
 class PriorityRow(NamedTuple):

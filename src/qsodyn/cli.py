@@ -89,8 +89,8 @@ def cmd_validate(args) -> int:
         return 1
     print("stochasticity: OK")
 
-    near = P.p[:, :, 0]
-    for i, j in zip(*np.nonzero((near > 1.0 - NEAR_ONE) & (near < 1.0))):
+    gap = abs(P.p[:, :, 0] - 1.0)
+    for i, j in zip(*np.nonzero((gap > 0.0) & (gap < NEAR_ONE))):
         if i <= j:
             print(
                 f"warning: first-row entry at ({i},{j}) is within {NEAR_ONE:g} of 1 "
@@ -199,28 +199,19 @@ def cmd_ergodic(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    if args.f is not None:
-        policy = "fixed"
-        females = _parse_females(args.f)
-    else:
-        if args.f_policy is None:
-            raise DocumentError("either --f or --f-policy is required")
-        policy = args.f_policy
-        females = None
+    females = args.policy or _parse_females(args.f)  # the parser passes exactly one of the two
     report = analysis.conjecture_scan(
         m=args.m,
         trials=args.trials,
         iterations=args.iterations,
         tol=args.tol,
         seed=args.seed,
-        f_policy=policy,
         females=females,
     )
-    params = report.parameters
-    f_txt = _set_text(params.females) if params.females else "-"
+    f_txt = "-" if args.policy else _set_text(females)
     print(
-        f"scan: m={params.m} policy={params.f_policy} F={f_txt} trials={params.trials} "
-        f"iterations={params.iterations} tol={params.tol:g} seed={params.seed}"
+        f"scan: m={args.m} policy={args.policy or 'fixed'} F={f_txt} trials={args.trials} "
+        f"iterations={args.iterations} tol={args.tol:g} seed={args.seed}"
     )
     print(f"converged: {report.converged}/{report.trials}  max final distance: {report.max_final_distance:.3e}")
     worst = report.worst_case
@@ -412,8 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--f", help="fixed female set, e.g. '2,3'")
-    p.add_argument("--f-policy", choices=["all", "random"], help="female-set policy when --f is absent")
+    pick = p.add_mutually_exclusive_group(required=True)
+    pick.add_argument("--f", help="fixed female set, e.g. '2,3'")
+    pick.add_argument("--f-policy", dest="policy", choices=["all", "random"],
+                      help="cycle through every female set, or draw one per trial")
     p.add_argument("--csv", help="write per-trial rows to this path")
     p.set_defaults(func=cmd_conjecture)
 

@@ -27,6 +27,10 @@ TOL_SUM = 1e-12
 #: Tolerance for fixed-point residuals ``max_k |V(x)_k - x_k|``.
 TOL_FIX = 1e-10
 
+#: Most floats (128 MiB) in one array that a call builds from its arguments:
+#: a document's dense cube, the fixed-point search's batch product, a trajectory.
+MAX_FLOATS = 2**24
+
 
 class QsoError(Exception):
     """Base class for all errors raised by this package."""

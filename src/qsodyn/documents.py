@@ -20,7 +20,7 @@ from .operators import FQsoSpec, SkewMatrix, build_f_qso, cubic_from_skew, prese
 
 SCHEMA_VERSION = "1"
 KINDS = ("cubic", "f_qso", "volterra_skew", "preset")
-#: Largest state count a document may declare; its dense cube takes 8 * n^3 bytes (128 MiB).
+#: Largest state count a document may declare: its dense cube holds n^3 = ``core.MAX_FLOATS`` floats.
 MAX_N = 256
 #: What a builder raises for a payload of the wrong types or values.
 _REJECTED = (ValueError, TypeError, OverflowError, QsoError)

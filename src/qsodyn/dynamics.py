@@ -20,6 +20,7 @@ import numpy as np
 import scipy  # unused: kept only because bench/worker.py reads sys.modules["scipy"]
 
 from .core import (
+    MAX_FLOATS,
     TOL_FIX,
     TOL_SUM,
     ClassificationError,
@@ -170,13 +171,15 @@ def trajectory(
     ``tol`` (checked from step 0 onward), or when the two-sex underflow
     snap fires, or with ``"invalid_state"`` when a step leaves the simplex
     (a non-finite, negative or non-unit-sum image, which a validated matrix
-    cannot produce from a simplex point).  A NaN ``tol`` raises ``ValueError``.
+    cannot produce from a simplex point).  A NaN ``tol``, or ``max_steps``
+    below 1 or with ``(max_steps + 1) * n`` above ``MAX_FLOATS``, raises
+    ``ValueError`` before any step.
     """
     require_valid(P)
     if x0.dim != P.n:
         raise DimensionError(f"start of dim {x0.dim} does not match operator with n={P.n}")
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    if not 1 <= max_steps <= MAX_FLOATS // P.n - 1:  # the (max_steps + 1, n) coordinate array
+        raise ValueError(f"max_steps must be from 1 to {MAX_FLOATS // P.n - 1} at n={P.n}, got {max_steps}")
     if tol is not None and math.isnan(tol):
         raise ValueError("tol must not be NaN")
     if reference is not None and reference.dim != P.n:
@@ -276,10 +279,6 @@ def _residual(P: CubicMatrix, X: np.ndarray) -> np.ndarray:
     return np.max(np.abs(apply_unnormalized(P, X) - X), axis=1)
 
 
-def _in_simplex(x: np.ndarray) -> bool:
-    return bool(np.all(x >= -TOL_SUM) and abs(float(x.sum()) - 1.0) <= TOL_SUM)
-
-
 def fixed_points_m2(a: float, b: float, c: float) -> FixedPointReport:
     """Algebraic fixed points of the three-state single-pair operator.
 
@@ -297,7 +296,7 @@ def fixed_points_m2(a: float, b: float, c: float) -> FixedPointReport:
     if b * c != 0.0:
         points.append(np.array([(2.0 * b * c - b - c) / (2.0 * b * c), 1.0 / (2.0 * c), 1.0 / (2.0 * b)]))
     residuals = _residual(P, np.array(points)).tolist()
-    return FixedPointReport(tuple(FixedPointCandidate(x, r, _in_simplex(x)) for x, r in zip(points, residuals)))
+    return FixedPointReport(tuple(FixedPointCandidate(x, r, bool(_on_simplex(x))) for x, r in zip(points, residuals)))
 
 
 def _settle(step, X: np.ndarray, steps: int) -> np.ndarray:
@@ -350,11 +349,11 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
     and each is scored by one batched ``_residual`` call.  Candidates with
     max-norm residual at most ``TOL_FIX`` are clustered within 1e-8 and
     reported with the best residual per cluster.  An empty candidate list
-    is a legal outcome.  ``starts * n * n`` may not exceed 2**24.
+    is a legal outcome.  ``starts * n * n`` may not exceed ``MAX_FLOATS``.
     """
     require_valid(P)
-    if not 1 <= starts <= 2**24 // P.n**2:  # the batch step's (starts, n*n) product: 128 MiB, as a MAX_N cube
-        raise ValueError(f"starts must be from 1 to {2**24 // P.n**2} at n={P.n}, got {starts}")
+    if not 1 <= starts <= MAX_FLOATS // P.n**2:  # the batch step's (starts, n*n) product
+        raise ValueError(f"starts must be from 1 to {MAX_FLOATS // P.n**2} at n={P.n}, got {starts}")
     draws = np.random.default_rng(seed).standard_exponential((starts, P.n))
     starts_x = draws / draws.sum(axis=1, keepdims=True)
 
@@ -379,7 +378,7 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
             representatives.append((x, r))
     representatives.sort(key=lambda item: tuple(item[0]))
 
-    candidates = tuple(FixedPointCandidate(x, r, _in_simplex(x)) for x, r in representatives)
+    candidates = tuple(FixedPointCandidate(x, r, bool(_on_simplex(x))) for x, r in representatives)
     return FixedPointReport(candidates, polishes=len(guesses), polishes_accepted=accepted)
 
 

@@ -34,7 +34,7 @@ def brute_force_counts(P):
             value = P.p[i, j, 0]
             if value == 1.0:
                 n1 += 1
-            elif value < 1.0:
+            else:
                 n1_tilde += 1
     return n1, n1_tilde
 
@@ -126,6 +126,15 @@ class TestCountFirstRow:
     def test_m2_matrix_with_certain_pair(self):
         report = count_first_row(build_fqso_m2(1.0, 0.0, 0.0))
         assert (report.n1, report.n1_tilde) == (6, 0)
+
+    def test_entry_just_above_one_counts_toward_n1_tilde(self):
+        """Validation accepts 1 + 5e-13 (inside TOL_SUM); not exactly 1, it was counted in neither N1 nor N1~."""
+        p = build_fqso_m2(0.2, 0.5, 0.3).p.copy()
+        p[0, 0, 0] = 1.0 + 5e-13
+        report = count_first_row(CubicMatrix(p))
+        assert (report.n1, report.n1_tilde, report.total_pairs) == (4, 2, 6)
+        assert report.n1 + report.n1_tilde == report.total_pairs
+        assert brute_force_counts(CubicMatrix(p)) == (4, 2)
 
     def test_bounds_for_m4(self):
         """m = 4, F = {2,3,4}: lower bound 12, upper bound 3, 15 pairs."""
@@ -331,7 +340,7 @@ class TestConjectureScan:
 
     def test_policy_all_cycles_subsets(self):
         subsets = proper_subsets(3)
-        report = conjecture_scan(m=3, trials=12, iterations=15, seed=5, f_policy="all")
+        report = conjecture_scan(m=3, trials=12, iterations=15, seed=5, females="all")
         for r in report.results:
             assert r.females == subsets[r.trial % len(subsets)]
 
@@ -339,22 +348,27 @@ class TestConjectureScan:
     def test_policies_pick_the_listed_subset(self, m):
         """Unranking picks what indexing the full listing picked, for both policies."""
         subsets = proper_subsets(m)
-        every = conjecture_scan(m=m, trials=40, iterations=3, seed=11, f_policy="all")
+        every = conjecture_scan(m=m, trials=40, iterations=3, seed=11, females="all")
         assert [r.females for r in every.results] == [subsets[t % len(subsets)] for t in range(40)]
-        drawn = conjecture_scan(m=m, trials=40, iterations=3, seed=11, f_policy="random")
+        drawn = conjecture_scan(m=m, trials=40, iterations=3, seed=11, females="random")
         for r in drawn.results:
             pick_rng = np.random.default_rng(np.random.SeedSequence([r.seed, 2]))
             assert r.females == subsets[int(pick_rng.integers(len(subsets)))]
 
     def test_policy_random_is_seed_stable(self):
-        r1 = conjecture_scan(m=4, trials=10, iterations=15, seed=6, f_policy="random")
-        r2 = conjecture_scan(m=4, trials=10, iterations=15, seed=6, f_policy="random")
+        r1 = conjecture_scan(m=4, trials=10, iterations=15, seed=6, females="random")
+        r2 = conjecture_scan(m=4, trials=10, iterations=15, seed=6, females="random")
         assert [a.females for a in r1.results] == [b.females for b in r2.results]
 
     def test_worst_case_is_max_distance(self):
-        report = conjecture_scan(m=4, trials=20, iterations=10, seed=7, f_policy="random")
+        report = conjecture_scan(m=4, trials=20, iterations=10, seed=7, females="random")
         assert report.worst_case.final_dist == report.max_final_distance
         assert report.worst_case.final_dist == max(r.final_dist for r in report.results)
+        assert report.trials == 20 and report.converged == sum(r.converged for r in report.results)
+        # Trials that end at the vertex tie at distance 0.0; the worst case is the first of a tie.
+        tied = conjecture_scan(m=4, trials=6, iterations=50, seed=3, females={1, 2})
+        assert tied.max_final_distance == 0.0 and tied.worst_case is tied.results[0]
+        assert analysis.ConjectureReport(tied.results[3:]).worst_case is tied.results[3]
 
     def test_nan_tolerance_is_refused(self):
         """A NaN tolerance would count every trial as not converged and every replay as a mismatch."""
@@ -400,8 +414,8 @@ class TestConjectureScan:
             for tol in tols:
                 cubes.clear()
                 report = conjecture_scan(
-                    m, trials, iterations=iterations, tol=tol, seed=m, f_policy=policy,
-                    females={1} if policy == "fixed" else None,
+                    m, trials, iterations=iterations, tol=tol, seed=m,
+                    females={1} if policy == "fixed" else policy,
                 )
                 assert len(cubes) == trials
                 for row, cube in zip(report.results, cubes):
@@ -443,10 +457,14 @@ class TestConjectureScan:
         assert trial_seed(7, 3) == trial_seed(7, 3)
 
     def test_rejects_bad_policy(self):
+        """No female set, or a string other than the two policies: never read as a set of characters."""
         with pytest.raises(ValueError):
-            conjecture_scan(m=3, trials=5, f_policy="sometimes")
+            conjecture_scan(m=3, trials=5, females="sometimes")
         with pytest.raises(ValueError):
-            conjecture_scan(m=3, trials=5, f_policy="fixed")
+            conjecture_scan(m=3, trials=5)
+        for females in ("al", "la", "a", "", "fixed"):
+            with pytest.raises(ValueError, match="'all' or 'random'"):
+                conjecture_scan(m=3, trials=5, females=females)
 
     def test_report_carries_evidence_note(self):
         report = conjecture_scan(m=2, trials=2, iterations=5, seed=9, females={1})

@@ -100,6 +100,17 @@ class TestValidate:
         assert main(["validate", str(path)]) == 0
         assert "warning" in capsys.readouterr().out
 
+    def test_near_one_warning_above_one(self, tmp_path, capsys):
+        """An entry of 1 + 5e-13 validates (inside TOL_SUM); it was counted in neither N1 nor N1~, without a warning."""
+        p = build_fqso_m2(0.2, 0.5, 0.3).p.copy()
+        p[0, 0, 0] = 1.0 + 5e-13
+        path = tmp_path / "above.json"
+        save_document(document_from_matrix(CubicMatrix(p)), path)
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "warning: first-row entry at (0,0) is within 1e-09 of 1 but not exactly 1" in out
+        assert "first row: N1=4, N1~=2, total pairs=6" in out
+
 
 def single_male_doc_of(tmp_path, n, seed=0):
     rng = np.random.default_rng(seed)
@@ -168,6 +179,17 @@ class TestTrajectory:
         assert main(["trajectory", m2_doc, "--start", "uniform", "--steps", "3", "--output", str(out_csv)]) == 0
         first = read_rows(out_csv)[1]
         assert first[1] == first[2] == first[3] == repr(1 / 3)
+
+    def test_step_count_beyond_the_float_budget_is_a_usage_error(self, rps_doc, tmp_path, capsys):
+        """10**12 steps grew the row list until memory ran out; now refused before any step."""
+        out_csv = tmp_path / "t.csv"
+        start = time.perf_counter()
+        argv = ["trajectory", rps_doc, "--start", "0.2,0.3,0.5", "--steps", "1000000000000", "--output", str(out_csv)]
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_steps must be from 1 to 5592404 at n=3") and "Traceback" not in err
+        assert not out_csv.exists()
 
     def test_off_simplex_start_fails(self, m2_doc, tmp_path, capsys):
         out_csv = tmp_path / "traj.csv"
@@ -406,8 +428,52 @@ class TestConjecture:
         assert time.perf_counter() - start < 0.5
         assert f"limit of {MAX_N}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "pick, head",
+        [
+            (
+                ["--f", "2,3"],
+                [
+                    "scan: m=4 policy=fixed F={2,3} trials=6 iterations=3 tol=1e-08 seed=7",
+                    "converged: 0/6  max final distance: 1.083e-03",
+                    "worst trial: #5 seed=1002604896 F=2;3 steps=-1 final_dist=1.083e-03",
+                ],
+            ),
+            (
+                ["--f-policy", "all"],
+                [
+                    "scan: m=4 policy=all F=- trials=6 iterations=3 tol=1e-08 seed=7",
+                    "converged: 0/6  max final distance: 7.641e-04",
+                    "worst trial: #0 seed=2083679832 F=1 steps=-1 final_dist=7.641e-04",
+                ],
+            ),
+            (
+                ["--f-policy", "random"],
+                [
+                    "scan: m=4 policy=random F=- trials=6 iterations=3 tol=1e-08 seed=7",
+                    "converged: 0/6  max final distance: 3.857e-04",
+                    "worst trial: #1 seed=369571992 F=1;4 steps=-1 final_dist=3.857e-04",
+                ],
+            ),
+        ],
+    )
+    def test_first_four_lines(self, capsys, pick, head):
+        assert main(["conjecture", "--m", "4", "--trials", "6", "--iterations", "3", "--seed", "7", *pick]) == 0
+        note = "note: randomized check of a theorem: phi_F = x_F*x_M proves every two-sex orbit reaches the vertex"
+        assert capsys.readouterr().out.splitlines()[:4] == [*head, note]
+
     def test_requires_f_or_policy(self, capsys):
-        assert main(["conjecture", "--m", "3", "--trials", "5"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["conjecture", "--m", "3", "--trials", "5"])
+        assert exc.value.code == 2
+        assert "one of the arguments --f --f-policy is required" in capsys.readouterr().err
+
+    def test_f_with_policy_is_a_usage_error(self, capsys):
+        """The policy was silently ignored beside --f."""
+        with pytest.raises(SystemExit) as exc:
+            main(["conjecture", "--m", "4", "--f", "2", "--f-policy", "all", "--trials", "1"])
+        assert exc.value.code == 2
+        assert "argument --f-policy: not allowed with argument --f" in capsys.readouterr().err
 
     def test_bad_trials_is_usage_error(self):
         assert main(["conjecture", "--m", "3", "--f", "2", "--trials", "0"]) == 2

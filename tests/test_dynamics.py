@@ -34,7 +34,7 @@ from qsodyn import (
     trajectory,
 )
 from qsodyn import dynamics
-from qsodyn.core import proper_subset
+from qsodyn.core import MAX_FLOATS, proper_subset
 from qsodyn.operators import SkewMatrix, apply_normalized, apply_unnormalized, cubic_from_skew
 from helpers import assert_frozen, random_cubic, random_simplex, random_simplex_batch
 
@@ -221,9 +221,24 @@ class TestTrajectory:
     def test_huge_step_budget_is_not_allocated(self):
         """A snapping single-male orbit stops early; nothing is sized by max_steps."""
         rng = np.random.default_rng(27)
-        traj = trajectory(random_single_male(rng, 3), SimplexPoint(random_simplex(rng, 4)), max_steps=10**9)
+        P, x0 = random_single_male(rng, 3), SimplexPoint(random_simplex(rng, 4))
+        traj = trajectory(P, x0, max_steps=MAX_FLOATS // 4 - 1)
         assert traj.stop_reason == "converged"
         assert len(traj) < 40
+
+    @pytest.mark.parametrize("n", [3, 4, 33])
+    def test_step_count_beyond_the_float_budget_is_refused(self, n):
+        """(max_steps + 1) * n coordinates may not exceed MAX_FLOATS: 10**12 steps grew the rows until memory ran out."""
+        P = build_f_qso(sample_random_f_qso(n - 1, {1}, seed=n))
+        limit = MAX_FLOATS // n - 1
+        for steps in (limit + 1, 10**12):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"max_steps must be from 1 to {limit} at n={n}"):
+                trajectory(P, SimplexPoint.uniform(n), max_steps=steps)
+            with pytest.raises(ValueError, match="max_steps"):
+                convergence_report(P, SimplexPoint.uniform(n), n_max=steps)
+            assert time.perf_counter() - start < 0.5
+        assert trajectory(P, SimplexPoint.uniform(n), max_steps=limit).stop_reason == "converged"
 
     def test_off_simplex_step_stops_as_invalid_state(self, monkeypatch):
         calls = []
@@ -806,7 +821,7 @@ class TestEveryFemaleSetIsCertified:
         steps = 0
         for m in range(2, 13):
             fixed = proper_subset(m, int(rng.integers(2**m - 2))) if policy == "fixed" else None
-            scan = conjecture_scan(m, trials=20, iterations=1, seed=m, f_policy=policy, females=fixed)
+            scan = conjecture_scan(m, trials=20, iterations=1, seed=m, females=fixed if policy == "fixed" else policy)
             for row in scan.results:
                 P = build_f_qso(sample_random_f_qso(m, row.females, row.seed))
                 males = sorted(set(range(1, m + 1)) - row.females)
