@@ -11,16 +11,13 @@ from .analysis import (
     ConjectureReport,
     CountReport,
     EVIDENCE_NOTE,
-    PriorityReport,
     TrialResult,
     conjecture_scan,
     count_first_row,
-    pair_count,
     remark_bounds,
     run_trial,
     sample_random_f_qso,
     trial_seed,
-    verify_priority_inequality,
 )
 from .core import (
     TOL_FIX,
@@ -38,7 +35,6 @@ from .core import (
     StochasticityReport,
     StochasticityViolation,
     classify,
-    proper_subsets,
     renormalize,
     require_valid,
     validate_stochastic,
@@ -59,7 +55,6 @@ from .dynamics import (
     FixedPointReport,
     LyapunovBound,
     Trajectory,
-    cesaro_average,
     cesaro_running,
     convergence_report,
     find_fixed_points,
@@ -74,7 +69,6 @@ from .operators import (
     FQsoSpec,
     PRESETS,
     SkewMatrix,
-    apply,
     apply_normalized,
     apply_unnormalized,
     build_f_qso,
@@ -83,7 +77,6 @@ from .operators import (
     cubic_from_skew,
     preset,
     skew_from_cubic,
-    volterra_from_skew,
 )
 
 __version__ = "0.1.0"

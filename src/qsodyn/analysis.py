@@ -2,11 +2,12 @@
 
 The k = 0 slice of a cubic matrix, indexed by unordered parent pairs,
 counts how often the empty-body child is certain (N1) versus uncertain
-(N1~).  For any two-sex operator N1 strictly exceeds N1~, an integer
-inequality verified here by exhaustion.  The scanner samples random
-two-sex operators for arbitrary female sets and checks a theorem: the
-functional phi_F = x_F * x_M (see :mod:`qsodyn.dynamics`) proves that
-every trajectory reaches the absorbing vertex, within
+(N1~).  For any two-sex operator N1 strictly exceeds N1~: the lower
+bound on N1 exceeds the upper bound on N1~ by ((|F| - |M|)^2 + 3|E|)/2 + 1
+(see :func:`remark_bounds`).  The scanner samples random two-sex
+operators for arbitrary female sets and checks a theorem: the functional
+phi_F = x_F * x_M (see :mod:`qsodyn.dynamics`) proves that every
+trajectory reaches the absorbing vertex, within
 2*(1/4)^(2^(n-1)) in max norm after n >= 1 steps.
 """
 
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CubicMatrix, proper_subset, proper_subsets, require_valid
+from .core import CubicMatrix, proper_subset, require_valid
 from .documents import MAX_N
 from .operators import FQsoSpec, _check_rows, _f_qso_cube, _mixed_pairs, _stepper
 
@@ -42,20 +43,13 @@ class CountReport:
     n1_tilde_upper_bound: int | None
 
 
-def pair_count(n: int) -> int:
-    """Number of unordered pairs over n states: |E|(|E|+3)/2 + 1 with |E| = n-1."""
-    e = n - 1
-    return e * (e + 3) // 2 + 1
-
-
 def remark_bounds(n_states: int, females: frozenset[int]) -> tuple[int, int]:
-    """Integer bounds (n1 lower, n1_tilde upper) for a two-sex partition."""
+    """Integer bounds (n1 lower, n1_tilde upper) for a two-sex partition; the first exceeds the second."""
     e = n_states - 1
     f = len(females)
     m = e - f
-    numerator = f * f + m * m + 3 * e
-    assert numerator % 2 == 0
-    return numerator // 2 + 1, f * m
+    # Even: f^2 + m^2 + 3e = (f^2 + f) + (m^2 + m) + 2e, since e = f + m.
+    return (f * f + m * m + 3 * e) // 2 + 1, f * m
 
 
 def count_first_row(P: CubicMatrix) -> CountReport:
@@ -83,7 +77,7 @@ def count_first_row(P: CubicMatrix) -> CountReport:
     return CountReport(
         n1=n1,
         n1_tilde=vals.size - n1,
-        total_pairs=pair_count(n),
+        total_pairs=vals.size,
         females=females,
         n1_lower_bound=lower,
         n1_tilde_upper_bound=upper,
@@ -241,34 +235,3 @@ def conjecture_scan(
         fem, steps, final_dist, converged, final_point = run_trial(m, chosen, s_t, iterations, tol)
         results.append(TrialResult(t, s_t, fem, steps, final_dist, converged, final_point))
     return ConjectureReport(results=tuple(results))
-
-
-class PriorityRow(NamedTuple):
-    m: int
-    females: frozenset[int]
-    n1_lower_bound: int
-    n1_tilde_upper_bound: int
-    ok: bool
-
-
-@dataclass(frozen=True, eq=False)
-class PriorityReport:
-    rows: tuple[PriorityRow, ...]
-    all_pass: bool
-
-
-def verify_priority_inequality(m_max: int) -> PriorityReport:
-    """Exhaustively check lower(N1) > upper(N1~) for every m <= m_max and F.
-
-    Enumerates every nonempty proper female set (the empty set and the
-    full set are excluded by construction) and compares the two integer
-    bound formulas.
-    """
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
-    rows = []
-    for m in range(2, m_max + 1):
-        for females in proper_subsets(m):
-            lower, upper = remark_bounds(m + 1, females)
-            rows.append(PriorityRow(m, females, lower, upper, lower > upper))
-    return PriorityReport(rows=tuple(rows), all_pass=all(r.ok for r in rows))

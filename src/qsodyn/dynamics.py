@@ -21,12 +21,12 @@ import scipy  # unused: kept only because bench/worker.py reads sys.modules["sci
 
 from .core import (
     MAX_FLOATS,
+    MAX_STEPS,
     TOL_FIX,
     TOL_SUM,
     ClassificationError,
     CubicMatrix,
     DimensionError,
-    InvalidPointError,
     SimplexPoint,
     _as_readonly,
     _on_simplex,
@@ -382,21 +382,10 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
     return FixedPointReport(candidates, polishes=len(guesses), polishes_accepted=accepted)
 
 
-def cesaro_average(P: CubicMatrix, x0: SimplexPoint, n: int) -> SimplexPoint:
-    """Mean of the first ``n`` trajectory points, (1/n) sum_{j<n} x(j).
-
-    A convex combination of simplex points, so the result is a valid
-    point; ``n = 1`` returns ``x0`` itself.
-    """
-    [(_, mean)] = cesaro_running(P, x0, [n])
-    try:
-        return SimplexPoint(mean)
-    except InvalidPointError:  # accumulated rounding; project back
-        return renormalize(mean)
-
-
 def cesaro_running(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]) -> list[tuple[int, np.ndarray]]:
-    """Running Cesaro averages at the given increasing point counts."""
+    """Running Cesaro averages at the given increasing point counts, the last at most ``MAX_STEPS``."""
+    if schedule and schedule[-1] > MAX_STEPS:
+        raise ValueError(f"the last count must be at most {MAX_STEPS}, got {schedule[-1]}")
     return list(_cesaro_rows(P, x0, schedule))
 
 

@@ -4,8 +4,7 @@ The general quadratic action, builders for the two-sex (F-QSO)
 families studied by this package, the skew-symmetric canonical form of
 Volterra operators, and a preset zoo.  All builders return full cubic
 matrices so that every downstream operation (classification, counting,
-dynamics) works through one code path.  The one closed-form evaluator
-here, :func:`volterra_from_skew`, serves as a cross-check of that path.
+dynamics) works through one code path.
 """
 
 from dataclasses import dataclass
@@ -18,12 +17,10 @@ from .core import (
     ClassificationError,
     CubicMatrix,
     DimensionError,
-    SimplexPoint,
     _as_readonly,
     _on_simplex,
     _Rebuilt,
     classify,
-    renormalize,
 )
 
 #: Tolerance for skew-matrix invariants (antisymmetry, |a| <= 1); row-sum
@@ -83,17 +80,6 @@ def apply_normalized(P: CubicMatrix, values) -> np.ndarray:
     Y = apply_unnormalized(P, values)
     Y /= Y.sum(axis=-1, keepdims=True)
     return Y
-
-
-def apply(P: CubicMatrix, x: SimplexPoint) -> SimplexPoint:
-    """One step of the operator, returned as a validated simplex point.
-
-    ``P`` must pass :func:`qsodyn.core.validate_stochastic`; validity is
-    a precondition and is not re-checked per step.  For a valid matrix
-    the image of a simplex point is nonnegative and sums to 1 within
-    ``TOL_SUM`` before the division.
-    """
-    return SimplexPoint(apply_normalized(P, x.coords))
 
 
 def _mixed_pairs(n: int, females: frozenset[int]) -> list[tuple[int, int]]:
@@ -230,24 +216,6 @@ class SkewMatrix(_Rebuilt):
     @property
     def m(self) -> int:
         return self.a.shape[0]
-
-
-def volterra_from_skew(A: SkewMatrix) -> Callable[[SimplexPoint], SimplexPoint]:
-    """Evaluation closure of the Volterra canonical form.
-
-    The returned operator computes ``x_k' = x_k (1 + sum_i a[k, i] x_i)``
-    directly; it agrees pointwise (within 1e-12) with :func:`apply` on
-    the cubic matrix from :func:`cubic_from_skew`.
-    """
-    a = A.a
-
-    def operator(x: SimplexPoint) -> SimplexPoint:
-        if x.dim != A.m:
-            raise DimensionError(f"point of dim {x.dim} does not match operator with m={A.m}")
-        v = x.coords
-        return renormalize(v * (1.0 + a @ v))
-
-    return operator
 
 
 def cubic_from_skew(A: SkewMatrix) -> CubicMatrix:

@@ -1,14 +1,15 @@
-"""Shared generators for randomized tests."""
+"""Shared generators and oracles for randomized tests."""
 
 import copy
 import dataclasses
+import itertools
 import pickle
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from qsodyn import CubicMatrix
+from qsodyn import CubicMatrix, SimplexPoint, SkewMatrix, apply_normalized, renormalize
 
 
 def assert_frozen(owner, read) -> None:
@@ -71,3 +72,26 @@ def random_skew(rng: np.random.Generator, m: int) -> np.ndarray:
             a[i, k] = value
             a[k, i] = -value
     return a
+
+
+def apply(P: CubicMatrix, x: SimplexPoint) -> SimplexPoint:
+    """One step of the operator as a validated simplex point."""
+    return SimplexPoint(apply_normalized(P, x.coords))
+
+
+def volterra_from_skew(A: SkewMatrix):
+    """Closed-form oracle for :func:`qsodyn.cubic_from_skew`: ``x_k' = x_k (1 + sum_i a[k, i] x_i)``."""
+
+    def operator(x: SimplexPoint) -> SimplexPoint:
+        v = x.coords
+        return renormalize(v * (1.0 + A.a @ v))
+
+    return operator
+
+
+def proper_subsets(m: int) -> list[frozenset[int]]:
+    """Oracle for :func:`qsodyn.core.proper_subset`: the nonempty proper subsets of {1, ..., m}.
+
+    Listed by size, then lexicographically.
+    """
+    return [frozenset(combo) for size in range(1, m) for combo in itertools.combinations(range(1, m + 1), size)]

@@ -12,18 +12,15 @@ from qsodyn import (
     classify,
     conjecture_scan,
     count_first_row,
-    pair_count,
-    proper_subsets,
     remark_bounds,
     run_trial,
     sample_random_f_qso,
     trial_seed,
-    verify_priority_inequality,
 )
 from qsodyn import analysis
 from qsodyn.core import proper_subset
 from qsodyn.operators import _stepper, apply_normalized
-from helpers import random_cubic
+from helpers import proper_subsets, random_cubic
 
 
 def brute_force_counts(P):
@@ -154,12 +151,12 @@ class TestCountFirstRow:
             assert (report.n1, report.n1_tilde) == brute_force_counts(P)
 
     def test_pair_count_identity_large_n(self):
-        """n1 + n1_tilde = |E|(|E|+3)/2 + 1 also beyond the enumeration limit."""
+        """n1 + n1_tilde = n(n+1)/2 also beyond the enumeration limit."""
         rng = np.random.default_rng(41)
         for n in (2, 5, 12, 20):
             P = random_cubic(rng, n)
             report = count_first_row(P)
-            assert report.n1 + report.n1_tilde == report.total_pairs == pair_count(n)
+            assert report.n1 + report.n1_tilde == report.total_pairs == n * (n + 1) // 2
             if n - 1 > 16:
                 assert report.females is None
 
@@ -171,7 +168,7 @@ class TestCountFirstRow:
         p[:, :, 0] = 1.0
         report = count_first_row(CubicMatrix(p))
         assert report.females == frozenset({1})
-        assert report.n1 == pair_count(33) and report.n1_tilde == 0
+        assert report.n1 == 33 * 34 // 2 and report.n1_tilde == 0
         assert (report.n1_lower_bound, report.n1_tilde_upper_bound) == remark_bounds(33, frozenset({1}))
 
     def test_bounds_omitted_without_female_set(self):
@@ -286,18 +283,20 @@ class TestRemarkBounds:
 
 class TestPriorityInequality:
     def test_exhaustive_to_m8(self):
-        report = verify_priority_inequality(8)
-        assert report.all_pass
-        assert len(report.rows) == sum(2**m - 2 for m in range(2, 9))
+        """lower - upper = ((|F| - |M|)^2 + 3|E|)/2 + 1 >= 1 for every (m, F) with m <= 8."""
+        rows = 0
+        for m in range(2, 9):
+            for females in proper_subsets(m):
+                lower, upper = remark_bounds(m + 1, females)
+                f, males = len(females), m - len(females)
+                assert 2 * (lower - upper - 1) == (f - males) ** 2 + 3 * m
+                assert lower > upper
+                rows += 1
+        assert rows == sum(2**m - 2 for m in range(2, 9))
 
     def test_m2_row(self):
-        report = verify_priority_inequality(2)
-        assert {(r.n1_lower_bound, r.n1_tilde_upper_bound) for r in report.rows} == {(5, 1)}
-        assert len(report.rows) == 2
-
-    def test_rejects_tiny_m(self):
-        with pytest.raises(ValueError):
-            verify_priority_inequality(1)
+        assert {remark_bounds(3, females) for females in proper_subsets(2)} == {(5, 1)}
+        assert len(proper_subsets(2)) == 2
 
 
 class TestProperSubset:

@@ -332,6 +332,16 @@ class TestErgodic:
         assert abs(final[0] - 1.0) < 0.05
         assert main(["replay", str(out_csv), "--operator", single_male_doc]) == 0
 
+    def test_count_beyond_the_step_budget_is_a_usage_error(self, rps_doc, tmp_path, capsys):
+        """10**12 points, weeks of steps before the CSV is opened, are refused before the first step."""
+        out_csv = tmp_path / "a.csv"
+        start = time.perf_counter()
+        assert main(["ergodic", rps_doc, "--start", "uniform", "--n", "1000000000000", "--output", str(out_csv)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the last count must be at most {core.MAX_STEPS}") and "Traceback" not in err
+        assert not out_csv.exists()
+
 
 class TestConjecture:
     def test_theorem_regime_converges(self, capsys):

@@ -22,14 +22,13 @@ from qsodyn import (
     build_fqso_m2,
     classify,
     preset,
-    proper_subsets,
     renormalize,
     sample_random_f_qso,
     trajectory,
     validate_stochastic,
 )
 from qsodyn import core, dynamics, operators
-from helpers import assert_frozen, random_cubic, random_simplex, random_skew
+from helpers import assert_frozen, proper_subsets, random_cubic, random_simplex, random_skew
 
 
 class TestSimplexPoint:
@@ -59,6 +58,18 @@ class TestSimplexPoint:
         assert np.allclose(SimplexPoint.uniform(4).coords, 0.25)
         v = SimplexPoint.vertex(3, 1)
         assert np.array_equal(v.coords, [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_constructors_refuse_fewer_than_two_states(self, n):
+        with pytest.raises(DimensionError):
+            SimplexPoint.uniform(n)
+        with pytest.raises(DimensionError):
+            SimplexPoint.vertex(n)
+
+    @pytest.mark.parametrize("k", [5, 3, -1, 1.5, True])
+    def test_vertex_refuses_a_state_that_is_no_int_in_range(self, k):
+        with pytest.raises(ValueError):
+            SimplexPoint.vertex(3, k)
 
 
 #: Rows over three states and whether each is a simplex point: the edge cases of the one simplex rule.

@@ -14,11 +14,9 @@ from qsodyn import (
     ClassificationError,
     DimensionError,
     SimplexPoint,
-    apply,
     build_f_qso,
     build_fqso_m2,
     build_single_male,
-    cesaro_average,
     cesaro_running,
     conjecture_scan,
     convergence_report,
@@ -36,7 +34,7 @@ from qsodyn import (
 from qsodyn import dynamics
 from qsodyn.core import MAX_FLOATS, proper_subset
 from qsodyn.operators import SkewMatrix, apply_normalized, apply_unnormalized, cubic_from_skew
-from helpers import assert_frozen, random_cubic, random_simplex, random_simplex_batch
+from helpers import apply, assert_frozen, random_cubic, random_simplex, random_simplex_batch
 
 
 def random_single_male(rng, m):
@@ -645,37 +643,47 @@ class TestCesaro:
     def test_single_term_returns_start(self):
         P = build_fqso_m2(0.2, 0.5, 0.3)
         x0 = SimplexPoint(np.array([0.1, 0.4, 0.5]))
-        avg = cesaro_average(P, x0, 1)
-        np.testing.assert_array_equal(avg.coords, x0.coords)
+        [(_, avg)] = cesaro_running(P, x0, [1])
+        np.testing.assert_array_equal(avg, x0.coords)
 
     def test_fixed_start_is_constant(self):
         P = build_fqso_m2(0.2, 0.5, 0.3)
         vertex = SimplexPoint.vertex(3)
-        for n in (1, 5, 50):
-            np.testing.assert_array_equal(cesaro_average(P, vertex, n).coords, vertex.coords)
+        for _, avg in cesaro_running(P, vertex, [1, 5, 50]):
+            np.testing.assert_array_equal(avg, vertex.coords)
 
     def test_tracks_the_limit(self):
         """When the orbit converges, the averages converge to the same point."""
         rng = np.random.default_rng(26)
         P = random_single_male(rng, 4)
         x0 = SimplexPoint(random_simplex(rng, 5))
-        avg = cesaro_average(P, x0, 1000)
-        assert np.max(np.abs(avg.coords - SimplexPoint.vertex(5).coords)) <= 1e-2
+        [(_, avg)] = cesaro_running(P, x0, [1000])
+        assert np.max(np.abs(avg - SimplexPoint.vertex(5).coords)) <= 1e-2
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            cesaro_average(build_fqso_m2(0.2, 0.5, 0.3), SimplexPoint.vertex(3), 0)
+            cesaro_running(build_fqso_m2(0.2, 0.5, 0.3), SimplexPoint.vertex(3), [0])
+
+    def test_last_count_is_bounded_by_the_step_budget(self, monkeypatch):
+        """A last count at the budget passes the check; one more is refused before any step."""
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 8)
+        P = build_fqso_m2(0.2, 0.5, 0.3)
+        x0 = SimplexPoint.uniform(3)
+        assert [count for count, _ in cesaro_running(P, x0, [1, 8])] == [1, 8]
+        with pytest.raises(ValueError, match="at most 8, got 9"):
+            cesaro_running(P, x0, [1, 9])
 
     def test_running_rejects_wrong_dimension(self):
         with pytest.raises(DimensionError):
             cesaro_running(build_fqso_m2(0.2, 0.5, 0.3), SimplexPoint.vertex(4), [1, 2])
 
     def test_average_is_last_running_average(self):
+        """An average does not depend on the counts listed before it."""
         rng = np.random.default_rng(28)
         P = random_single_male(rng, 4)
         x0 = SimplexPoint(random_simplex(rng, 5))
-        [(_, running)] = cesaro_running(P, x0, [37])
-        assert np.array_equal(cesaro_average(P, x0, 37).coords, running)
+        [(_, alone)] = cesaro_running(P, x0, [37])
+        assert np.array_equal(cesaro_running(P, x0, [1, 2, 4, 37])[-1][1], alone)
 
 
 def reference_orbit(P, x, steps):
