@@ -12,7 +12,6 @@ import numpy as np
 
 from qsodyn import (
     SimplexPoint,
-    build_f_qso,
     build_single_male,
     convergence_report,
     find_fixed_points,
@@ -41,7 +40,7 @@ print()
 
 # A mixed partition: females {2, 4}, males {1, 3, 5}.  The same three
 # checks hold, with phi_F = (x2 + x4) * (x1 + x3 + x5).
-mixed = convergence_report(build_f_qso(sample_random_f_qso(m, {2, 4}, seed=3)), x0, n_max=12)
+mixed = convergence_report(sample_random_f_qso(m, {2, 4}, seed=3), x0, n_max=12)
 flags = (mixed.bound_ok.all(), mixed.squared_contraction_ok.all(), mixed.coordinate_bound_ok.all())
 print(f"mixed partition, F={{2,4}}: {mixed.mode}; bound, contraction, coordinate bound hold: {all(flags)}")
 print()

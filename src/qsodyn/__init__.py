@@ -66,7 +66,6 @@ from .dynamics import (
     trajectory,
 )
 from .operators import (
-    FQsoSpec,
     PRESETS,
     SkewMatrix,
     apply_normalized,

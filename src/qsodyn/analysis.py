@@ -4,10 +4,11 @@ The k = 0 slice of a cubic matrix, indexed by unordered parent pairs,
 counts how often the empty-body child is certain (N1) versus uncertain
 (N1~).  For any two-sex operator N1 strictly exceeds N1~: the lower
 bound on N1 exceeds the upper bound on N1~ by ((|F| - |M|)^2 + 3|E|)/2 + 1
-(see :func:`remark_bounds`).  The scanner samples random two-sex
-operators for arbitrary female sets and checks a theorem: the functional
-phi_F = x_F * x_M (see :mod:`qsodyn.dynamics`) proves that every
-trajectory reaches the absorbing vertex, within
+(see :func:`remark_bounds`).  The sampler hands one block of random
+mixed-pair rows to the two-sex writer of :mod:`qsodyn.operators`; the
+scanner runs such operators for arbitrary female sets and checks a
+theorem: the functional phi_F = x_F * x_M (see :mod:`qsodyn.dynamics`)
+proves that every trajectory reaches the absorbing vertex, within
 2*(1/4)^(2^(n-1)) in max norm after n >= 1 steps.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .core import CubicMatrix, proper_subset, require_valid
 from .documents import MAX_N
-from .operators import FQsoSpec, _check_rows, _f_qso_cube, _mixed_pairs, _stepper
+from .operators import _f_qso_cube, _mixed_pairs, _stepper
 
 #: What every scan report checks.
 EVIDENCE_NOTE = "randomized check of a theorem: phi_F = x_F*x_M proves every two-sex orbit reaches the vertex"
@@ -84,26 +85,20 @@ def count_first_row(P: CubicMatrix) -> CountReport:
     )
 
 
-def _mixed_block(m: int, females, seed: int):
-    """Check the arguments, then return (F, sorted mixed pairs, one unchecked normalised exponential row per pair)."""
-    if m + 1 > MAX_N:
-        raise ValueError(f"m + 1 = {m + 1} states exceed the limit of {MAX_N}")
-    females = frozenset(females)
-    pairs = _mixed_pairs(m + 1, females)
-    rows = np.random.default_rng(seed).standard_exponential((len(pairs), m + 1))
-    rows /= rows.sum(axis=1, keepdims=True)
-    return females, pairs, rows
-
-
-def sample_random_f_qso(m: int, females, seed: int) -> FQsoSpec:
-    """Draw a random two-sex operator spec, deterministically from the seed.
+def sample_random_f_qso(m: int, females, seed: int) -> CubicMatrix:
+    """Draw a random two-sex operator on states 0..m, deterministically from the seed.
 
     Each mixed pair's offspring distribution is uniform on the simplex:
     one block of exponential variates, a row per pair in sorted order,
-    normalised in place; equal (m, females, seed) give equal specs bitwise.
+    normalised in place; equal (m, females, seed) give equal cubes bitwise.
+    The state count and the female set are checked before any draw.
     """
-    females, pairs, rows = _mixed_block(m, females, seed)
-    return FQsoSpec(n=m + 1, females=females, mixed=dict(zip(pairs, rows)))
+    if m + 1 > MAX_N:
+        raise ValueError(f"m + 1 = {m + 1} states exceed the limit of {MAX_N}")
+    pairs = _mixed_pairs(m + 1, frozenset(females))
+    rows = np.random.default_rng(seed).standard_exponential((len(pairs), m + 1))
+    rows /= rows.sum(axis=1, keepdims=True)
+    return _f_qso_cube(m + 1, pairs, rows)
 
 
 class TrialResult(NamedTuple):
@@ -113,7 +108,6 @@ class TrialResult(NamedTuple):
     steps: int  # first step within tol of the vertex, -1 if never
     final_dist: float
     converged: bool  # final-step test: dist at the last iterate <= tol
-    final_point: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,25 +146,23 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([master_seed, trial]).generate_state(1)[0])
 
 
-def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[frozenset[int], int, float, bool, np.ndarray]:
+def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[frozenset[int], int, float, bool]:
     """One scan trial, fully determined by (m, females, seed).
 
-    The operator is the block of :func:`sample_random_f_qso` for ``seed``,
-    written into the cube with index arrays; the interior start comes from
-    SeedSequence([seed, 1]).  Up to ``iterations`` steps, stopping at the
-    exact vertex, which is fixed (V(e0) = e0 bitwise), so every ``tol``
-    gets the result of all the steps.  Returns (females, first step within
-    tol or -1, final distance, final-step converged flag, final point).
+    The operator is :func:`sample_random_f_qso` for ``seed``; the interior
+    start comes from SeedSequence([seed, 1]).  Up to ``iterations`` steps,
+    stopping at the exact vertex, which is fixed (V(e0) = e0 bitwise), so
+    every ``tol`` gets the result of all the steps.  Returns (females,
+    first step within tol or -1, final distance, final-step converged flag).
     ``iterations < 1``, or a NaN ``tol``, which no distance can fall within, raises ``ValueError``.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
-    females, pairs, rows = _mixed_block(m, females, seed)
-    _check_rows(rows, pairs)
+    females = frozenset(females)
+    advance = _stepper(sample_random_f_qso(m, females, seed), batch=False)
     n = m + 1
-    advance = _stepper(_f_qso_cube(n, pairs, rows), batch=False)
     draw = np.random.default_rng(np.random.SeedSequence([seed, 1])).standard_exponential(n)
     x = draw / draw.sum()
 
@@ -185,7 +177,7 @@ def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[
         dist = float(abs(x - vertex).max())
         if first_hit < 0 and dist <= tol:
             first_hit = step
-    return females, first_hit, dist, dist <= tol, x
+    return females, first_hit, dist, dist <= tol
 
 
 def conjecture_scan(
@@ -232,6 +224,5 @@ def conjecture_scan(
             chosen = proper_subset(m, int(pick_rng.integers(2**m - 2)))
         else:
             chosen = females
-        fem, steps, final_dist, converged, final_point = run_trial(m, chosen, s_t, iterations, tol)
-        results.append(TrialResult(t, s_t, fem, steps, final_dist, converged, final_point))
+        results.append(TrialResult(t, s_t, *run_trial(m, chosen, s_t, iterations, tol)))
     return ConjectureReport(results=tuple(results))

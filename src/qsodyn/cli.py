@@ -327,7 +327,7 @@ def _replay_conjecture(rows: list[list[str]], args) -> int:
     worst = 0.0
     mismatches = 0
     for seed, f_cell, steps1, dist1, conv1 in zip(seeds, f_cells, steps, final_dists, converged):
-        _, steps2, dist2, conv2, _ = analysis.run_trial(
+        _, steps2, dist2, conv2 = analysis.run_trial(
             args.m, _parse_females(f_cell), seed, args.iterations, args.tol
         )
         worst = max(worst, abs(dist2 - dist1))

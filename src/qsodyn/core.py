@@ -78,6 +78,14 @@ class _Rebuilt:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
+def _check_state_count(n) -> None:
+    """Refuse a state count that is no exact ``int`` (``ValueError``), or one below 2 (``DimensionError``)."""
+    if type(n) is not int:
+        raise ValueError(f"state count must be an int, got {n!r}")
+    if n < 2:
+        raise DimensionError("simplex point needs at least 2 coordinates")
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexPoint(_Rebuilt):
     """A probability vector: nonnegative coordinates summing to 1.
@@ -105,16 +113,14 @@ class SimplexPoint(_Rebuilt):
 
     @staticmethod
     def uniform(n: int) -> "SimplexPoint":
-        """The barycenter (1/n, ..., 1/n)."""
-        if n < 2:
-            raise DimensionError("simplex point needs at least 2 coordinates")
+        """The barycenter (1/n, ..., 1/n) over ``n`` states, an exact ``int`` (else ``ValueError``)."""
+        _check_state_count(n)
         return SimplexPoint(np.full(n, 1.0 / n))
 
     @staticmethod
     def vertex(n: int, k: int = 0) -> "SimplexPoint":
-        """The vertex with all mass on state ``k``, an exact ``int`` from 0 to ``n - 1`` (else ``ValueError``)."""
-        if n < 2:
-            raise DimensionError("simplex point needs at least 2 coordinates")
+        """The vertex with all mass on state ``k``; ``n`` and ``k`` are exact ``int`` s (else ``ValueError``), k < n."""
+        _check_state_count(n)
         if type(k) is not int or not 0 <= k < n:
             raise ValueError(f"vertex state must be an int from 0 to {n - 1}, got {k!r}")
         coords = np.zeros(n)

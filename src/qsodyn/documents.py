@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CubicMatrix, QsoError
-from .operators import FQsoSpec, SkewMatrix, build_f_qso, cubic_from_skew, preset
+from .operators import SkewMatrix, _mixed_pairs, build_f_qso, cubic_from_skew, preset
 
 SCHEMA_VERSION = "1"
 KINDS = ("cubic", "f_qso", "volterra_skew", "preset")
@@ -169,10 +169,16 @@ def _expand_f_qso(n: int, payload: dict) -> CubicMatrix:
         _require_numbers(row["dist"], f"mixed row {row!r} dist")
         mixed[(row["i"], row["j"])] = row["dist"]
     try:
-        spec = FQsoSpec(n=n, females=frozenset(females), mixed=mixed)
+        pairs = _mixed_pairs(n, frozenset(females))
+        expected = set(pairs)
+        if set(mixed) != expected:
+            raise ValueError(
+                "mixed distributions must be given for exactly the (female, male) pairs; "
+                f"missing {expected - set(mixed)}, unexpected {set(mixed) - expected}"
+            )
+        return build_f_qso(n, females, [mixed[pair] for pair in pairs])
     except _REJECTED as exc:
         raise DocumentError(f"f_qso payload invalid: {exc}") from exc
-    return build_f_qso(spec)
 
 
 def _expand_skew(n: int, payload: dict) -> CubicMatrix:

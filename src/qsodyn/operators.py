@@ -1,15 +1,14 @@
 """Construction and evaluation of quadratic stochastic operators.
 
-The general quadratic action, builders for the two-sex (F-QSO)
-families studied by this package, the skew-symmetric canonical form of
-Volterra operators, and a preset zoo.  All builders return full cubic
-matrices so that every downstream operation (classification, counting,
-dynamics) works through one code path.
+The general quadratic action, the two-sex (F-QSO) builder with its
+families, the skew-symmetric canonical form of Volterra operators, and a
+preset zoo.  One private writer, which checks its rows, writes every
+two-sex cube.  All builders return full cubic matrices so that every
+downstream operation (classification, counting, dynamics) works through one code path.
 """
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -97,56 +96,24 @@ def _check_rows(rows: np.ndarray, pairs) -> None:
         raise ValueError(f"mixed-pair rows are not probability vectors: pair {pairs[int(bad.argmax())]}")
 
 
-@dataclass(frozen=True, eq=False)
-class FQsoSpec:
-    """Compact description of a two-sex operator: a female set plus the
-    free offspring distributions of the mixed pairs.
+def build_f_qso(n: int, females, rows) -> CubicMatrix:
+    """The two-sex operator on states 0..n-1 with female set ``females``.
 
-    ``mixed`` maps each pair ``(i, j)`` with ``i`` female and ``j`` male
-    to a probability distribution over the n child states.  Only the
-    (female, male) orientation is stored; expansion writes both
-    orientations of the symmetric cubic matrix.  The distributions are
-    stacked into one read-only (pairs, n) block, checked at once, and
-    ``mixed`` becomes a read-only mapping onto its rows, in the given order.
+    ``rows`` is the ``(|F|*|M|, n)`` block of offspring distributions of
+    the mixed pairs, in the sorted (female, male) order of
+    :func:`_mixed_pairs`: row ``r`` is written on both orientations of
+    pair ``r``.  Every other pair, both parents female or both male
+    (state 0 counting as both), is the empty body.
     """
-
-    n: int
-    females: frozenset[int]
-    mixed: Mapping[tuple[int, int], np.ndarray]
-
-    def __post_init__(self):
-        females = frozenset(self.females)
-        expected = set(_mixed_pairs(self.n, females))
-        if set(self.mixed) != expected:
-            raise ValueError(
-                "mixed distributions must be given for exactly the (female, male) pairs; "
-                f"missing {expected - set(self.mixed)}, unexpected {set(self.mixed) - expected}"
-            )
-        rows = _as_readonly(list(self.mixed.values()))
-        if rows.shape != (len(expected), self.n):
-            raise ValueError(f"mixed distributions need {self.n} entries each; they stack to {rows.shape}")
-        _check_rows(rows, list(self.mixed))
-        object.__setattr__(self, "females", females)
-        object.__setattr__(self, "mixed", MappingProxyType(dict(zip(self.mixed, rows))))
-
-    def __reduce__(self):  # a copy or an unpickled spec is built anew: a read-only mapping onto a frozen block
-        return FQsoSpec, (self.n, self.females, dict(self.mixed))
-
-
-def build_f_qso(spec: FQsoSpec) -> CubicMatrix:
-    """Expand an :class:`FQsoSpec` into its cubic matrix.
-
-    Every pair starts as the empty body (state 0 with probability
-    exactly 1); then each mixed pair gets its free distribution, written
-    symmetrically.  ``FQsoSpec`` guarantees that the mixed pairs are
-    exactly F x M, so the pairs left empty-body are the same-class ones
-    (both parents female or both male, with state 0 counting as both).
-    """
-    return _f_qso_cube(spec.n, list(spec.mixed), list(spec.mixed.values()))
+    return _f_qso_cube(n, _mixed_pairs(n, frozenset(females)), rows)
 
 
 def _f_qso_cube(n: int, pairs, rows) -> CubicMatrix:
-    """The empty body on every pair, then ``rows[r]`` on both orientations of ``pairs[r]``."""
+    """The one two-sex writer: check the rows, write the empty body everywhere, then ``rows[r]`` on ``pairs[r]``."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape != (len(pairs), n):
+        raise ValueError(f"mixed distributions need {n} entries each; they stack to {rows.shape}")
+    _check_rows(rows, pairs)
     i, j = np.array(pairs).T
     p = np.zeros((n, n, n))
     p[:, :, 0] = 1.0
@@ -163,8 +130,8 @@ def build_fqso_m2(a: float, b: float, c: float) -> CubicMatrix:
 
         x0' = 1 - 2(1-a) x1 x2,   x1' = 2b x1 x2,   x2' = 2c x1 x2.
     """
-    # Unary plus refuses a non-number with TypeError; FQsoSpec's float conversion would parse a string.
-    return build_f_qso(FQsoSpec(n=3, females=frozenset({2}), mixed={(2, 1): [+a, +b, +c]}))
+    # Unary plus refuses a non-number with TypeError; the builder's float conversion would parse a string.
+    return build_f_qso(3, {2}, [[+a, +b, +c]])
 
 
 def build_single_male(table) -> CubicMatrix:
@@ -183,8 +150,7 @@ def build_single_male(table) -> CubicMatrix:
     if rows.ndim != 2 or not 1 <= rows.shape[0] == rows.shape[1] - 2:
         raise DimensionError(f"table shape {rows.shape} invalid: expected (m-1, m+1) with m >= 2")
     m = rows.shape[0] + 1
-    mixed = {(i, 1): rows[i - 2] for i in range(2, m + 1)}
-    return build_f_qso(FQsoSpec(n=m + 1, females=frozenset(range(2, m + 1)), mixed=mixed))
+    return build_f_qso(m + 1, range(2, m + 1), rows)  # the pairs (i, 1) in sorted order are the table's rows
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,6 @@ import pytest
 
 from qsodyn import (
     SimplexPoint,
-    build_f_qso,
     build_fqso_m2,
     build_single_male,
     cesaro_running,
@@ -206,7 +205,7 @@ def test_criterion_6_first_row_combinatorics():
         for females in proper_subsets(m):
             lower, upper = remark_bounds(m + 1, females)
             for _ in range(2):
-                P = build_f_qso(sample_random_f_qso(m, females, int(rng.integers(2**32))))
+                P = sample_random_f_qso(m, females, int(rng.integers(2**32)))
                 iu = np.triu_indices(m + 1)
                 vals = P.p[:, :, 0][iu]
                 n1 = int(np.count_nonzero(vals == 1.0))
@@ -220,7 +219,7 @@ def test_criterion_6_first_row_combinatorics():
         m = int(rng.integers(2, 9))
         subsets = proper_subsets(m)
         females = subsets[int(rng.integers(len(subsets)))]
-        P = build_f_qso(sample_random_f_qso(m, females, int(rng.integers(2**32))))
+        P = sample_random_f_qso(m, females, int(rng.integers(2**32)))
         iu = np.triu_indices(m + 1)
         vals = P.p[:, :, 0][iu]
         n1 = int(np.count_nonzero(vals == 1.0))

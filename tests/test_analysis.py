@@ -6,8 +6,6 @@ import pytest
 from qsodyn import (
     EVIDENCE_NOTE,
     CubicMatrix,
-    FQsoSpec,
-    build_f_qso,
     build_fqso_m2,
     classify,
     conjecture_scan,
@@ -17,7 +15,7 @@ from qsodyn import (
     sample_random_f_qso,
     trial_seed,
 )
-from qsodyn import analysis
+from qsodyn import analysis, operators
 from qsodyn.core import proper_subset
 from qsodyn.operators import _stepper, apply_normalized
 from helpers import proper_subsets, random_cubic
@@ -39,26 +37,27 @@ def brute_force_counts(P):
 # --- the per-pair sampler and the full-length trial, kept as oracles -------
 
 
+def sorted_pairs(n, females):
+    """The (female, male) pairs over states 1..n-1, females in the outer loop, both sorted."""
+    males = sorted(set(range(1, n)) - set(females))
+    return [(i, j) for i in sorted(females) for j in males]
+
+
 def sample_random_f_qso_loop(m, females, seed):
-    """The per-pair sampler: one exponential draw per mixed pair, in sorted order."""
+    """The per-pair sampler: one exponential draw per mixed pair, in sorted pair order, as (pairs, m + 1) rows."""
     rng = np.random.default_rng(seed)
-    n = m + 1
-    females = frozenset(females)
-    males = sorted(set(range(1, m + 1)) - females)
-    mixed = {}
-    for i in sorted(females):
-        for j in males:
-            draw = rng.standard_exponential(n)
-            mixed[(i, j)] = draw / draw.sum()
-    return FQsoSpec(n=n, females=females, mixed=mixed)
+    rows = []
+    for _ in sorted_pairs(m + 1, females):
+        draw = rng.standard_exponential(m + 1)
+        rows.append(draw / draw.sum())
+    return np.array(rows)
 
 
-def build_f_qso_loop(spec):
-    """The per-pair cube builder."""
-    n = spec.n
+def build_f_qso_loop(n, females, rows):
+    """The per-pair cube builder: row r on both orientations of the r-th sorted pair."""
     p = np.zeros((n, n, n))
     p[:, :, 0] = 1.0
-    for (i, j), dist in spec.mixed.items():
+    for (i, j), dist in zip(sorted_pairs(n, females), rows, strict=True):
         p[i, j, :] = dist
         p[j, i, :] = dist
     return p
@@ -66,7 +65,7 @@ def build_f_qso_loop(spec):
 
 def oracle_trial_start(m, females, seed):
     """A trial's operator, from the per-pair code, and its interior start."""
-    P = CubicMatrix(build_f_qso_loop(sample_random_f_qso_loop(m, females, seed)))
+    P = CubicMatrix(build_f_qso_loop(m + 1, females, sample_random_f_qso_loop(m, females, seed)))
     start_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     draw = start_rng.standard_exponential(m + 1)
     return P, draw / draw.sum()
@@ -135,12 +134,12 @@ class TestCountFirstRow:
 
     def test_bounds_for_m4(self):
         """m = 4, F = {2,3,4}: lower bound 12, upper bound 3, 15 pairs."""
-        spec = sample_random_f_qso(4, {2, 3, 4}, seed=0)
-        report = count_first_row(build_f_qso(spec))
+        P = sample_random_f_qso(4, {2, 3, 4}, seed=0)
+        report = count_first_row(P)
         assert report.total_pairs == 15
         assert report.n1_lower_bound == 12
         assert report.n1_tilde_upper_bound == 3
-        assert brute_force_counts(build_f_qso(spec)) == (report.n1, report.n1_tilde)
+        assert brute_force_counts(P) == (report.n1, report.n1_tilde)
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = np.random.default_rng(40)
@@ -183,20 +182,15 @@ class TestSampleRandomFQso:
     def test_deterministic(self):
         s1 = sample_random_f_qso(4, {2, 3}, seed=123)
         s2 = sample_random_f_qso(4, {2, 3}, seed=123)
-        assert s1.females == s2.females
-        for key in s1.mixed:
-            np.testing.assert_array_equal(s1.mixed[key], s2.mixed[key])
+        assert np.array_equal(s1.p, s2.p)
 
     def test_seed_changes_draw(self):
         s1 = sample_random_f_qso(4, {2, 3}, seed=1)
         s2 = sample_random_f_qso(4, {2, 3}, seed=2)
-        assert any(
-            not np.array_equal(s1.mixed[key], s2.mixed[key]) for key in s1.mixed
-        )
+        assert not np.array_equal(s1.p, s2.p)
 
     def test_m2_expansion_is_the_single_pair_family(self):
-        spec = sample_random_f_qso(2, {2}, seed=7)
-        P = build_f_qso(spec)
+        P = sample_random_f_qso(2, {2}, seed=7)
         a, b, c = (float(P.p[1, 2, k]) for k in range(3))
         assert abs(a + b + c - 1.0) <= 1e-12
         assert np.array_equal(P.p, build_fqso_m2(a, b, c).p)
@@ -205,22 +199,17 @@ class TestSampleRandomFQso:
         from qsodyn import validate_stochastic
 
         for seed in range(200):
-            spec = sample_random_f_qso(4, {2, 3}, seed=seed)
-            P = build_f_qso(spec)
+            P = sample_random_f_qso(4, {2, 3}, seed=seed)
             assert validate_stochastic(P).ok
             assert frozenset({2, 3}) in classify(P).f_qso_sets
 
     @pytest.mark.parametrize("m", [*range(2, 14), 40, 255])
     def test_block_draw_matches_the_per_pair_loop(self, m):
+        """The sampled cube is bitwise the per-pair draws written pair by pair."""
         for females in ({1}, set(range(1, m // 2 + 1)), {m}):
             for seed in (0, 17):
-                spec = sample_random_f_qso(m, females, seed)
-                oracle = sample_random_f_qso_loop(m, females, seed)
-                assert spec.females == oracle.females
-                assert list(spec.mixed) == list(oracle.mixed)
-                assert all(np.array_equal(spec.mixed[key], oracle.mixed[key]) for key in oracle.mixed)
-                if m <= 40:
-                    assert np.array_equal(build_f_qso(spec).p, build_f_qso_loop(oracle))
+                oracle = build_f_qso_loop(m + 1, females, sample_random_f_qso_loop(m, females, seed))
+                assert np.array_equal(sample_random_f_qso(m, females, seed).p, oracle)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan])
     def test_block_that_is_not_a_probability_vector_is_refused(self, bad, monkeypatch):
@@ -237,20 +226,28 @@ class TestSampleRandomFQso:
             run_trial(4, {1, 2}, 0, 50, 1e-8)
 
     def test_each_path_checks_its_block_once(self, monkeypatch):
-        """``sample_random_f_qso`` (through ``FQsoSpec``) and ``run_trial`` each run ``_check_rows`` once."""
+        """The sampler, and ``run_trial`` through it, each find the pairs, write the cube and check its block once."""
         calls = []
-        check = analysis._check_rows
 
-        def counted(rows, pairs):
-            calls.append(rows.shape)
-            check(rows, pairs)
+        def counting(name):
+            original = getattr(operators, name)
 
-        monkeypatch.setattr(analysis, "_check_rows", counted)
-        monkeypatch.setattr("qsodyn.operators._check_rows", counted)
+            def counted(*args):
+                calls.append((name, np.shape(args[0])))
+                return original(*args)
+
+            return counted
+
+        for name in ("_mixed_pairs", "_f_qso_cube", "_check_rows"):
+            counted = counting(name)
+            monkeypatch.setattr(operators, name, counted)
+            if hasattr(analysis, name):
+                monkeypatch.setattr(analysis, name, counted)
+        once = [("_mixed_pairs", ()), ("_f_qso_cube", ()), ("_check_rows", (15, 9))]
         sample_random_f_qso(8, {2, 3, 5}, 1)
-        assert calls == [(15, 9)]
+        assert calls == once
         run_trial(8, {2, 3, 5}, 1, 50, 1e-8)
-        assert calls == [(15, 9), (15, 9)]
+        assert calls == once + once
 
     def test_rejects_bad_female_set(self):
         with pytest.raises(ValueError):
@@ -273,7 +270,7 @@ class TestRemarkBounds:
             m = int(rng.integers(2, 9))
             subsets = proper_subsets(m)
             females = subsets[int(rng.integers(len(subsets)))]
-            P = build_f_qso(sample_random_f_qso(m, females, int(rng.integers(2**32))))
+            P = sample_random_f_qso(m, females, int(rng.integers(2**32)))
             report = count_first_row(P)
             lower, upper = remark_bounds(m + 1, females)
             assert report.n1 >= lower
@@ -386,7 +383,7 @@ class TestConjectureScan:
     def test_run_trial_reproduces_scan_rows(self):
         report = conjecture_scan(m=3, trials=8, iterations=15, tol=1e-8, seed=8, females={3})
         for row in report.results:
-            females, steps, final_dist, converged, _ = run_trial(
+            females, steps, final_dist, converged = run_trial(
                 3, row.females, row.seed, 15, 1e-8
             )
             assert (females, steps, final_dist, converged) == (
@@ -398,13 +395,20 @@ class TestConjectureScan:
 
     @pytest.mark.parametrize("m, policy", list(scan_cases()))
     def test_scan_matches_the_full_length_oracle(self, m, policy, monkeypatch):
-        """Spec, cube, steps, distance, flag and final point equal the per-pair, all-steps code."""
+        """Cube, steps, distance, flag and final point equal the per-pair, all-steps code."""
         tols = (0.0, 1e-8, -1.0)
-        cubes = []
+        cubes, finals = [], []
 
         def recording(P, batch):
             cubes.append(P)
-            return _stepper(P, batch)
+            finals.append(None)
+            step = _stepper(P, batch)
+
+            def recorded(x):
+                finals[-1] = step(x)
+                return finals[-1]
+
+            return recorded
 
         monkeypatch.setattr(analysis, "_stepper", recording)
         trials = 3 if m <= 13 else 1
@@ -412,18 +416,19 @@ class TestConjectureScan:
             oracles = {}
             for tol in tols:
                 cubes.clear()
+                finals.clear()
                 report = conjecture_scan(
                     m, trials, iterations=iterations, tol=tol, seed=m,
                     females={1} if policy == "fixed" else policy,
                 )
                 assert len(cubes) == trials
-                for row, cube in zip(report.results, cubes):
+                for row, cube, final in zip(report.results, cubes, finals):
                     key = (row.females, row.seed)
                     if key not in oracles:
                         oracles[key] = run_trial_full(m, row.females, row.seed, iterations, tols)
                     by_tol, x, p = oracles[key]
                     assert (row.steps, row.final_dist, row.converged) == by_tol[tol]
-                    assert np.array_equal(row.final_point, x)
+                    assert np.array_equal(final, x)
                     assert np.array_equal(cube.p, p)
 
     @pytest.mark.parametrize("m", [2, 4, 8, 12])
@@ -434,8 +439,8 @@ class TestConjectureScan:
             step = _stepper(P, batch)
 
             def counted(x):
-                calls.append(1)
-                return step(x)
+                calls.append(step(x))
+                return calls[-1]
 
             return counted
 
@@ -447,8 +452,9 @@ class TestConjectureScan:
             assert hit < 50
             for iterations, expected in ((50, hit), (hit, hit), (hit - 1, hit - 1)):
                 calls.clear()
-                _, _, final_dist, _, x = run_trial(m, females, seed, iterations, -1.0)
+                final_dist = run_trial(m, females, seed, iterations, -1.0)[2]
                 assert len(calls) == expected
+                x = calls[-1]  # the trial's final point
                 assert np.array_equal(x, np.eye(m + 1)[0]) == (final_dist == 0.0) == (expected == hit)
 
     def test_trial_seed_scheme(self):

@@ -13,7 +13,6 @@ from qsodyn import (
     CubicMatrix,
     OperatorDocument,
     apply_normalized,
-    build_f_qso,
     build_fqso_m2,
     build_single_male,
     document_from_matrix,
@@ -259,7 +258,7 @@ class TestPhiColumn:
 
     def test_general_f_qso_cells_are_phi_f(self, tmp_path, capsys):
         path = tmp_path / "f.json"
-        save_document(document_from_matrix(build_f_qso(sample_random_f_qso(5, {2, 4}, seed=3))), path)
+        save_document(document_from_matrix(sample_random_f_qso(5, {2, 4}, seed=3)), path)
         for seed in range(5):
             rows = self.cells(tmp_path, str(path), 6, seed)
             assert len(rows) < 61 and "stop reason: converged" in capsys.readouterr().out
@@ -666,6 +665,37 @@ class TestMalformedDocumentsExit2:
         assert main(["validate", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_f_qso_refusal_texts(self, tmp_path, capsys):
+        """Each refusal of an ``f_qso`` document names its fault; a bad row is named in sorted pair order."""
+        d4 = [0.5, 0.25, 0.25, 0.0]
+        bad = [0.5, 0.5, 0.5, 0.0]
+        invalid = "error: f_qso payload invalid: "
+        cases = [
+            ({"f": [2], "mixed": [{"i": 2, "j": 1, "dist": d4}]},
+             "mixed distributions must be given for exactly the (female, male) pairs; "
+             "missing {(2, 3)}, unexpected set()\n"),
+            ({"f": [2], "mixed": [{"i": 2, "j": 1, "dist": d4}, {"i": 2, "j": 3, "dist": d4},
+                                  {"i": 1, "j": 2, "dist": d4}]},
+             "mixed distributions must be given for exactly the (female, male) pairs; "
+             "missing set(), unexpected {(1, 2)}\n"),
+            ({"f": [2], "mixed": [{"i": 2, "j": 1, "dist": d4[:3]}, {"i": 2, "j": 3, "dist": d4[:3]}]},
+             "mixed distributions need 4 entries each; they stack to (2, 3)\n"),
+            ({"f": [2], "mixed": [{"i": 2, "j": 1, "dist": d4}, {"i": 2, "j": 3, "dist": d4[:3]}]},
+             "setting an array element with a sequence."),  # numpy's text, up to its first sentence
+            ({"f": [1, 2, 3], "mixed": []}, "female set {1, 2, 3} must be a nonempty proper subset of {1,...,3}\n"),
+            ({"f": [2], "mixed": [{"i": 2, "j": 1, "dist": d4}, {"i": 2, "j": 3, "dist": bad}]},
+             "mixed-pair rows are not probability vectors: pair (2, 3)\n"),
+            ({"f": [2], "mixed": [{"i": 2, "j": 3, "dist": bad}, {"i": 2, "j": 1, "dist": bad}]},
+             "mixed-pair rows are not probability vectors: pair (2, 1)\n"),
+        ]
+        path = tmp_path / "doc.json"
+        for payload, text in cases:
+            path.write_text(json.dumps({"schema_version": "1", "kind": "f_qso", "n": 4, "payload": payload}))
+            assert main(["validate", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == invalid + text if text.endswith("\n") else err.startswith(invalid + text)
+
     @pytest.mark.parametrize(
         "kind, n, payload",
         [
@@ -684,7 +714,7 @@ class TestMalformedDocumentsExit2:
     @pytest.mark.parametrize("n, rows", [(3, 259), (4, 1), (4, 3)])
     def test_single_male_table_rows_off_declared_n_build_nothing(self, tmp_path, monkeypatch, capsys, n, rows):
         """A table whose rows do not match n - 2 (259 x 261 under n = 3) is refused before the builder runs."""
-        def refuse(spec):
+        def refuse(*args):
             raise AssertionError("the builder ran for a mismatched table")
 
         monkeypatch.setattr("qsodyn.operators.build_f_qso", refuse)

@@ -18,7 +18,6 @@ from qsodyn import (
     SimplexPoint,
     SkewMatrix,
     StochasticityError,
-    build_f_qso,
     build_fqso_m2,
     classify,
     preset,
@@ -59,11 +58,13 @@ class TestSimplexPoint:
         v = SimplexPoint.vertex(3, 1)
         assert np.array_equal(v.coords, [0.0, 1.0, 0.0])
 
-    @pytest.mark.parametrize("n", [-1, 0, 1])
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2.5, "3", 3.0])
     def test_constructors_refuse_fewer_than_two_states(self, n):
-        with pytest.raises(DimensionError):
+        """Below two states is a ``DimensionError``; a count that is no exact int is a ``ValueError``."""
+        error = DimensionError if type(n) is int else ValueError
+        with pytest.raises(error):
             SimplexPoint.uniform(n)
-        with pytest.raises(DimensionError):
+        with pytest.raises(error):
             SimplexPoint.vertex(n)
 
     @pytest.mark.parametrize("k", [5, 3, -1, 1.5, True])
@@ -123,7 +124,7 @@ class TestOneSimplexRule:
 
 
 def _two_sex_trajectory():
-    P = build_f_qso(sample_random_f_qso(4, {2, 4}, seed=5))
+    P = sample_random_f_qso(4, {2, 4}, seed=5)
     return trajectory(P, SimplexPoint.uniform(5), 6, tol=1e-9, reference=SimplexPoint.vertex(5))
 
 
@@ -132,7 +133,6 @@ FROZEN_VALUES = {
     "SimplexPoint": (lambda: SimplexPoint(random_simplex(np.random.default_rng(31), 4)), lambda v: v.coords),
     "CubicMatrix": (lambda: random_cubic(np.random.default_rng(32), 3), lambda v: v.p),
     "SkewMatrix": (lambda: SkewMatrix(random_skew(np.random.default_rng(33), 4)), lambda v: v.a),
-    "FQsoSpec": (lambda: sample_random_f_qso(5, {1, 3}, seed=2), lambda v: next(iter(v.mixed.values()))),
     "Trajectory": (_two_sex_trajectory, lambda v: v.coords),
     "Trajectory without sides": (
         lambda: trajectory(preset("constant_m1"), SimplexPoint.uniform(2), 2), lambda v: v.coords
@@ -305,14 +305,12 @@ class TestClassify:
                 assert not report.is_volterra
 
     def test_f_sets_closed_under_complement(self):
-        from qsodyn import build_f_qso, sample_random_f_qso
-
         rng = np.random.default_rng(5)
         for _ in range(20):
             m = int(rng.integers(2, 6))
             subsets = proper_subsets(m)
             females = subsets[int(rng.integers(len(subsets)))]
-            P = build_f_qso(sample_random_f_qso(m, females, int(rng.integers(2**32))))
+            P = sample_random_f_qso(m, females, int(rng.integers(2**32)))
             f_sets = set(classify(P).f_qso_sets)
             full = frozenset(range(1, m + 1))
             assert {full - s for s in f_sets} == f_sets
@@ -330,10 +328,7 @@ class TestClassify:
 
     def test_pattern_is_scale_free(self):
         """Shuffling mass inside an interior mixed distribution keeps the female sets."""
-        from qsodyn import build_f_qso, sample_random_f_qso
-
-        spec = sample_random_f_qso(4, {2, 3}, seed=99)
-        P = build_f_qso(spec)
+        P = sample_random_f_qso(4, {2, 3}, seed=99)
         before = classify(P).f_qso_sets
         p = np.array(P.p)
         # move mass between two children of the mixed pair (2, 1)
@@ -441,7 +436,7 @@ class TestPairGraphClassification:
         subsets = proper_subsets(m)
         for trial in range(25):
             females = subsets[int(rng.integers(len(subsets)))]
-            p = np.array(build_f_qso(sample_random_f_qso(m, females, seed=trial)).p)
+            p = np.array(sample_random_f_qso(m, females, seed=trial).p)
             for i in sorted(females):
                 for j in sorted(set(range(1, m + 1)) - females):
                     if rng.random() < 0.4:
@@ -478,14 +473,14 @@ class TestPairGraphClassification:
 
     @pytest.mark.parametrize("pair", [(0, 1), (0, 0), (1, 1), (3, 3)])
     def test_non_empty_body_pair_that_must_be_empty(self, pair):
-        P = with_pairs(build_f_qso(sample_random_f_qso(3, {2}, seed=4)).p, [pair], np.random.default_rng(4))
+        P = with_pairs(sample_random_f_qso(3, {2}, seed=4).p, [pair], np.random.default_rng(4))
         sets = assert_matches_oracle(P)
         assert not sets
 
     @pytest.mark.parametrize("pair", [(0, 2), (2, 2), (2, 3)])
     def test_nearly_one_is_not_one(self, pair):
         """1 - 1e-16 where an exact 1 belongs makes the pair an edge, exactly as in the oracle."""
-        p = build_f_qso(sample_random_f_qso(3, {2, 3}, seed=5)).p.copy()
+        p = sample_random_f_qso(3, {2, 3}, seed=5).p.copy()
         i, j = pair
         p[i, j, 0] = p[j, i, 0] = 1.0 - 1e-16
         assert p[i, j, 0] != 1.0
@@ -500,7 +495,7 @@ class TestPairGraphClassification:
         assert sets.total == 2 and sets.components == ((frozenset({1}), frozenset({2})),)
 
     def test_classify_tests_no_subset(self):
-        sets = classify(build_f_qso(sample_random_f_qso(12, {2, 5, 7}, seed=6))).f_qso_sets
+        sets = classify(sample_random_f_qso(12, {2, 5, 7}, seed=6)).f_qso_sets
         assert frozenset({2, 5, 7}) in sets and sets.total == 2
 
     def test_edgeless_33_states_without_listing(self):

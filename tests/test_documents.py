@@ -257,6 +257,17 @@ class TestOtherKinds:
         with pytest.raises(DocumentError):
             expand(doc)
 
+    def test_f_qso_missing_or_extra_pairs_is_document_error(self):
+        dist = [0.5, 0.25, 0.25, 0.0]
+        for pairs in ([(2, 1)], [(2, 1), (2, 3), (1, 2)]):
+            doc = OperatorDocument(
+                kind="f_qso",
+                n=4,
+                payload={"f": [2], "mixed": [{"i": i, "j": j, "dist": dist} for i, j in pairs]},
+            )
+            with pytest.raises(DocumentError, match=r"exactly the \(female, male\) pairs"):
+                expand(doc)
+
     def test_skew_document(self):
         doc = OperatorDocument(
             kind="volterra_skew",

@@ -14,7 +14,6 @@ from qsodyn import (
     ClassificationError,
     DimensionError,
     SimplexPoint,
-    build_f_qso,
     build_fqso_m2,
     build_single_male,
     cesaro_running,
@@ -175,7 +174,7 @@ class TestTrajectory:
         assert traj.dist_to_limit[-1] <= 1e-9
 
     def test_vertex_start_converges_at_step_zero(self):
-        P = build_f_qso(sample_random_f_qso(3, {2}, seed=2))
+        P = sample_random_f_qso(3, {2}, seed=2)
         traj = trajectory(
             P, SimplexPoint.vertex(4), max_steps=10, tol=1e-9, reference=SimplexPoint.vertex(4)
         )
@@ -227,7 +226,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("n", [3, 4, 33])
     def test_step_count_beyond_the_float_budget_is_refused(self, n):
         """(max_steps + 1) * n coordinates may not exceed MAX_FLOATS: 10**12 steps grew the rows until memory ran out."""
-        P = build_f_qso(sample_random_f_qso(n - 1, {1}, seed=n))
+        P = sample_random_f_qso(n - 1, {1}, seed=n)
         limit = MAX_FLOATS // n - 1
         for steps in (limit + 1, 10**12):
             start = time.perf_counter()
@@ -461,8 +460,8 @@ REFERENCE_OPERATORS = {
     "skew3": _cyclic_skew_3,
     "dense6": lambda: random_cubic(np.random.default_rng(61), 6),
     "fqso_m2": lambda: preset("fqso_m2", a=0.2, b=0.5, c=0.3),
-    "fqso9": lambda: build_f_qso(sample_random_f_qso(8, {2, 5, 6}, seed=62)),
-    "fqso13": lambda: build_f_qso(sample_random_f_qso(12, {1, 3, 4, 9, 10, 11}, seed=63)),
+    "fqso9": lambda: sample_random_f_qso(8, {2, 5, 6}, seed=62),
+    "fqso13": lambda: sample_random_f_qso(12, {1, 3, 4, 9, 10, 11}, seed=63),
 }
 
 
@@ -736,13 +735,13 @@ class TestPreparedLoops:
         m, females, seed = n - 1, set(range(1, n // 2 + 1)), 100 + n
         draw = np.random.default_rng(np.random.SeedSequence([seed, 1])).standard_exponential(n)
         x = draw / draw.sum()
-        Q = build_f_qso(sample_random_f_qso(m, females, seed=seed))
+        Q = sample_random_f_qso(m, females, seed=seed)
         for steps in range(1, 301):
             x = apply_normalized(Q, x)
             if np.array_equal(x, np.eye(n)[0]):
                 break
-        assert np.array_equal(run_trial(m, females, seed, 300, -1.0)[4], x)
-        assert steps < 300
+        assert steps < 300 and np.array_equal(x, np.eye(n)[0])
+        assert run_trial(m, females, seed, 300, -1.0)[2] == 0.0  # its final point is the vertex bitwise
 
 
 class TestConvergenceReport:
@@ -769,13 +768,13 @@ class TestConvergenceReport:
             assert report.first_below is not None
 
     def test_general_two_sex_is_certified(self):
-        P = build_f_qso(sample_random_f_qso(3, {2}, seed=5))  # males {1, 3}
+        P = sample_random_f_qso(3, {2}, seed=5)  # males {1, 3}
         report = convergence_report(P, SimplexPoint.uniform(4), n_max=10)
         assert report.mode == "certified" and report.trajectory.females == frozenset({2})
         assert report.bound_ok.all() and report.squared_contraction_ok.all() and report.coordinate_bound_ok.all()
 
     def test_coordinate_bound_matches_per_step_loop(self):
-        P = build_f_qso(sample_random_f_qso(4, {2}, seed=1))  # males {1, 3, 4}
+        P = sample_random_f_qso(4, {2}, seed=1)  # males {1, 3, 4}
         report = convergence_report(P, SimplexPoint.uniform(5), n_max=15)
         coords, phis = report.trajectory.coords, report.trajectory.lyapunov_values
         expected = [bool(np.all(coords[n + 1, 1:] <= 2.0 * phis[n] + 1e-12)) for n in range(len(coords) - 1)]
@@ -785,7 +784,7 @@ class TestConvergenceReport:
     def test_two_sex_beyond_seventeen_states_is_certified(self):
         """A 21-state F-QSO with |F| = |M| = 10 is classified, not refused."""
         females = frozenset(range(1, 21, 2))
-        P = build_f_qso(sample_random_f_qso(20, females, seed=8))
+        P = sample_random_f_qso(20, females, seed=8)
         report = convergence_report(P, SimplexPoint.uniform(21), n_max=10)
         assert report.mode == "certified" and report.trajectory.females == females
         assert report.bound_ok.all() and report.squared_contraction_ok.all() and report.coordinate_bound_ok.all()
@@ -831,7 +830,7 @@ class TestEveryFemaleSetIsCertified:
             fixed = proper_subset(m, int(rng.integers(2**m - 2))) if policy == "fixed" else None
             scan = conjecture_scan(m, trials=20, iterations=1, seed=m, females=fixed if policy == "fixed" else policy)
             for row in scan.results:
-                P = build_f_qso(sample_random_f_qso(m, row.females, row.seed))
+                P = sample_random_f_qso(m, row.females, row.seed)
                 males = sorted(set(range(1, m + 1)) - row.females)
                 report = convergence_report(P, skewed_start(rng, m + 1), n_max=12)
                 assert report.bound_ok.all() and report.squared_contraction_ok.all()
@@ -848,6 +847,6 @@ class TestEveryFemaleSetIsCertified:
     @pytest.mark.parametrize("m, females, seed", [(2, {1}, 1), (4, {2, 3}, 2), (7, {1, 5, 6}, 3), (12, {4}, 4)])
     def test_vertex_is_the_unique_fixed_point(self, m, females, seed):
         """Every orbit reaches the vertex bitwise, so no polish runs."""
-        report = find_fixed_points(build_f_qso(sample_random_f_qso(m, females, seed)), starts=40, seed=seed)
+        report = find_fixed_points(sample_random_f_qso(m, females, seed), starts=40, seed=seed)
         assert np.array_equal(report.unique_in_simplex.coords, SimplexPoint.vertex(m + 1).coords)
         assert len(report.candidates) == 1 and report.polishes == 0

@@ -1,7 +1,6 @@
 """Operator builders, evaluation, skew round trips, and the preset zoo."""
 
-import copy
-import pickle
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from qsodyn import (
     ClassificationError,
     CubicMatrix,
     DimensionError,
-    FQsoSpec,
     SimplexPoint,
     SkewMatrix,
     apply_normalized,
@@ -31,6 +29,7 @@ from helpers import (
     proper_subsets,
     random_cubic,
     random_simplex,
+    random_simplex_batch,
     random_skew,
     volterra_from_skew,
 )
@@ -60,7 +59,7 @@ class TestApply:
         assert np.array_equal(out.coords, [0.5, 0.25, 0.25])
 
     def test_vertex_is_fixed_for_two_sex_operators(self):
-        P = build_f_qso(sample_random_f_qso(4, {2, 3}, seed=1))
+        P = sample_random_f_qso(4, {2, 3}, seed=1)
         vertex = SimplexPoint.vertex(5)
         assert np.array_equal(apply(P, vertex).coords, vertex.coords)
 
@@ -120,64 +119,45 @@ class TestKernel:
 
 
 class TestFQsoSpec:
+    """``build_f_qso`` refuses every (n, females, rows) that specifies no two-sex operator."""
+
     def test_rejects_empty_or_full_female_set(self):
-        with pytest.raises(ValueError):
-            FQsoSpec(n=4, females=frozenset(), mixed={})
-        with pytest.raises(ValueError):
-            FQsoSpec(n=4, females=frozenset({1, 2, 3}), mixed={})
+        with pytest.raises(ValueError, match="nonempty proper subset"):
+            build_f_qso(4, set(), np.empty((0, 4)))
+        with pytest.raises(ValueError, match="nonempty proper subset"):
+            build_f_qso(4, {1, 2, 3}, np.empty((0, 4)))
 
     def test_rejects_two_states(self):
         """n = 2 leaves no room for a nonempty proper female set."""
-        with pytest.raises(ValueError):
-            FQsoSpec(n=2, females=frozenset({1}), mixed={})
+        with pytest.raises(ValueError, match="nonempty proper subset"):
+            build_f_qso(2, {1}, [[0.5, 0.5]])
 
-    def test_rejects_missing_or_extra_pairs(self):
-        dist = np.array([0.5, 0.25, 0.25, 0.0])
-        with pytest.raises(ValueError):
-            FQsoSpec(n=4, females=frozenset({2}), mixed={(2, 1): dist})
-        with pytest.raises(ValueError):
-            FQsoSpec(
-                n=4,
-                females=frozenset({2}),
-                mixed={(2, 1): dist, (2, 3): dist, (1, 2): dist},
-            )
+    def test_rejects_wrong_row_count_or_length(self):
+        """F = {2} on four states has the two mixed pairs (2, 1) and (2, 3), so rows must stack to (2, 4)."""
+        dist = [0.5, 0.25, 0.25, 0.0]
+        for rows, shape in [([dist], (1, 4)), ([dist] * 3, (3, 4)), ([dist[:3]] * 2, (2, 3)), (dist, (4,))]:
+            with pytest.raises(ValueError, match=re.escape(f"need 4 entries each; they stack to {shape}")):
+                build_f_qso(4, {2}, rows)
 
     def test_rejects_bad_distribution(self):
-        with pytest.raises(ValueError):
-            FQsoSpec(n=3, females=frozenset({2}), mixed={(2, 1): np.array([0.5, 0.2, 0.2])})
-        with pytest.raises(ValueError):
-            FQsoSpec(n=3, females=frozenset({2}), mixed={(2, 1): np.array([np.nan, 0.5, 0.5])})
+        with pytest.raises(ValueError, match=r"not probability vectors: pair \(2, 1\)"):
+            build_f_qso(3, {2}, [[0.5, 0.2, 0.2]])
+        with pytest.raises(ValueError, match=r"not probability vectors: pair \(2, 1\)"):
+            build_f_qso(3, {2}, [[np.nan, 0.5, 0.5]])
 
 
-    def test_mixed_is_a_read_only_mapping_onto_one_block(self):
-        dist = [0.5, 0.25, 0.25, 0.0]
-        spec = FQsoSpec(n=4, females=frozenset({2}), mixed={(2, 3): dist, (2, 1): np.array(dist)})
-        assert list(spec.mixed) == [(2, 3), (2, 1)]
-        first, second = spec.mixed.values()
-        assert first.base is second.base and first.base.size == 8
-        assert not first.flags.writeable and np.array_equal(second, dist)
-        assert_frozen(spec, lambda copied: next(iter(copied.mixed.values())))
-        with pytest.raises(TypeError):
-            spec.mixed[(2, 1)] = dist
-        for copied in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
-            assert (copied.n, copied.females, list(copied.mixed)) == (4, frozenset({2}), [(2, 3), (2, 1)])
-            assert np.array_equal(np.stack(list(copied.mixed.values())), [dist, dist])
-            with pytest.raises(TypeError):
-                copied.mixed[(2, 1)] = dist
-
-
-def mask_built(spec):
-    """Reference expansion: the same-class pairs found by a mask, then the mixed rows."""
-    n = spec.n
+def mask_built(n, females, rows):
+    """Reference expansion: the same-class pairs found by a mask, then the mixed rows pair by pair."""
     p = np.zeros((n, n, n))
     in_f = np.zeros(n, dtype=bool)
-    in_f[list(spec.females)] = True
+    in_f[list(females)] = True
     f_side = in_f.copy()
     f_side[0] = True
     m_side = ~in_f
     same_class = (f_side[:, None] & f_side[None, :]) | (m_side[:, None] & m_side[None, :])
     p[same_class, 0] = 1.0
-    for (i, j), dist in spec.mixed.items():
+    males = sorted(set(range(1, n)) - set(females))
+    for (i, j), dist in zip([(i, j) for i in sorted(females) for j in males], rows, strict=True):
         p[i, j, :] = dist
         p[j, i, :] = dist
     return p
@@ -188,22 +168,19 @@ class TestBuildFQso:
     def test_matches_mask_built_reference(self, m):
         rng = np.random.default_rng(40 + m)
         subsets = proper_subsets(m)
-        for seed in range(12):
+        for _ in range(12):
             females = subsets[int(rng.integers(len(subsets)))]
-            spec = sample_random_f_qso(m, females, seed)
-            assert np.array_equal(build_f_qso(spec).p, mask_built(spec))
-        table = rng.standard_exponential((m - 1, m + 1))
-        table /= table.sum(axis=1, keepdims=True)
-        spec = FQsoSpec(m + 1, frozenset(range(2, m + 1)), {(i, 1): table[i - 2] for i in range(2, m + 1)})
-        assert np.array_equal(build_single_male(table).p, mask_built(spec))
+            rows = random_simplex_batch(rng, len(females) * (m - len(females)), m + 1)
+            assert np.array_equal(build_f_qso(m + 1, females, rows).p, mask_built(m + 1, females, rows))
+        table = random_simplex_batch(rng, m - 1, m + 1)
+        assert np.array_equal(build_single_male(table).p, mask_built(m + 1, range(2, m + 1), table))
         if m == 2:
-            assert np.array_equal(build_fqso_m2(*table[0]).p, mask_built(spec))
+            assert np.array_equal(build_fqso_m2(*table[0]).p, mask_built(3, {2}, table))
 
     def test_matches_explicit_m2_matrix(self):
         """Expansion with F = {2} reproduces the explicit three-state matrix."""
         a, b, c = 0.3, 0.45, 0.25
-        spec = FQsoSpec(n=3, females=frozenset({2}), mixed={(2, 1): np.array([a, b, c])})
-        P = build_f_qso(spec)
+        P = build_f_qso(3, {2}, [[a, b, c]])
         expected = np.zeros((3, 3, 3))
         for i, j in [(0, 0), (0, 1), (0, 2), (1, 1), (2, 2)]:
             expected[i, j, 0] = expected[j, i, 0] = 1.0
@@ -217,20 +194,14 @@ class TestBuildFQso:
             m = int(rng.integers(2, 6))
             subsets = proper_subsets(m)
             females = subsets[int(rng.integers(len(subsets)))]
-            spec = sample_random_f_qso(m, females, int(rng.integers(2**32)))
-            P = build_f_qso(spec)
+            P = sample_random_f_qso(m, females, int(rng.integers(2**32)))
             assert validate_stochastic(P).ok
             assert females in classify(P).f_qso_sets
 
     def test_all_mass_to_empty_body_is_constant(self):
         """Mixed pairs pointing at state 0 collapse everything in one step."""
         point_mass = np.array([1.0, 0.0, 0.0, 0.0])
-        spec = FQsoSpec(
-            n=4,
-            females=frozenset({2, 3}),
-            mixed={(2, 1): point_mass, (3, 1): point_mass},
-        )
-        P = build_f_qso(spec)
+        P = build_f_qso(4, {2, 3}, [point_mass, point_mass])
         rng = np.random.default_rng(3)
         vertex = np.array([1.0, 0.0, 0.0, 0.0])
         for _ in range(50):
@@ -239,7 +210,7 @@ class TestBuildFQso:
 
     def test_one_step_absorption(self):
         """Zero mass on either sex sends the next step exactly to the vertex."""
-        P = build_f_qso(sample_random_f_qso(4, {2, 3}, seed=17))
+        P = sample_random_f_qso(4, {2, 3}, seed=17)
         vertex = np.zeros(5)
         vertex[0] = 1.0
         no_females = SimplexPoint(np.array([0.2, 0.3, 0.0, 0.0, 0.5]))
