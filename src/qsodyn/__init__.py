@@ -53,7 +53,6 @@ from .dynamics import (
     ConvergenceReport,
     FixedPointCandidate,
     FixedPointReport,
-    LyapunovBound,
     Trajectory,
     cesaro_running,
     convergence_report,

@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CubicMatrix, proper_subset, require_valid
-from .documents import MAX_N
+from .core import MAX_N, CubicMatrix, _uniform_simplex, proper_subset, require_valid
 from .operators import _f_qso_cube, _mixed_pairs, _stepper
 
 #: What every scan report checks.
@@ -96,9 +95,7 @@ def sample_random_f_qso(m: int, females, seed: int) -> CubicMatrix:
     if m + 1 > MAX_N:
         raise ValueError(f"m + 1 = {m + 1} states exceed the limit of {MAX_N}")
     pairs = _mixed_pairs(m + 1, frozenset(females))
-    rows = np.random.default_rng(seed).standard_exponential((len(pairs), m + 1))
-    rows /= rows.sum(axis=1, keepdims=True)
-    return _f_qso_cube(m + 1, pairs, rows)
+    return _f_qso_cube(m + 1, pairs, _uniform_simplex(seed, (len(pairs), m + 1)))
 
 
 class TrialResult(NamedTuple):
@@ -163,8 +160,7 @@ def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[
     females = frozenset(females)
     advance = _stepper(sample_random_f_qso(m, females, seed), batch=False)
     n = m + 1
-    draw = np.random.default_rng(np.random.SeedSequence([seed, 1])).standard_exponential(n)
-    x = draw / draw.sum()
+    x = _uniform_simplex(np.random.SeedSequence([seed, 1]), n)
 
     vertex = np.zeros(n)
     vertex[0] = 1.0

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, dynamics
-from .core import QsoError, SimplexPoint, classify, require_valid
+from .core import QsoError, SimplexPoint, _uniform_simplex, classify, require_valid
 from .documents import DocumentError, expand, load_document
 from .operators import PRESETS, apply_normalized
 
@@ -53,10 +53,7 @@ def _parse_start(spec: str, n: int) -> SimplexPoint:
     if spec == "uniform":
         return SimplexPoint.uniform(n)
     if spec.startswith("random:"):
-        seed = int(spec.split(":", 1)[1])
-        rng = np.random.default_rng(seed)
-        draw = rng.standard_exponential(n)
-        return SimplexPoint(draw / draw.sum())
+        return SimplexPoint(_uniform_simplex(int(spec.split(":", 1)[1]), n))
     return _coords(spec)
 
 
@@ -147,7 +144,7 @@ def cmd_trajectory(args) -> int:
         for step, (coords, phi) in enumerate(zip(traj.coords.tolist(), traj.lyapunov_values.tolist())):
             row = [str(step)] + [repr(v) for v in coords]
             row.append("" if math.isnan(phi) else repr(phi))
-            row.append(_fmt(dynamics.lyapunov_bound(step).value) if traj.females is not None else "")
+            row.append(_fmt(dynamics.lyapunov_bound(step)) if traj.females is not None else "")
             row.append(repr(dists[step]) if dists is not None else "")
             writer.writerow(row)
     print(f"wrote {len(traj)} rows to {args.output}; stop reason: {traj.stop_reason}")
@@ -286,7 +283,7 @@ def _replay_trajectory(rows: list[list[str]], args) -> int:
 
     nxt = X[1:]
     females = P.female_sets.first
-    exact = [dynamics.lyapunov_bound(step).value if females is not None else math.nan for step in steps]
+    exact = [dynamics.lyapunov_bound(step) if females is not None else math.nan for step in steps]
     kernel = np.abs(apply_normalized(P, X[:-1]) - nxt).ravel()
     # Empty phi and bound cells read as NaN and are skipped.
     stored = np.abs(np.concatenate([dynamics._phi(n, females)(nxt) - phi, exact - bound]))

@@ -27,9 +27,12 @@ TOL_SUM = 1e-12
 #: Tolerance for fixed-point residuals ``max_k |V(x)_k - x_k|``.
 TOL_FIX = 1e-10
 
+#: Most states an operator document or a scan may declare.
+MAX_N = 256
+
 #: Most floats (128 MiB) in one array that a call builds from its arguments:
-#: a document's dense cube, the fixed-point search's batch product, a trajectory.
-MAX_FLOATS = 2**24
+#: a largest dense cube, the fixed-point search's batch product, a trajectory.
+MAX_FLOATS = MAX_N**3
 
 #: Most steps a call iterates without storing them (the ergodic averages' last
 #: count): about 5.5 minutes for a three-state operator at 5 us per step (2-core Xeon).
@@ -69,6 +72,13 @@ def _on_simplex(x: np.ndarray):
     A NaN fails the first comparison, an infinity the second.  Positional axes keep a trajectory step's test cheap.
     """
     return (np.minimum.reduce(x, -1) >= 0.0) & (abs(np.add.reduce(x, -1) - 1.0) <= TOL_SUM)
+
+
+def _uniform_simplex(seed, shape) -> np.ndarray:
+    """Points uniform on the simplex along the last axis: exponential draws from ``seed``, normalised in place."""
+    draw = np.random.default_rng(seed).standard_exponential(shape)
+    draw /= draw.sum(axis=-1, keepdims=True)
+    return draw
 
 
 class _Rebuilt:

@@ -15,13 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CubicMatrix, QsoError
+from .core import MAX_N, CubicMatrix, QsoError
 from .operators import SkewMatrix, _mixed_pairs, build_f_qso, cubic_from_skew, preset
 
 SCHEMA_VERSION = "1"
 KINDS = ("cubic", "f_qso", "volterra_skew", "preset")
-#: Largest state count a document may declare: its dense cube holds n^3 = ``core.MAX_FLOATS`` floats.
-MAX_N = 256
 #: What a builder raises for a payload of the wrong types or values.
 _REJECTED = (ValueError, TypeError, OverflowError, QsoError)
 
@@ -165,9 +163,14 @@ def _expand_f_qso(n: int, payload: dict) -> CubicMatrix:
     for row in mixed_rows:
         if not isinstance(row, dict) or not {"i", "j", "dist"} <= set(row):
             raise DocumentError(f"mixed row {row!r} needs keys i, j, dist")
-        _require_states((row["i"], row["j"]), n, "mixed row states")
-        _require_numbers(row["dist"], f"mixed row {row!r} dist")
-        mixed[(row["i"], row["j"])] = row["dist"]
+        pair, dist = (row["i"], row["j"]), row["dist"]
+        _require_states(pair, n, "mixed row states")
+        _require_numbers(dist, f"mixed row {row!r} dist")
+        if not isinstance(dist, list) or len(dist) != n or any(isinstance(v, list) for v in dist):
+            raise DocumentError(f"mixed row for pair {pair} needs a flat list of {n} numbers as dist")
+        if pair in mixed:
+            raise DocumentError(f"duplicate mixed row for pair {pair}")
+        mixed[pair] = dist
     try:
         pairs = _mixed_pairs(n, frozenset(females))
         expected = set(pairs)

@@ -5,8 +5,9 @@ functional ``phi_F(x) = x_F * x_M`` (total female times total male mass)
 contracts at least quadratically per step, phi_F' <= phi_F^2 (only mixed
 pairs leave the empty body, so 1 - x0' <= 2 phi_F; then AM-GM), which
 certifies doubly exponential convergence to the absorbing vertex
-(1, 0, ..., 0).  For M = {1} it is the source paper's ``lyapunov``.  This
-module records and checks that certificate stepwise, finds fixed points
+(1, 0, ..., 0).  For M = {1} it is the source paper's ``lyapunov``.  The
+bound phi_n <= (1/4)^(2^n) is the three-state closed form phi -> 4bc phi^2
+at its extreme 4bc = 1 from the largest phi_0 = 1/4.  This module records and checks that certificate stepwise, finds fixed points
 both algebraically (three states) and by seeded multistart search, and
 computes Cesaro (ergodic) averages.
 """
@@ -31,6 +32,7 @@ from .core import (
     _as_readonly,
     _on_simplex,
     _Rebuilt,
+    _uniform_simplex,
     renormalize,
     require_valid,
 )
@@ -98,31 +100,9 @@ def lyapunov_closed_form(b: float, c: float, phi0: float, n: int) -> float:
     return t / (4.0 * b * c)
 
 
-@dataclass(frozen=True)
-class LyapunovBound:
-    """The step-``n`` certificate bound (1/4)^(2^n).
-
-    ``value`` is the bound as a double (0.0 once it falls below the
-    smallest positive representable number, flagged by ``is_exact``);
-    ``log2`` carries the exact base-2 logarithm -2^(n+1) regardless, as
-    ``-inf`` once that leaves the double range (n >= 1023).
-    """
-
-    value: float
-    log2: float
-    is_exact: bool
-
-
-def lyapunov_bound(n: int) -> LyapunovBound:
-    """Upper bound (1/4)^(2^n) for the functional after ``n`` certified steps."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    log2 = -(2.0 ** (n + 1)) if n < 1023 else -math.inf  # 2.0 ** 1024 overflows
-    if n <= 60:
-        exponent = 2 ** (n + 1)
-        value = math.ldexp(1.0, -exponent)
-        return LyapunovBound(value=value, log2=log2, is_exact=exponent <= 1074)
-    return LyapunovBound(value=0.0, log2=log2, is_exact=False)
+def lyapunov_bound(n: int) -> float:
+    """Upper bound (1/4)^(2^n) on phi_F after ``n`` steps: the closed form at 4bc = 1 from phi0 = 1/4."""
+    return lyapunov_closed_form(0.5, 0.5, 0.25, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,8 +334,7 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
     require_valid(P)
     if not 1 <= starts <= MAX_FLOATS // P.n**2:  # the batch step's (starts, n*n) product
         raise ValueError(f"starts must be from 1 to {MAX_FLOATS // P.n**2} at n={P.n}, got {starts}")
-    draws = np.random.default_rng(seed).standard_exponential((starts, P.n))
-    starts_x = draws / draws.sum(axis=1, keepdims=True)
+    starts_x = _uniform_simplex(seed, (starts, P.n))
 
     ends = _settle(_stepper(P, batch=True), starts_x, 200)
     residuals = _residual(P, ends)
@@ -455,7 +434,7 @@ def convergence_report(
         raise ClassificationError("convergence certificate requires a two-sex (F-QSO) operator")
     coords = traj.coords
     phis = traj.lyapunov_values
-    bounds = np.array([lyapunov_bound(n).value for n in range(len(traj))])
+    bounds = np.array([lyapunov_bound(n) for n in range(len(traj))])
     bound_ok = phis <= bounds + 1e-15
     squared_contraction_ok = phis[1:] <= phis[:-1] ** 2 + 1e-15
     coordinate_bound_ok = np.all(coords[1:, 1:] <= 2.0 * phis[:-1, None] + 1e-12, axis=1)

@@ -37,7 +37,7 @@ def _assert_same(value, expected) -> None:
 
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
-    """One point uniform on the simplex (normalized exponentials)."""
+    """One point uniform on the simplex (normalized exponentials), the oracle of ``core._uniform_simplex``."""
     draw = rng.standard_exponential(n)
     return draw / draw.sum()
 

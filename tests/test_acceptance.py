@@ -112,7 +112,7 @@ def test_criterion_3_certified_decay_along_trajectories():
     """Stepwise certificate: tail bound, squared contraction, coordinate bound."""
     rng = np.random.default_rng(103)
     steps = 20
-    bounds = np.array([lyapunov_bound(n).value for n in range(steps + 1)])
+    bounds = np.array([lyapunov_bound(n) for n in range(steps + 1)])
     checked = 0
     worst_bound_gap = worst_square_gap = worst_coord_gap = -np.inf
     for m in range(2, 11):

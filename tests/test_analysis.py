@@ -18,7 +18,7 @@ from qsodyn import (
 from qsodyn import analysis, operators
 from qsodyn.core import proper_subset
 from qsodyn.operators import _stepper, apply_normalized
-from helpers import proper_subsets, random_cubic
+from helpers import proper_subsets, random_cubic, random_simplex
 
 
 def brute_force_counts(P):
@@ -46,11 +46,7 @@ def sorted_pairs(n, females):
 def sample_random_f_qso_loop(m, females, seed):
     """The per-pair sampler: one exponential draw per mixed pair, in sorted pair order, as (pairs, m + 1) rows."""
     rng = np.random.default_rng(seed)
-    rows = []
-    for _ in sorted_pairs(m + 1, females):
-        draw = rng.standard_exponential(m + 1)
-        rows.append(draw / draw.sum())
-    return np.array(rows)
+    return np.array([random_simplex(rng, m + 1) for _ in sorted_pairs(m + 1, females)])
 
 
 def build_f_qso_loop(n, females, rows):
@@ -66,9 +62,7 @@ def build_f_qso_loop(n, females, rows):
 def oracle_trial_start(m, females, seed):
     """A trial's operator, from the per-pair code, and its interior start."""
     P = CubicMatrix(build_f_qso_loop(m + 1, females, sample_random_f_qso_loop(m, females, seed)))
-    start_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    draw = start_rng.standard_exponential(m + 1)
-    return P, draw / draw.sum()
+    return P, random_simplex(np.random.default_rng(np.random.SeedSequence([seed, 1])), m + 1)
 
 
 def run_trial_full(m, females, seed, iterations, tols):

@@ -137,26 +137,23 @@ class TestClosedForm:
 
 class TestBound:
     def test_first_values(self):
-        assert lyapunov_bound(0).value == 0.25
-        assert lyapunov_bound(2).value == 1.0 / 256.0
-        assert lyapunov_bound(0).is_exact and lyapunov_bound(2).is_exact
-
-    def test_underflow_reports_log2(self):
-        bound = lyapunov_bound(10)
-        assert bound.value == 0.0
-        assert not bound.is_exact
-        assert bound.log2 == -2048.0
-
-    def test_log2_beyond_double_range(self):
-        """A step count as large as a CSV cell may hold: 2^(n+1) overflows a double."""
-        assert lyapunov_bound(1022).log2 == -(2.0**1023)
-        bound = lyapunov_bound(10**12)
-        assert bound.value == 0.0 and not bound.is_exact and bound.log2 == -math.inf
+        assert lyapunov_bound(0) == 0.25
+        assert lyapunov_bound(2) == 1.0 / 256.0
 
     def test_last_representable(self):
-        bound = lyapunov_bound(9)
-        assert bound.value == math.ldexp(1.0, -1024)
-        assert bound.is_exact
+        """n = 9 is the last step whose bound 2^-1024 is still a (subnormal) double."""
+        assert lyapunov_bound(9) == math.ldexp(1.0, -1024)
+        assert lyapunov_bound(9) > 0.0
+
+    def test_bound_is_the_exact_power_of_two_until_it_underflows(self):
+        """(1/4)^(2^n) = 2^-(2^(n+1)), bitwise; 0.0 below the smallest double, also at a CSV cell's 10**12."""
+        for n in range(61):
+            assert lyapunov_bound(n) == math.ldexp(1.0, -(2 ** (n + 1)))
+        for n in [*range(61, 71), 10**12]:
+            assert lyapunov_bound(n) == 0.0
+        assert type(lyapunov_bound(3)) is float
+        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+            lyapunov_bound(-1)
 
 
 class TestTrajectory:
@@ -519,8 +516,7 @@ def loop_fixed_point_search(P, starts, seed):
 
     Returns the clustered (point, residual) pairs and the polish counts.
     """
-    draws = np.random.default_rng(seed).standard_exponential((starts, P.n))
-    starts_x = draws / draws.sum(axis=1, keepdims=True)
+    starts_x = random_simplex_batch(np.random.default_rng(seed), starts, P.n)
     ends = starts_x.copy()
     active = np.arange(starts)
     x = starts_x
@@ -722,9 +718,8 @@ class TestPreparedLoops:
         evaluated, residual = [], dynamics._residual
         monkeypatch.setattr(dynamics, "_residual", lambda P, X: evaluated.append(X) or residual(P, X))
         find_fixed_points(P, starts=8, seed=n)
-        draws = np.random.default_rng(n).standard_exponential((8, n))
         ends = []
-        for x in draws / draws.sum(axis=1, keepdims=True):
+        for x in random_simplex_batch(np.random.default_rng(n), 8, n):
             for _ in range(200):
                 x, previous = apply_normalized(P, x), x
                 if np.array_equal(x, previous):
@@ -733,8 +728,7 @@ class TestPreparedLoops:
         assert np.array_equal(evaluated[0], ends)
 
         m, females, seed = n - 1, set(range(1, n // 2 + 1)), 100 + n
-        draw = np.random.default_rng(np.random.SeedSequence([seed, 1])).standard_exponential(n)
-        x = draw / draw.sum()
+        x = random_simplex(np.random.default_rng(np.random.SeedSequence([seed, 1])), n)
         Q = sample_random_f_qso(m, females, seed=seed)
         for steps in range(1, 301):
             x = apply_normalized(Q, x)
