@@ -18,8 +18,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_N, CubicMatrix, _uniform_simplex, proper_subset, require_valid
+from .core import MAX_N, MAX_STEPS, CubicMatrix, _uniform_simplex, proper_subset, require_valid
 from .operators import _f_qso_cube, _mixed_pairs, _stepper
+
+#: The most steps a scan's budget counts per trial.  A trial stops at the exact
+#: vertex, which every trial measured reached within 11 steps (m = 2..255), so
+#: iterations beyond this add no work, and a scan of a few trials may ask for any number.
+BUDGET_STEPS_PER_TRIAL = 64
 
 #: What every scan report checks.
 EVIDENCE_NOTE = "randomized check of a theorem: phi_F = x_F*x_M proves every two-sex orbit reaches the vertex"
@@ -196,12 +201,18 @@ def conjecture_scan(
     m < 64).  Both strings unrank an index and never list the subsets.
     Each trial depends only on (seed, trial index), so reports are
     reproducible and independent of execution order.  Non-convergent
-    trials are counted, never raised.
+    trials are counted, never raised.  The step budget: ``trials *
+    min(iterations, BUDGET_STEPS_PER_TRIAL)`` above ``MAX_STEPS`` raises
+    ``ValueError`` before the first trial.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if trials < 1 or iterations < 1:
         raise ValueError("trials and iterations must be >= 1")
+    counted = trials * min(iterations, BUDGET_STEPS_PER_TRIAL)
+    if counted > MAX_STEPS:
+        raise ValueError(f"a scan may run at most {MAX_STEPS} steps; trials * min(iterations, "
+                         f"{BUDGET_STEPS_PER_TRIAL}) is {counted}")
     if females is None or isinstance(females, str):  # before frozenset: "all" is no set {'a', 'l'}
         if females not in ("all", "random"):
             raise ValueError(f"females must be a set of states, 'all' or 'random', got {females!r}")

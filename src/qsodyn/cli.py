@@ -137,16 +137,16 @@ def cmd_trajectory(args) -> int:
     reference = _resolve_reference(args.reference, P)
     traj = dynamics.trajectory(P, x0, max_steps=args.steps, tol=args.tol, reference=reference)
 
-    dists = traj.dist_to_limit.tolist() if traj.dist_to_limit is not None else None
+    steps = range(len(traj))
+    empty = [""] * len(traj)
+    columns = [map(str, steps), *(map(repr, x) for x in traj.coords.T.tolist())]
+    columns.append(["" if math.isnan(phi) else repr(phi) for phi in traj.lyapunov_values.tolist()])
+    columns.append([_fmt(dynamics.lyapunov_bound(step)) for step in steps] if traj.females is not None else empty)
+    columns.append(map(repr, traj.dist_to_limit.tolist()) if traj.dist_to_limit is not None else empty)
     handle, writer = _open_writer(args.output)
     with handle:
         writer.writerow(["step"] + [f"x_{i}" for i in range(P.n)] + ["phi", "phi_bound", "dist_max"])
-        for step, (coords, phi) in enumerate(zip(traj.coords.tolist(), traj.lyapunov_values.tolist())):
-            row = [str(step)] + [repr(v) for v in coords]
-            row.append("" if math.isnan(phi) else repr(phi))
-            row.append(_fmt(dynamics.lyapunov_bound(step)) if traj.females is not None else "")
-            row.append(repr(dists[step]) if dists is not None else "")
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
     print(f"wrote {len(traj)} rows to {args.output}; stop reason: {traj.stop_reason}")
     return 0
 

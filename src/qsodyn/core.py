@@ -35,7 +35,8 @@ MAX_N = 256
 MAX_FLOATS = MAX_N**3
 
 #: Most steps a call iterates without storing them (the ergodic averages' last
-#: count): about 5.5 minutes for a three-state operator at 5 us per step (2-core Xeon).
+#: count, a scan's trials times iterations): about 5.5 minutes for a
+#: three-state operator at 5 us per step (2-core Xeon).
 MAX_STEPS = 2**26
 
 

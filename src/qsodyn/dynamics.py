@@ -46,6 +46,7 @@ PHI_UNDERFLOW = 1e-300
 STOP_MAX_STEPS = "max_steps"
 STOP_CONVERGED = "converged"
 STOP_INVALID = "invalid_state"
+_SNAP = "snap"  # the two-sex underflow snap, reported as converged
 
 
 def _phi(n: int, females: frozenset[int] | None):
@@ -154,6 +155,12 @@ def trajectory(
     cannot produce from a simplex point).  A NaN ``tol``, or ``max_steps``
     below 1 or with ``(max_steps + 1) * n`` above ``MAX_FLOATS``, raises
     ``ValueError`` before any step.
+
+    After the start row's tests, the prepared step alone computes blocks
+    of 8, 16, ..., 1024 rows; the stop rules then run once over each block,
+    which is cut at its first row that stops (the rows and the reason are
+    those of a test after every step).  An orbit that stops computes at
+    most the rest of its block, under ``np.errstate(all="ignore")``.
     """
     require_valid(P)
     if x0.dim != P.n:
@@ -174,31 +181,45 @@ def trajectory(
     # reference only when the vertex itself satisfies it.
     snap = females is not None and (not watch or _max_dist(vertex, ref) <= tol)
 
+    def cut(rows: np.ndarray, first: int) -> tuple[int, str | None]:
+        """How many of ``rows`` (steps ``first``, ``first + 1``, ...) to keep, and why the orbit stops there, if it does.
+
+        The first row that stops wins; on one row the tests rank as listed.
+        """
+        stops = [(~_on_simplex(rows), 0, STOP_INVALID)]
+        if watch:
+            stops.append((np.max(np.abs(rows - ref), axis=1) <= tol, 1, STOP_CONVERGED))
+        stops.append((np.arange(first, first + len(rows)) == max_steps, 1, STOP_MAX_STEPS))
+        if snap:
+            stops.append((phi(rows) < PHI_UNDERFLOW, 1, _SNAP))
+        hits = [(int(hit.argmax()), keep, reason) for hit, keep, reason in stops if hit.any()]
+        row, keep, reason = min(hits, key=lambda h: h[0], default=(len(rows), 0, None))
+        return row + keep, reason
+
     step = _stepper(P, batch=False)
     x = x0.coords
-    rows = [x]
-    for count in range(max_steps + 1):
-        if watch and _max_dist(x, ref) <= tol:
-            stop = STOP_CONVERGED
-            break
-        if count == max_steps:
-            stop = STOP_MAX_STEPS
-            break
-        if snap and phi(x) < PHI_UNDERFLOW:
-            if not np.array_equal(x, vertex):
-                rows.append(vertex)
-            stop = STOP_CONVERGED
-            break
-        x = step(x)
-        if not _on_simplex(x):
-            stop = STOP_INVALID
-            break
-        rows.append(x)
+    blocks = [x[None]]
+    count, size = 0, 8
+    with np.errstate(all="ignore"):  # rows computed past an invalid state are never kept
+        stop = cut(blocks[0], 0)[1]
+        while stop is None:
+            rows = []
+            for _ in range(min(size, max_steps - count)):
+                x = step(x)
+                rows.append(x)
+            block = np.array(rows)
+            keep, stop = cut(block, count + 1)
+            blocks.append(block[:keep])
+            count, size = count + len(rows), min(2 * size, 1024)
+    if stop == _SNAP:
+        if not np.array_equal(blocks[-1][-1], vertex):
+            blocks.append(vertex[None])
+        stop = STOP_CONVERGED
 
-    coords = np.array(rows)
+    coords = np.concatenate(blocks)
     return Trajectory(
         coords=coords,
-        lyapunov_values=phi(coords) if P.n >= 3 else np.full(len(rows), math.nan),
+        lyapunov_values=phi(coords) if P.n >= 3 else np.full(len(coords), math.nan),
         females=females,
         dist_to_limit=np.max(np.abs(coords - ref), axis=1) if ref is not None else None,
         stop_reason=stop,
@@ -369,22 +390,27 @@ def cesaro_running(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]) -> lis
 
 
 def _cesaro_rows(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]):
-    """Yield :func:`cesaro_running`'s rows one by one, each as soon as its count is reached."""
+    """Yield :func:`cesaro_running`'s rows one by one, each as soon as its count is reached.
+
+    Steps run segment by segment between the scheduled counts, with no
+    per-step test; the average is read off the running sum at each count.
+    """
     if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing and start at >= 1")
     require_valid(P)
     if x0.dim != P.n:
         raise DimensionError(f"start of dim {x0.dim} does not match operator with n={P.n}")
-    acc = np.zeros(P.n)
     step = _stepper(P, batch=False)
     x = x0.coords
-    wanted = set(schedule)
-    for count in range(1, schedule[-1] + 1):
-        if count > 1:
+    acc = np.zeros(P.n)
+    acc += x  # not x.copy(): from +0.0, a -0.0 start coordinate sums to +0.0
+    count = 1
+    for target in schedule:
+        for _ in range(target - count):
             x = step(x)
-        acc += x
-        if count in wanted:
-            yield count, acc / count
+            acc += x
+        count = target
+        yield count, acc / count
 
 
 @dataclass(frozen=True, eq=False)

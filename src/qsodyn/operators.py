@@ -51,24 +51,40 @@ def _quadratic(X: np.ndarray, Q: np.ndarray, shape: tuple[int, ...]) -> np.ndarr
 
 
 def _stepper(P: CubicMatrix, batch: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """:func:`apply_normalized` for a loop: the view, the intermediate's shape and the sum's form fixed once.
+    """:func:`apply_normalized` for a loop: the view, the intermediate and the sum's form fixed once.
 
     ``step(X)`` takes a C-contiguous float point ``(n,)``, or with ``batch``
     a stack ``(B, n)`` whose ``B`` may change between calls, and returns
     its image bitwise as :func:`apply_normalized` would, without that
-    function's per-call conversion and shape check.  A point divides by a
-    0-d sum, which gives the same bits as a ``(1,)`` one.
+    function's per-call conversion and shape check.  Rank picks the product
+    path: a batch runs the kernel body :func:`_quadratic`; a point runs two
+    ``np.dot`` calls, the same BLAS gemv as one ``np.vecmat`` row, into an
+    ``(n, n)`` intermediate that the step owns, and divides by a 0-d sum
+    (the same bits as a ``(1,)`` one).  So a point step is not reentrant:
+    each loop prepares its own.
     """
     n = P.n
     Q = P.p.reshape(n, n * n)
-    shape = (-1, n, n) if batch else (n, n)
+    if batch:
 
-    def step(X: np.ndarray) -> np.ndarray:
-        Y = _quadratic(X, Q, shape)
-        Y /= np.add.reduce(Y, axis=-1, keepdims=batch)
-        return Y
+        def step(X: np.ndarray) -> np.ndarray:
+            Y = _quadratic(X, Q, (-1, n, n))
+            Y /= np.add.reduce(Y, axis=-1, keepdims=True)
+            return Y
 
-    return step
+        return step
+
+    square = np.empty((n, n))
+    flat = square.reshape(n * n)
+    dot, total = np.dot, np.add.reduce
+
+    def point_step(x: np.ndarray) -> np.ndarray:
+        dot(x, Q, out=flat)
+        y = dot(x, square)
+        y /= total(y)
+        return y
+
+    return point_step
 
 
 def apply_normalized(P: CubicMatrix, values) -> np.ndarray:

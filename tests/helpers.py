@@ -2,13 +2,14 @@
 
 import copy
 import dataclasses
+import functools
 import itertools
 import pickle
 
 import numpy as np
 import pytest
 
-from qsodyn import CubicMatrix, SimplexPoint, SkewMatrix, apply_normalized, renormalize
+from qsodyn import CubicMatrix, SimplexPoint, SkewMatrix, apply_normalized, core, dynamics, renormalize
 
 
 def assert_frozen(owner, read) -> None:
@@ -90,3 +91,60 @@ def proper_subsets(m: int) -> list[frozenset[int]]:
     Listed by size, then lexicographically.
     """
     return [frozenset(combo) for size in range(1, m) for combo in itertools.combinations(range(1, m + 1), size)]
+
+
+def trajectory_per_step(P: CubicMatrix, x0: SimplexPoint, max_steps: int, tol=None, reference=None, step=None):
+    """Oracle for :func:`qsodyn.trajectory`: every stop rule tested after every step.
+
+    ``step`` replaces :func:`apply_normalized` (for a patched, faulty step).
+    Returns the ``Trajectory`` the per-step loop builds.
+    """
+    step = step or functools.partial(apply_normalized, P)
+    ref = reference.coords if reference is not None else None
+    watch = ref is not None and tol is not None
+    vertex = SimplexPoint.vertex(P.n).coords
+    females = P.female_sets.first
+    phi = dynamics._phi(P.n, females)
+    snap = females is not None and (not watch or float(np.max(np.abs(vertex - ref))) <= tol)
+    x = x0.coords
+    rows = [x]
+    for count in range(max_steps + 1):
+        if watch and float(np.max(np.abs(x - ref))) <= tol:
+            stop = dynamics.STOP_CONVERGED
+            break
+        if count == max_steps:
+            stop = dynamics.STOP_MAX_STEPS
+            break
+        if snap and phi(x) < dynamics.PHI_UNDERFLOW:
+            if not np.array_equal(x, vertex):
+                rows.append(vertex)
+            stop = dynamics.STOP_CONVERGED
+            break
+        x = step(x)
+        if not core._on_simplex(x):
+            stop = dynamics.STOP_INVALID
+            break
+        rows.append(x)
+    coords = np.array(rows)
+    return dynamics.Trajectory(
+        coords=coords,
+        lyapunov_values=phi(coords) if P.n >= 3 else np.full(len(rows), np.nan),
+        females=females,
+        dist_to_limit=np.max(np.abs(coords - ref), axis=1) if ref is not None else None,
+        stop_reason=stop,
+    )
+
+
+def cesaro_per_step(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]) -> list[tuple[int, np.ndarray]]:
+    """Oracle for :func:`qsodyn.cesaro_running`: one step and one schedule lookup per count."""
+    acc = np.zeros(P.n)
+    x = x0.coords
+    wanted = set(schedule)
+    rows = []
+    for count in range(1, schedule[-1] + 1):
+        if count > 1:
+            x = apply_normalized(P, x)
+        acc += x
+        if count in wanted:
+            rows.append((count, acc / count))
+    return rows

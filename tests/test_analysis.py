@@ -312,6 +312,21 @@ class TestConjectureScan:
         assert report.converged == report.trials == 50
         assert report.max_final_distance <= 1e-8
 
+    def test_step_budget_counts_at_most_the_capped_iterations(self, monkeypatch):
+        """trials * min(iterations, BUDGET_STEPS_PER_TRIAL) may reach MAX_STEPS, not pass it, checked before any trial."""
+        monkeypatch.setattr(analysis, "MAX_STEPS", 100)
+        monkeypatch.setattr(analysis, "BUDGET_STEPS_PER_TRIAL", 20)
+        trials = []
+        original = analysis.run_trial
+        monkeypatch.setattr(analysis, "run_trial", lambda *args: trials.append(args) or original(*args))
+        assert conjecture_scan(m=3, trials=5, iterations=20, seed=1, females={2}).trials == 5
+        assert conjecture_scan(m=3, trials=5, iterations=10**9, seed=1, females={2}).trials == 5
+        assert len(trials) == 10
+        for count, iterations in [(6, 20), (101, 1), (6, 10**9)]:
+            with pytest.raises(ValueError, match="a scan may run at most 100 steps"):
+                conjecture_scan(m=3, trials=count, iterations=iterations, seed=1, females={2})
+        assert len(trials) == 10
+
     def test_deterministic_reports(self):
         r1 = conjecture_scan(m=3, trials=25, iterations=20, tol=1e-8, seed=11, females={2, 3})
         r2 = conjecture_scan(m=3, trials=25, iterations=20, tol=1e-8, seed=11, females={2, 3})

@@ -20,7 +20,7 @@ from qsodyn import (
     sample_random_f_qso,
     save_document,
 )
-from qsodyn import cli, core
+from qsodyn import cli, core, documents, dynamics
 from qsodyn.cli import main
 from qsodyn.documents import MAX_N
 
@@ -239,6 +239,46 @@ class TestTrajectory:
         assert "row_sum at (0,0,None)" in capsys.readouterr().err
 
 
+def write_rows_one_by_one(path, traj, n):
+    """The trajectory CSV as the per-row writer built it: the oracle of the column-wise writer."""
+    dists = traj.dist_to_limit.tolist() if traj.dist_to_limit is not None else None
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["step"] + [f"x_{i}" for i in range(n)] + ["phi", "phi_bound", "dist_max"])
+        for step, (coords, phi) in enumerate(zip(traj.coords.tolist(), traj.lyapunov_values.tolist())):
+            row = [str(step)] + [repr(v) for v in coords]
+            row.append("" if np.isnan(phi) else repr(phi))
+            row.append(repr(float(lyapunov_bound(step))) if traj.females is not None else "")
+            row.append(repr(dists[step]) if dists is not None else "")
+            writer.writerow(row)
+
+
+class TestColumnWriter:
+    """``trajectory`` writes its CSV by columns; the bytes are the per-row writer's."""
+
+    @pytest.mark.parametrize(
+        "doc, start, extra, rows",
+        [
+            ("rps_doc", "0.2,0.3,0.5", ["--steps", "2041"], 2042),  # Volterra: empty bound cells
+            ("single_male_doc", "random:3", ["--reference", "none", "--steps", "200"], None),  # two-sex: bound cells
+            ("m2_doc", "uniform", ["--reference", "vertex0", "--tol", "1e-12"], None),  # distance cells
+        ],
+    )
+    def test_bytes_match_the_per_row_writer(self, request, tmp_path, doc, start, extra, rows):
+        path = request.getfixturevalue(doc)
+        out, expected = tmp_path / "t.csv", tmp_path / "expected.csv"
+        assert main(["trajectory", path, "--start", start, *extra, "--output", str(out)]) == 0
+        args = cli.build_parser().parse_args(["trajectory", path, "--start", start, *extra, "--output", str(out)])
+        P = documents.expand(documents.load_document(path))
+        traj = dynamics.trajectory(
+            P, cli._parse_start(start, P.n), args.steps, tol=args.tol, reference=cli._resolve_reference(args.reference, P)
+        )
+        write_rows_one_by_one(expected, traj, P.n)
+        assert out.read_bytes() == expected.read_bytes()
+        assert rows is None or len(read_rows(out)) == rows + 1
+        assert any(row[-1] for row in read_rows(out)[1:]) == (traj.dist_to_limit is not None)
+
+
 class TestPhiColumn:
     """Each phi cell is phi_F of its own row, bitwise; every F-QSO gets bound cells and the snap."""
 
@@ -400,6 +440,17 @@ class TestConjecture:
                      "--csv", str(out)]) == 0
         assert time.perf_counter() - start < 2.0
         assert main(["replay", str(out), "--m", str(m), "--iterations", "50", "--tol", "1e-8"]) == 0
+
+    def test_huge_scan_is_refused_before_the_first_trial(self, tmp_path, capsys):
+        """10**9 trials grew the result list until memory ran out; now the step budget refuses them at once."""
+        out = tmp_path / "scan.csv"
+        start = time.perf_counter()
+        assert main(["conjecture", "--m", "4", "--f", "2", "--trials", "1000000000", "--csv", str(out)]) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: a scan may run at most {core.MAX_STEPS} steps")
+        assert "Traceback" not in captured.err
 
     def test_trials_stop_at_the_vertex_whatever_the_iteration_count(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"

@@ -1,5 +1,6 @@
 """Trajectories, the convergence functional, fixed points, Cesaro averages."""
 
+import itertools
 import math
 import time
 
@@ -33,7 +34,15 @@ from qsodyn import (
 from qsodyn import dynamics
 from qsodyn.core import MAX_FLOATS, proper_subset
 from qsodyn.operators import SkewMatrix, apply_normalized, apply_unnormalized, cubic_from_skew
-from helpers import apply, assert_frozen, random_cubic, random_simplex, random_simplex_batch
+from helpers import (
+    apply,
+    assert_frozen,
+    cesaro_per_step,
+    random_cubic,
+    random_simplex,
+    random_simplex_batch,
+    trajectory_per_step,
+)
 
 
 def random_single_male(rng, m):
@@ -679,6 +688,131 @@ class TestCesaro:
         x0 = SimplexPoint(random_simplex(rng, 5))
         [(_, alone)] = cesaro_running(P, x0, [37])
         assert np.array_equal(cesaro_running(P, x0, [1, 2, 4, 37])[-1][1], alone)
+
+
+def assert_same_trajectory(traj, expected):
+    """Bitwise equal rows, phi values and distances, and the same stop reason and female set."""
+    for name in ("coords", "lyapunov_values", "dist_to_limit"):
+        got, want = getattr(traj, name), getattr(expected, name)
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
+    assert (traj.stop_reason, traj.females) == (expected.stop_reason, expected.females)
+
+
+def slow_volterra():
+    """State 0 beats 1 and 2 by 0.01, so the distance to the vertex e0 falls strictly, by about 1% a step."""
+    a = np.array([[0.0, 0.01, 0.01], [-0.01, 0.0, 0.5], [-0.01, -0.5, 0.0]])
+    return cubic_from_skew(SkewMatrix(a))
+
+
+def faulty_step(P, at, spoil):
+    """:func:`apply_normalized`, except that call ``at`` returns ``spoil`` of the image."""
+    calls = itertools.count(1)
+
+    def step(x):
+        y = apply_normalized(P, x)
+        return spoil(y) if next(calls) == at else y
+
+    return step
+
+
+#: Step counts on both sides of the trajectory's block edges: 8, 8 + 16, ..., and 1016 + 1024.
+BLOCK_EDGES = [8, 24, 1016, 2040]
+
+
+class TestBlockStopRules:
+    """``trajectory`` tests its stop rules per block of rows; the per-step loop in ``helpers`` is its bitwise oracle."""
+
+    @pytest.mark.parametrize("K", BLOCK_EDGES)
+    def test_max_steps_at_block_edges(self, K):
+        rng = np.random.default_rng(K)
+        for P in (preset("ganikhodzhaev_v0"), random_cubic(rng, 2), random_cubic(rng, 5)):
+            x0 = SimplexPoint(random_simplex(rng, P.n))
+            for steps in (K - 1, K, K + 1):
+                expected = trajectory_per_step(P, x0, steps)
+                assert expected.stop_reason == "max_steps" and len(expected) == steps + 1
+                assert_same_trajectory(trajectory(P, x0, steps), expected)
+
+    @pytest.mark.parametrize("K", BLOCK_EDGES)
+    def test_converged_by_reference_at_block_edges(self, K):
+        """A tolerance equal to the distance at step K - 1, K or K + 1 stops the orbit exactly there."""
+        P, x0, vertex = slow_volterra(), SimplexPoint(np.array([0.2, 0.3, 0.5])), SimplexPoint.vertex(3)
+        dists = trajectory_per_step(P, x0, K + 2, tol=-1.0, reference=vertex).dist_to_limit
+        for stop in (K - 1, K, K + 1):
+            for steps in (stop, stop + 1, K + 2):
+                expected = trajectory_per_step(P, x0, steps, tol=dists[stop], reference=vertex)
+                assert expected.stop_reason == "converged" and len(expected) == stop + 1
+                assert_same_trajectory(trajectory(P, x0, steps, tol=dists[stop], reference=vertex), expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_sex_snap_and_max_steps_on_its_row(self, seed):
+        """Every step budget up to past the snap: at the snap's own row, max_steps wins."""
+        rng = np.random.default_rng(seed)
+        P = build_fqso_m2(*random_simplex(rng, 3)) if seed % 2 else random_single_male(rng, 2 + seed)
+        x0 = SimplexPoint(random_simplex(rng, P.n))
+        snapped = trajectory_per_step(P, x0, 100)
+        assert snapped.stop_reason == "converged" and np.array_equal(snapped.coords[-1], np.eye(P.n)[0])
+        for steps in range(1, len(snapped) + 2):
+            expected = trajectory_per_step(P, x0, steps)
+            assert_same_trajectory(trajectory(P, x0, steps), expected)
+        assert trajectory_per_step(P, x0, len(snapped) - 2).stop_reason == "max_steps"
+
+    def test_reference_that_disarms_the_snap(self):
+        """A reference that the vertex misses keeps a two-sex orbit going to max_steps."""
+        rng = np.random.default_rng(40)
+        P = random_single_male(rng, 3)
+        x0, reference = SimplexPoint(random_simplex(rng, 4)), SimplexPoint(random_simplex(rng, 4))
+        expected = trajectory_per_step(P, x0, 30, tol=1e-9, reference=reference)
+        assert expected.stop_reason == "max_steps"
+        assert_same_trajectory(trajectory(P, x0, 30, tol=1e-9, reference=reference), expected)
+
+    @pytest.mark.parametrize("at", [1, 7, 8, 9, 23, 24, 25, 1016, 1017])
+    @pytest.mark.parametrize("spoil", [lambda y: y * np.nan, lambda y: 2.0 * y, lambda y: y - y.max()])
+    def test_invalid_state_from_a_patched_step(self, monkeypatch, at, spoil):
+        """The spoiled row is dropped; rows stepped past it in its block neither warn nor stay."""
+        P, x0 = preset("ganikhodzhaev_v0"), SimplexPoint(np.array([0.2, 0.3, 0.5]))
+        monkeypatch.setattr(dynamics, "_stepper", lambda P, batch: faulty_step(P, at, spoil))
+        expected = trajectory_per_step(P, x0, 2000, step=faulty_step(P, at, spoil))
+        assert expected.stop_reason == "invalid_state" and len(expected) == at
+        assert_same_trajectory(trajectory(P, x0, 2000), expected)
+
+    def test_start_rows_that_already_stop(self):
+        """Converged at step 0, the snap at step 0 on the vertex (no row added), and off it (the vertex added)."""
+        m2, rps = build_fqso_m2(0.2, 0.5, 0.3), preset("ganikhodzhaev_v0")
+        x0 = SimplexPoint(np.array([0.2, 0.3, 0.5]))
+        cases = [
+            (rps, x0, {"tol": 0.0, "reference": x0}, 1),
+            (m2, SimplexPoint.vertex(3), {}, 1),
+            (m2, SimplexPoint(np.array([0.5, 0.5, 0.0])), {}, 2),
+            (m2, SimplexPoint.vertex(3), {"tol": 1e-9, "reference": SimplexPoint.vertex(3)}, 1),
+        ]
+        for P, start, kwargs, rows in cases:
+            expected = trajectory_per_step(P, start, 10, **kwargs)
+            assert expected.stop_reason == "converged" and len(expected) == rows
+            assert_same_trajectory(trajectory(P, start, 10, **kwargs), expected)
+
+
+class TestCesaroSegments:
+    """The segment loop of the Cesaro averages against the per-step loop in ``helpers``, bitwise."""
+
+    @pytest.mark.parametrize(
+        "schedule", [[1], [1, 2], [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2000], [3, 5, 6, 300]]
+    )
+    def test_matches_per_step_loop(self, schedule):
+        rng = np.random.default_rng(len(schedule))
+        for P in (preset("ganikhodzhaev_v0"), random_cubic(rng, 5), random_single_male(rng, 3)):
+            for x0 in (SimplexPoint(random_simplex(rng, P.n)), SimplexPoint(np.r_[-0.0, np.full(P.n - 1, 1 / (P.n - 1))])):
+                got, want = cesaro_running(P, x0, schedule), cesaro_per_step(P, x0, schedule)
+                assert [count for count, _ in got] == [count for count, _ in want] == schedule
+                assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+
+    def test_negative_zero_start_coordinate_sums_to_positive_zero(self):
+        """The running sum starts from +0.0, so a -0.0 that never moves averages to +0.0."""
+        x0 = SimplexPoint(np.array([-0.0, 0.5, 0.5]))
+        assert np.signbit(x0.coords[0])
+        for _, avg in cesaro_running(preset("ganikhodzhaev_v0"), x0, [1]):
+            assert not np.signbit(avg[0])
 
 
 def reference_orbit(P, x, steps):

@@ -23,6 +23,7 @@ from qsodyn import (
     skew_from_cubic,
     validate_stochastic,
 )
+from qsodyn.operators import _stepper
 from helpers import (
     apply,
     assert_frozen,
@@ -109,6 +110,26 @@ class TestKernel:
                 for batch, rows in [(X, alone), (np.asfortranarray(X), alone), (X[::2], alone[::2])]:
                     assert np.array_equal(apply_kernel(P, batch), rows)
                     assert np.array_equal(np.stack([apply_kernel(P, x) for x in batch]), rows)
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 17, 33, 64])
+    def test_point_step_is_bitwise_apply_normalized_and_its_batch_row(self, n):
+        """The point path (two ``np.dot`` calls) and the batch path (``np.vecmat``) give the same bits."""
+        rng = np.random.default_rng(200 + n)
+        P = random_cubic(rng, n)
+        X = rng.standard_exponential((9, n))
+        X /= X.sum(axis=1, keepdims=True)
+        point_step, batch_step = _stepper(P, batch=False), _stepper(P, batch=True)
+        batch = batch_step(X)
+        bound = 4 * n * np.finfo(float).eps
+        images = []
+        for x, row in zip(X, batch):
+            y = point_step(x)
+            assert y.tobytes() == apply_normalized(P, x).tobytes() == row.tobytes()
+            reference = np.einsum("ijk,i,j->k", P.p, x, x)
+            assert np.max(np.abs(y - reference / reference.sum())) <= bound
+            images.append(y)
+        # Each image is a fresh array: the step's own intermediate is never handed out.
+        assert np.array_equal(np.stack(images), batch)
 
     def test_batch_shape_checked(self):
         P = build_fqso_m2(0.2, 0.5, 0.3)
