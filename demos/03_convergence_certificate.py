@@ -45,8 +45,9 @@ flags = (mixed.bound_ok.all(), mixed.squared_contraction_ok.all(), mixed.coordin
 print(f"mixed partition, F={{2,4}}: {mixed.mode}; bound, contraction, coordinate bound hold: {all(flags)}")
 print()
 
-# The attracting vertex is also the ONLY fixed point: a seeded multistart
-# search (iterate, then polish repelling candidates) finds a single cluster.
+# The attracting vertex is also the ONLY fixed point, for every two-sex
+# operator (proof in the README); a seeded multistart search (iterate, then
+# polish repelling candidates) agrees: it finds a single cluster.
 fp = find_fixed_points(P, starts=100, seed=0)
 print("fixed-point clusters found:")
 for cand in fp.candidates:

@@ -58,6 +58,7 @@ from .dynamics import (
     convergence_report,
     find_fixed_points,
     fixed_points_m2,
+    fixed_points_volterra,
     iterate_batch,
     lyapunov,
     lyapunov_bound,

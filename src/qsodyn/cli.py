@@ -153,19 +153,32 @@ def cmd_trajectory(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     _, P = _load_matrix(args.file)
-    report = dynamics.find_fixed_points(P, starts=args.starts, seed=args.seed)
-    blocks = [(f"multistart search: starts={args.starts}, seed={args.seed}", report)]
-    if P.n == 3 and P.female_sets:
-        a, b, c = (float(P.p[1, 2, k]) for k in range(3))
-        title = f"algebraic candidates of the three-state family (a={_fmt(a)}, b={_fmt(b)}, c={_fmt(c)}):"
-        blocks.append((title, dynamics.fixed_points_m2(a, b, c)))
+    require_valid(P)
+    dynamics._check_starts(P.n, args.starts)  # a usage error whichever path answers
+    if P.female_sets:
+        vertex = SimplexPoint.vertex(P.n).coords
+        residual = float(dynamics._residual(P, vertex[None])[0])
+        report = dynamics.FixedPointReport((dynamics.FixedPointCandidate(vertex, residual, True),))
+        blocks = [("two-sex operator: the vertex is the only fixed point in the simplex (proved):", report)]
+        if P.n == 3:
+            a, b, c = (float(P.p[1, 2, k]) for k in range(3))
+            title = f"algebraic candidates of the three-state family (a={_fmt(a)}, b={_fmt(b)}, c={_fmt(c)}):"
+            blocks.append((title, dynamics.fixed_points_m2(a, b, c)))
+    elif P.n <= dynamics.MAX_VOLTERRA_N and classify(P).is_volterra:
+        report = dynamics.fixed_points_volterra(P)
+        blocks = [(f"Volterra operator: exact fixed points, one bordered solve on each of {2**P.n - 1} faces:", report)]
+    else:
+        report = dynamics.find_fixed_points(P, starts=args.starts, seed=args.seed)
+        blocks = [(f"multistart search: starts={args.starts}, seed={args.seed}", report)]
     for title, block in blocks:
         print(title)
-        if not block.candidates:  # the algebraic block always holds the vertex
+        if not block.candidates:  # only the search can come back empty
             print("  no candidates found (legal outcome; residual threshold 1e-10)")
         for cand in block.candidates:
             flag = "in simplex" if cand.in_simplex else "REJECTED: not in simplex"
             print(f"  {_fmt_point(cand.point)} residual={cand.residual:.3e} [{flag}]")
+        for face in block.degenerate_faces:
+            print(f"  face {_set_text(face)}: degenerate, not solved to one isolated point")
     if report.unique_in_simplex is not None:
         print(f"unique in-simplex fixed point: {_fmt_point(report.unique_in_simplex.coords)}")
     return 0
@@ -381,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="CSV path")
     p.set_defaults(func=cmd_trajectory)
 
-    p = sub.add_parser("fixed-points", help="multistart fixed-point search")
+    p = sub.add_parser("fixed-points", help="fixed points: exact by class, else a multistart search")
     p.add_argument("file")
     p.add_argument("--starts", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -12,9 +12,11 @@ import pytest
 from qsodyn import (
     CubicMatrix,
     OperatorDocument,
+    SkewMatrix,
     apply_normalized,
     build_fqso_m2,
     build_single_male,
+    cubic_from_skew,
     document_from_matrix,
     lyapunov_bound,
     sample_random_f_qso,
@@ -46,6 +48,14 @@ def single_male_doc(tmp_path):
 def rps_doc(tmp_path):
     doc = OperatorDocument(kind="preset", n=3, payload={"name": "ganikhodzhaev_v0", "params": {}})
     path = tmp_path / "rps.json"
+    save_document(doc, path)
+    return str(path)
+
+
+@pytest.fixture
+def blend_doc(tmp_path):
+    doc = OperatorDocument(kind="preset", n=3, payload={"name": "ganikhodzhaev_lambda", "params": {"lam": 0.5}})
+    path = tmp_path / "blend.json"
     save_document(doc, path)
     return str(path)
 
@@ -350,6 +360,61 @@ class TestFixedPoints:
         assert main(["fixed-points", single_male_doc, "--starts", "30", "--seed", "4"]) == 0
         out = capsys.readouterr().out
         assert "unique in-simplex fixed point: (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)" in out
+
+    @pytest.mark.parametrize("kind", ["f_qso", "cubic", "fqso_m2", "single_male"])
+    def test_two_sex_documents_print_the_certified_vertex(self, kind, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "find_fixed_points", None)  # the proof answers: no search runs
+        payloads = {
+            "f_qso": (4, {"f": [2], "mixed": [{"i": 2, "j": 1, "dist": [0.5, 0.25, 0.25, 0.0]},
+                                             {"i": 2, "j": 3, "dist": [0.25, 0.25, 0.25, 0.25]}]}),
+            "fqso_m2": (3, {"name": "fqso_m2", "params": {"a": 0.2, "b": 0.5, "c": 0.3}}),
+            "single_male": (4, {"name": "single_male", "params": {"table": [[0.25] * 4] * 2}}),
+        }
+        path = tmp_path / "doc.json"
+        if kind == "cubic":
+            save_document(document_from_matrix(sample_random_f_qso(5, {2, 4}, seed=3)), path)
+        else:
+            n, payload = payloads[kind]
+            path.write_text(json.dumps({"schema_version": "1", "kind": "preset" if "name" in payload else kind,
+                                        "n": n, "payload": payload}))
+        assert main(["fixed-points", str(path)]) == 0
+        out = capsys.readouterr().out
+        n = 6 if kind == "cubic" else payloads[kind][0]
+        vertex = "(" + ", ".join(["1.0"] + ["0.0"] * (n - 1)) + ")"
+        assert out.startswith(
+            "two-sex operator: the vertex is the only fixed point in the simplex (proved):\n"
+            f"  {vertex} residual=0.000e+00 [in simplex]\n"
+        )
+        assert out.endswith(f"unique in-simplex fixed point: {vertex}\n") and "multistart" not in out
+
+    def test_volterra_documents_print_the_exact_block(self, rps_doc, tmp_path, capsys):
+        assert main(["fixed-points", rps_doc, "--seed", "7"]) == 0
+        assert capsys.readouterr().out == (
+            "Volterra operator: exact fixed points, one bordered solve on each of 7 faces:\n"
+            "  (0.0, 0.0, 1.0) residual=0.000e+00 [in simplex]\n"
+            "  (0.0, 1.0, 0.0) residual=0.000e+00 [in simplex]\n"
+            "  (0.3333333333333333, 0.3333333333333333, 0.3333333333333333) residual=0.000e+00 [in simplex]\n"
+            "  (1.0, 0.0, 0.0) residual=0.000e+00 [in simplex]\n"
+        )
+        path = tmp_path / "zero.json"
+        save_document(document_from_matrix(cubic_from_skew(SkewMatrix(np.zeros((3, 3))))), path)
+        assert main(["fixed-points", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[in simplex]") == 3 and "multistart" not in out
+        assert out.endswith(
+            "  face {0,1}: degenerate, not solved to one isolated point\n"
+            "  face {0,2}: degenerate, not solved to one isolated point\n"
+            "  face {1,2}: degenerate, not solved to one isolated point\n"
+            "  face {0,1,2}: degenerate, not solved to one isolated point\n"
+        )
+
+    def test_volterra_above_the_exact_cap_runs_the_search(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "fixed_points_volterra", None)
+        a = np.triu(np.random.default_rng(17).uniform(-1.0, 1.0, (17, 17)), 1)
+        path = tmp_path / "skew17.json"
+        save_document(document_from_matrix(cubic_from_skew(SkewMatrix(a - a.T))), path)
+        assert main(["fixed-points", str(path), "--starts", "4", "--seed", "2"]) == 0
+        assert capsys.readouterr().out.startswith("multistart search: starts=4, seed=2\n")
 
     @pytest.mark.parametrize("starts", [10**12, 2**24 // 9 + 1, 0])
     def test_start_count_beyond_the_block_cap_is_refused_before_drawing(self, rps_doc, capsys, starts):
@@ -811,14 +876,14 @@ class TestParserReuse:
         assert got == expected
         assert cli.build_parser.cache_info().misses == 1
 
-    def test_usage_error_then_valid_command(self, rps_doc, capsys):
-        expected = self._fresh(["fixed-points", rps_doc, "--seed", "3"], capsys)
-        for bad in (["no-such-command"], ["fixed-points", rps_doc, "--starts", "many"]):
+    def test_usage_error_then_valid_command(self, blend_doc, capsys):
+        expected = self._fresh(["fixed-points", blend_doc, "--seed", "3"], capsys)
+        for bad in (["no-such-command"], ["fixed-points", blend_doc, "--starts", "many"]):
             with pytest.raises(SystemExit) as exc:
                 main(bad)
             assert exc.value.code == 2
             assert "usage: qsodyn" in capsys.readouterr().err
-        assert (main(["fixed-points", rps_doc, "--seed", "3"]), capsys.readouterr()) == expected
+        assert (main(["fixed-points", blend_doc, "--seed", "3"]), capsys.readouterr()) == expected
         assert "starts=100, seed=3" in expected[1].out
 
     def test_help_is_unchanged(self, monkeypatch, capsys):
@@ -848,7 +913,7 @@ positional arguments:
   {validate,trajectory,fixed-points,ergodic,conjecture,presets,replay}
     validate            stochasticity, classification and first-row counts
     trajectory          iterate an operator and write per-step CSV
-    fixed-points        multistart fixed-point search
+    fixed-points        fixed points: exact by class, else a multistart search
     ergodic             running Cesaro averages at a logarithmic schedule
     conjecture          randomized check of the two-sex convergence theorem
     presets             list the named operators
@@ -870,7 +935,7 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "stochasticity: OK" in proc.stdout
 
-    def test_fixed_points_never_loads_scipy_optimize(self, rps_doc):
+    def test_fixed_points_never_loads_scipy_optimize(self, blend_doc):
         """No command loads scipy.optimize: the fixed-point polish is numpy Gauss-Newton."""
         probe = (
             "import sys\n"
@@ -879,15 +944,13 @@ class TestEntryPoint:
             "qsodyn.cli.main(['fixed-points', sys.argv[1], '--starts', '20', '--seed', '1'])\n"
             "print('scipy.optimize' in sys.modules, file=sys.stderr)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", probe, rps_doc], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", probe, blend_doc], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stderr.split() == ["True", "False", "False"]
         assert proc.stdout == (
             "multistart search: starts=20, seed=1\n"
-            "  (0.0, 0.0, 1.0) residual=0.000e+00 [in simplex]\n"
-            "  (0.0, 1.0, 0.0) residual=0.000e+00 [in simplex]\n"
-            "  (0.3333333333333333, 0.33333333333333337, 0.33333333333333337) residual=5.551e-17 [in simplex]\n"
-            "  (1.0, 0.0, 0.0) residual=0.000e+00 [in simplex]\n"
+            "  (0.33333333333333326, 0.33333333333333337, 0.33333333333333326) residual=5.551e-17 [in simplex]\n"
+            "unique in-simplex fixed point: (0.3333333333333333, 0.3333333333333334, 0.3333333333333333)\n"
         )
 
     def test_usage_error_is_exit_2(self):

@@ -33,7 +33,7 @@ from qsodyn import (
 )
 from qsodyn import dynamics
 from qsodyn.core import MAX_FLOATS, proper_subset
-from qsodyn.operators import SkewMatrix, apply_normalized, apply_unnormalized, cubic_from_skew
+from qsodyn.operators import SkewMatrix, apply_normalized, apply_unnormalized, cubic_from_skew, skew_from_cubic
 from helpers import (
     apply,
     assert_frozen,
@@ -643,6 +643,88 @@ class TestPolishQuality:
                 assert min(np.max(np.abs(cand.point - x)) for x in found) <= math.sqrt(TOL_FIX)
 
 
+def loop_volterra_fixed_points(a):
+    """Fixed points face by face, each from its block's SVD kernel: the reference for the stacked bordered solve."""
+    n = len(a)
+    points = []
+    for k in range(1, n + 1):
+        for face in itertools.combinations(range(n), k):
+            _, sv, vh = np.linalg.svd(a[np.ix_(face, face)])
+            if np.count_nonzero(sv > k * np.finfo(float).eps * sv.max()) != k - 1:
+                continue
+            x = vh[-1] / vh[-1].sum()
+            if np.all(x > 0.0):
+                points.append(np.zeros(n))
+                points[-1][list(face)] = x
+    return sorted(points, key=tuple)
+
+
+def _faces(n, smallest):
+    return [face for k in range(smallest, n + 1) for face in itertools.combinations(range(n), k)]
+
+
+class TestVolterraFixedPoints:
+    """The exact Volterra oracle: one bordered solve per face, no search."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_zero_skew_has_vertices_and_every_larger_face_degenerate(self, n):
+        report = dynamics.fixed_points_volterra(cubic_from_skew(SkewMatrix(np.zeros((n, n)))))
+        assert [tuple(cand.point) for cand in report.candidates] == sorted(map(tuple, np.eye(n)))
+        assert report.degenerate_faces == tuple(_faces(n, 2))
+        assert (report.polishes, report.polishes_accepted) == (0, 0)
+
+    def test_rps_vertices_and_barycentre(self):
+        report = dynamics.fixed_points_volterra(preset("ganikhodzhaev_v0"))
+        points = [cand.point for cand in report.candidates]
+        assert np.array_equal(points, [[0, 0, 1], [0, 1, 0], [1 / 3, 1 / 3, 1 / 3], [1, 0, 0]])
+        assert all(cand.residual <= 1e-16 and cand.in_simplex for cand in report.candidates)
+        assert report.degenerate_faces == () and report.unique_in_simplex is None
+
+    def test_exactly_singular_bordered_matrix_is_a_degenerate_face(self):
+        """States 1 and 2 beat state 0 and tie: the edge {1,2} is all fixed, and {0,1,2}'s bordered matrix is singular."""
+        a = np.zeros((3, 3))
+        a[1, 0] = a[2, 0] = 1.0
+        report = dynamics.fixed_points_volterra(cubic_from_skew(SkewMatrix(a - a.T)))
+        assert [tuple(cand.point) for cand in report.candidates] == sorted(map(tuple, np.eye(3)))
+        assert report.degenerate_faces == ((1, 2), (0, 1, 2))
+
+    def test_solve_stack_marks_only_the_singular_matrix(self):
+        A = np.stack([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)])
+        b = np.ones((3, 2, 1))
+        x = dynamics._solve_stack(A, b)
+        assert np.array_equal(x[[0, 2]], [[[1.0], [1.0]], [[0.5], [0.5]]]) and np.isnan(x[1]).all()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_random_skews_match_the_loop_reference_and_cover_the_search(self, n):
+        """Seeds 1000 n + s: every search candidate (100 starts, seeds 0-2) is an exact point; all n vertices are."""
+        for s in range(6):
+            P = _random_skew_cube(n, 1000 * n + s)
+            report = dynamics.fixed_points_volterra(P)
+            exact = np.array([cand.point for cand in report.candidates])
+            expected = loop_volterra_fixed_points(skew_from_cubic(P).a)
+            assert exact.shape == (len(expected), n) and np.max(np.abs(exact - expected)) <= 1e-12
+            assert report.degenerate_faces == ()
+            assert all(cand.residual <= TOL_FIX and cand.in_simplex for cand in report.candidates)
+            assert {tuple(v) for v in np.eye(n)} <= {tuple(x) for x in exact}
+            for seed in (0, 1, 2):
+                for cand in find_fixed_points(P, starts=100, seed=seed).candidates:
+                    assert np.min(np.max(np.abs(exact - cand.point), axis=1)) <= 1e-8
+
+    def test_the_thirty_skews_hold_278_fixed_points(self):
+        count = sum(
+            len(dynamics.fixed_points_volterra(_random_skew_cube(n, 1000 * n + s)).candidates)
+            for n in range(3, 8)
+            for s in range(6)
+        )
+        assert count == 278
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="at most 16 states"):
+            dynamics.fixed_points_volterra(cubic_from_skew(SkewMatrix(np.zeros((17, 17)))))
+        with pytest.raises(ClassificationError):
+            dynamics.fixed_points_volterra(preset("ganikhodzhaev_lambda", lam=0.5))
+
+
 class TestCesaro:
     def test_single_term_returns_start(self):
         P = build_fqso_m2(0.2, 0.5, 0.3)
@@ -971,6 +1053,16 @@ class TestEveryFemaleSetIsCertified:
                 assert np.all(X[1:, 1:] <= 2.0 * phi[:-1, None] + 1e-12)
                 steps += len(X) - 1
         assert steps >= 11 * 20 * 3
+
+    def test_the_search_finds_only_the_proved_vertex(self):
+        """56 random F-QSOs, m = 2..8: the search's in-simplex candidates are one cluster, at the vertex."""
+        rng = np.random.default_rng(21)
+        for m in range(2, 9):
+            for seed in range(8):
+                females = proper_subset(m, int(rng.integers(2**m - 2)))
+                report = find_fixed_points(sample_random_f_qso(m, females, seed), starts=100, seed=seed)
+                [point] = [cand.point for cand in report.candidates if cand.in_simplex]
+                assert np.max(np.abs(point - SimplexPoint.vertex(m + 1).coords)) <= 1e-8
 
     @pytest.mark.parametrize("m, females, seed", [(2, {1}, 1), (4, {2, 3}, 2), (7, {1, 5, 6}, 3), (12, {4}, 4)])
     def test_vertex_is_the_unique_fixed_point(self, m, females, seed):
