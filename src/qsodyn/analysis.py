@@ -12,6 +12,7 @@ proves that every trajectory reaches the absorbing vertex, within
 2*(1/4)^(2^(n-1)) in max norm after n >= 1 steps.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import MAX_N, MAX_STEPS, CubicMatrix, _uniform_simplex, proper_subset, require_valid
-from .operators import _f_qso_cube, _mixed_pairs, _stepper
+from .operators import _f_qso_cube, _mixed_pairs, _orbit
 
 #: The most steps a scan's budget counts per trial.  A trial stops at the exact
 #: vertex, which every trial measured reached within 11 steps (m = 2..255), so
@@ -163,21 +164,20 @@ def run_trial(m: int, females, seed: int, iterations: int, tol: float) -> tuple[
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
     females = frozenset(females)
-    advance = _stepper(sample_random_f_qso(m, females, seed), batch=False)
-    n = m + 1
-    x = _uniform_simplex(np.random.SeedSequence([seed, 1]), n)
+    P = sample_random_f_qso(m, females, seed)
+    x = _uniform_simplex(np.random.SeedSequence([seed, 1]), P.n)
 
-    vertex = np.zeros(n)
+    vertex = np.zeros(P.n)
     vertex[0] = 1.0
     dist = float(abs(x - vertex).max())
     first_hit = 0 if dist <= tol else -1
-    step = 0
-    while step < iterations and dist != 0.0:
-        step += 1
-        x = advance(x)
-        dist = float(abs(x - vertex).max())
-        if first_hit < 0 and dist <= tol:
-            first_hit = step
+    if dist != 0.0:
+        for step, x in enumerate(itertools.islice(_orbit(P, x), iterations), 1):
+            dist = float(abs(x - vertex).max())
+            if first_hit < 0 and dist <= tol:
+                first_hit = step
+            if dist == 0.0:
+                break
     return females, first_hit, dist, dist <= tol
 
 

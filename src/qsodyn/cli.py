@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, dynamics
-from .core import QsoError, SimplexPoint, _uniform_simplex, classify, require_valid
+from .core import QsoError, SimplexPoint, _uniform_simplex, require_valid
 from .documents import DocumentError, expand, load_document
 from .operators import PRESETS, apply_normalized
 
@@ -94,7 +94,7 @@ def cmd_validate(args) -> int:
                 f"but not exactly 1; it counts toward N1~"
             )
 
-    cls = classify(P)
+    cls = P.classification
     print(
         f"classification: volterra={'yes' if cls.is_volterra else 'no'}, "
         f"strictly_non_volterra={'yes' if cls.is_strictly_non_volterra else 'no'}"
@@ -164,7 +164,7 @@ def cmd_fixed_points(args) -> int:
             a, b, c = (float(P.p[1, 2, k]) for k in range(3))
             title = f"algebraic candidates of the three-state family (a={_fmt(a)}, b={_fmt(b)}, c={_fmt(c)}):"
             blocks.append((title, dynamics.fixed_points_m2(a, b, c)))
-    elif P.n <= dynamics.MAX_VOLTERRA_N and classify(P).is_volterra:
+    elif P.n <= dynamics.MAX_VOLTERRA_N and P.classification.is_volterra:
         report = dynamics.fixed_points_volterra(P)
         blocks = [(f"Volterra operator: exact fixed points, one bordered solve on each of {2**P.n - 1} faces:", report)]
     else:

@@ -195,6 +195,11 @@ class CubicMatrix(_Rebuilt):
         return validate_stochastic(self)
 
     @functools.cached_property
+    def classification(self) -> "ClassReport":
+        """The :func:`classify` report, computed once; an invalid cube raises on every read, caching nothing."""
+        return classify(self)
+
+    @functools.cached_property
     def female_sets(self) -> "FemaleSets":
         """The female sets whose two-sex pattern ``p`` matches, read off the pair graph once.
 

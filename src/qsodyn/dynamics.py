@@ -38,7 +38,7 @@ from .core import (
     renormalize,
     require_valid,
 )
-from .operators import _stepper, apply_unnormalized, build_fqso_m2, skew_from_cubic
+from .operators import _batch_step, _orbit, apply_unnormalized, build_fqso_m2, skew_from_cubic
 
 #: Largest state count :func:`fixed_points_volterra` takes: it solves all
 #: 2^n - 1 faces, which at n = 16 took 0.45-0.85 s on a 2-core Xeon host.
@@ -162,11 +162,12 @@ def trajectory(
     below 1 or with ``(max_steps + 1) * n`` above ``MAX_FLOATS``, raises
     ``ValueError`` before any step.
 
-    After the start row's tests, the prepared step alone computes blocks
-    of 8, 16, ..., 1024 rows; the stop rules then run once over each block,
-    which is cut at its first row that stops (the rows and the reason are
-    those of a test after every step).  An orbit that stops computes at
-    most the rest of its block, under ``np.errstate(all="ignore")``.
+    After the start row's tests, blocks of 8, 16, ..., 1024 rows are taken
+    from the point's orbit (``operators._orbit``); the stop rules then run
+    once over each block, which is cut at its first row that stops (the
+    rows and the reason are those of a test after every step).  An orbit
+    that stops computes at most the rest of its block, under
+    ``np.errstate(all="ignore")``.
     """
     require_valid(P)
     if x0.dim != P.n:
@@ -202,21 +203,16 @@ def trajectory(
         row, keep, reason = min(hits, key=lambda h: h[0], default=(len(rows), 0, None))
         return row + keep, reason
 
-    step = _stepper(P, batch=False)
-    x = x0.coords
-    blocks = [x[None]]
+    orbit = _orbit(P, x0.coords)
+    blocks = [x0.coords[None]]
     count, size = 0, 8
     with np.errstate(all="ignore"):  # rows computed past an invalid state are never kept
         stop = cut(blocks[0], 0)[1]
         while stop is None:
-            rows = []
-            for _ in range(min(size, max_steps - count)):
-                x = step(x)
-                rows.append(x)
-            block = np.array(rows)
+            block = np.array(list(itertools.islice(orbit, min(size, max_steps - count))))
             keep, stop = cut(block, count + 1)
             blocks.append(block[:keep])
-            count, size = count + len(rows), min(2 * size, 1024)
+            count, size = count + len(block), min(2 * size, 1024)
     if stop == _SNAP:
         if not np.array_equal(blocks[-1][-1], vertex):
             blocks.append(vertex[None])
@@ -245,7 +241,7 @@ def iterate_batch(P: CubicMatrix, starts: np.ndarray, steps: int, return_history
     X = np.array(starts, dtype=float, copy=True, order="C")
     if X.ndim != 2 or X.shape[1] != P.n:
         raise DimensionError(f"starts of shape {X.shape} do not match operator with n={P.n}")
-    step = _stepper(P, batch=True)
+    step = _batch_step(P)
     history = [X]
     for _ in range(steps):
         X = step(X)
@@ -436,7 +432,7 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
     _check_starts(P.n, starts)
     starts_x = _uniform_simplex(seed, (starts, P.n))
 
-    ends = _settle(_stepper(P, batch=True), starts_x, 200)
+    ends = _settle(_batch_step(P), starts_x, 200)
     residuals = _residual(P, ends)
 
     unsettled = ~(residuals <= TOL_FIX)
@@ -471,22 +467,21 @@ def cesaro_running(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]) -> lis
 def _cesaro_rows(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]):
     """Yield :func:`cesaro_running`'s rows one by one, each as soon as its count is reached.
 
-    Steps run segment by segment between the scheduled counts, with no
-    per-step test; the average is read off the running sum at each count.
+    Each segment between the scheduled counts is taken from the point's
+    orbit (``operators._orbit``) with no per-step test; the average is read
+    off the running sum at each count.
     """
     if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing and start at >= 1")
     require_valid(P)
     if x0.dim != P.n:
         raise DimensionError(f"start of dim {x0.dim} does not match operator with n={P.n}")
-    step = _stepper(P, batch=False)
-    x = x0.coords
+    orbit = _orbit(P, x0.coords)
     acc = np.zeros(P.n)
-    acc += x  # not x.copy(): from +0.0, a -0.0 start coordinate sums to +0.0
+    acc += x0.coords  # not a copy: from +0.0, a -0.0 start coordinate sums to +0.0
     count = 1
     for target in schedule:
-        for _ in range(target - count):
-            x = step(x)
+        for x in itertools.islice(orbit, target - count):
             acc += x
         count = target
         yield count, acc / count

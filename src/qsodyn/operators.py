@@ -8,7 +8,7 @@ downstream operation (classification, counting, dynamics) works through one code
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .core import (
     _as_readonly,
     _on_simplex,
     _Rebuilt,
-    classify,
 )
 
 #: Tolerance for skew-matrix invariants (antisymmetry, |a| <= 1); row-sum
@@ -50,41 +49,39 @@ def _quadratic(X: np.ndarray, Q: np.ndarray, shape: tuple[int, ...]) -> np.ndarr
     return np.vecmat(X, np.vecmat(X, Q).reshape(shape))
 
 
-def _stepper(P: CubicMatrix, batch: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """:func:`apply_normalized` for a loop: the view, the intermediate and the sum's form fixed once.
+def _orbit(P: CubicMatrix, x: np.ndarray) -> Iterator[np.ndarray]:
+    """The images V(x), V(V(x)), ... of a C-contiguous float point ``x``, each computed when asked for.
 
-    ``step(X)`` takes a C-contiguous float point ``(n,)``, or with ``batch``
-    a stack ``(B, n)`` whose ``B`` may change between calls, and returns
-    its image bitwise as :func:`apply_normalized` would, without that
-    function's per-call conversion and shape check.  Rank picks the product
-    path: a batch runs the kernel body :func:`_quadratic`; a point runs two
-    ``np.dot`` calls, the same BLAS gemv as one ``np.vecmat`` row, into an
-    ``(n, n)`` intermediate that the step owns, and divides by a 0-d sum
-    (the same bits as a ``(1,)`` one).  So a point step is not reentrant:
-    each loop prepares its own.
+    Each image is a fresh array, bitwise :func:`apply_normalized`'s without its per-call conversion and
+    shape check: two ``np.dot`` calls, the same BLAS gemv as one ``np.vecmat`` row, into an ``(n, n)``
+    intermediate that the orbit owns, then a division by a 0-d sum (the same bits as a ``(1,)`` one).
     """
     n = P.n
     Q = P.p.reshape(n, n * n)
-    if batch:
-
-        def step(X: np.ndarray) -> np.ndarray:
-            Y = _quadratic(X, Q, (-1, n, n))
-            Y /= np.add.reduce(Y, axis=-1, keepdims=True)
-            return Y
-
-        return step
-
     square = np.empty((n, n))
     flat = square.reshape(n * n)
     dot, total = np.dot, np.add.reduce
-
-    def point_step(x: np.ndarray) -> np.ndarray:
+    while True:
         dot(x, Q, out=flat)
-        y = dot(x, square)
-        y /= total(y)
-        return y
+        x = dot(x, square)
+        x /= total(x)
+        yield x
 
-    return point_step
+
+def _batch_step(P: CubicMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`apply_normalized` for C-contiguous float stacks ``(B, n)``, ``B`` free to change between calls.
+
+    ``step(X)`` runs the kernel body :func:`_quadratic` on the ``(n, n*n)`` view, fixed once.
+    """
+    n = P.n
+    Q = P.p.reshape(n, n * n)
+
+    def step(X: np.ndarray) -> np.ndarray:
+        Y = _quadratic(X, Q, (-1, n, n))
+        Y /= np.add.reduce(Y, axis=-1, keepdims=True)
+        return Y
+
+    return step
 
 
 def apply_normalized(P: CubicMatrix, values) -> np.ndarray:
@@ -225,7 +222,7 @@ def skew_from_cubic(P: CubicMatrix) -> SkewMatrix:
     sums carry slack up to ``TOL_SUM``; entries are clipped into
     [-1, 1], which moves them by at most that slack.
     """
-    if not classify(P).is_volterra:
+    if not P.classification.is_volterra:
         raise ClassificationError("skew form requires a Volterra operator")
     # Entry [i, k] is p[i, k, k]; its upper triangle (k > i) is a[k, i].
     upper = np.triu(np.clip(2.0 * np.diagonal(P.p, axis1=1, axis2=2) - 1.0, -1.0, 1.0), 1)

@@ -9,7 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
-from qsodyn import CubicMatrix, SimplexPoint, SkewMatrix, apply_normalized, core, dynamics, renormalize
+from qsodyn import CubicMatrix, SimplexPoint, SkewMatrix, apply_normalized, core, dynamics, operators, renormalize
 
 
 def assert_frozen(owner, read) -> None:
@@ -91,6 +91,41 @@ def proper_subsets(m: int) -> list[frozenset[int]]:
     Listed by size, then lexicographically.
     """
     return [frozenset(combo) for size in range(1, m) for combo in itertools.combinations(range(1, m + 1), size)]
+
+
+def orbit_of(step_for):
+    """A stand-in for ``operators._orbit(P, x)`` built from a step: ``step = step_for(P)``, then step(x), step(step(x)), ..."""
+
+    def orbit(P: CubicMatrix, x: np.ndarray):
+        step = step_for(P)
+        while True:
+            x = step(x)
+            yield x
+
+    return orbit
+
+
+def watch_orbits(monkeypatch, module) -> list:
+    """Patch ``module._orbit`` to pass the real orbits through, and return the record of what they hand out.
+
+    Each orbit started appends ``(P, images)`` to the record at once, and
+    ``images`` grows by every image that the caller pulls from it.
+    """
+    orbits = []
+
+    def watched(P: CubicMatrix, x: np.ndarray):
+        images = []
+        orbits.append((P, images))
+        return _recorded(operators._orbit(P, x), images)
+
+    monkeypatch.setattr(module, "_orbit", watched)
+    return orbits
+
+
+def _recorded(orbit, images: list):
+    for y in orbit:
+        images.append(y)
+        yield y
 
 
 def trajectory_per_step(P: CubicMatrix, x0: SimplexPoint, max_steps: int, tol=None, reference=None, step=None):

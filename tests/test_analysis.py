@@ -17,8 +17,8 @@ from qsodyn import (
 )
 from qsodyn import analysis, operators
 from qsodyn.core import proper_subset
-from qsodyn.operators import _stepper, apply_normalized
-from helpers import proper_subsets, random_cubic, random_simplex
+from qsodyn.operators import apply_normalized
+from helpers import proper_subsets, random_cubic, random_simplex, watch_orbits
 
 
 def brute_force_counts(P):
@@ -406,62 +406,38 @@ class TestConjectureScan:
     def test_scan_matches_the_full_length_oracle(self, m, policy, monkeypatch):
         """Cube, steps, distance, flag and final point equal the per-pair, all-steps code."""
         tols = (0.0, 1e-8, -1.0)
-        cubes, finals = [], []
-
-        def recording(P, batch):
-            cubes.append(P)
-            finals.append(None)
-            step = _stepper(P, batch)
-
-            def recorded(x):
-                finals[-1] = step(x)
-                return finals[-1]
-
-            return recorded
-
-        monkeypatch.setattr(analysis, "_stepper", recording)
+        orbits = watch_orbits(monkeypatch, analysis)
         trials = 3 if m <= 13 else 1
         for iterations in (1, 3, 50):
             oracles = {}
             for tol in tols:
-                cubes.clear()
-                finals.clear()
+                orbits.clear()
                 report = conjecture_scan(
                     m, trials, iterations=iterations, tol=tol, seed=m,
                     females={1} if policy == "fixed" else policy,
                 )
-                assert len(cubes) == trials
-                for row, cube, final in zip(report.results, cubes, finals):
+                assert len(orbits) == trials
+                for row, (cube, images) in zip(report.results, orbits):
                     key = (row.females, row.seed)
                     if key not in oracles:
                         oracles[key] = run_trial_full(m, row.females, row.seed, iterations, tols)
                     by_tol, x, p = oracles[key]
                     assert (row.steps, row.final_dist, row.converged) == by_tol[tol]
-                    assert np.array_equal(final, x)
+                    assert np.array_equal(images[-1], x)
                     assert np.array_equal(cube.p, p)
 
     @pytest.mark.parametrize("m", [2, 4, 8, 12])
     def test_stops_at_the_first_step_at_the_vertex(self, m, monkeypatch):
-        calls = []
-
-        def counting(P, batch):
-            step = _stepper(P, batch)
-
-            def counted(x):
-                calls.append(step(x))
-                return calls[-1]
-
-            return counted
-
-        monkeypatch.setattr(analysis, "_stepper", counting)
+        orbits = watch_orbits(monkeypatch, analysis)
         females = set(range(1, m // 2 + 1))
         for t in range(5):
             seed = trial_seed(m, t)
             hit = vertex_step(m, females, seed)
             assert hit < 50
             for iterations, expected in ((50, hit), (hit, hit), (hit - 1, hit - 1)):
-                calls.clear()
+                orbits.clear()
                 final_dist = run_trial(m, females, seed, iterations, -1.0)[2]
+                ((_, calls),) = orbits
                 assert len(calls) == expected
                 x = calls[-1]  # the trial's final point
                 assert np.array_equal(x, np.eye(m + 1)[0]) == (final_dist == 0.0) == (expected == hit)

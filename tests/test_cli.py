@@ -343,6 +343,16 @@ class TestOperatorFacts:
             assert (len(checks), len(graphs)) == (1, reads), argv
 
 
+    def test_volterra_fixed_points_classify_once(self, rps_doc, monkeypatch):
+        """The routing test and the skew form read one class report, so a Volterra ``fixed-points`` computes it once."""
+        calls, classify = [], core.classify
+        monkeypatch.setattr(core, "classify", lambda P: calls.append(P) or classify(P))
+        for argv in (["fixed-points", rps_doc], ["validate", rps_doc]):
+            calls.clear()
+            assert main(argv) == 0
+            assert len(calls) == 1, argv
+
+
 class TestFixedPoints:
     def test_m2_prints_rejected_algebraic_candidate(self, m2_doc, capsys):
         assert main(["fixed-points", m2_doc, "--starts", "20", "--seed", "3"]) == 0

@@ -27,7 +27,7 @@ from qsodyn import (
     validate_stochastic,
 )
 from qsodyn import core, dynamics, operators
-from helpers import assert_frozen, proper_subsets, random_cubic, random_simplex, random_skew
+from helpers import assert_frozen, orbit_of, proper_subsets, random_cubic, random_simplex, random_skew
 
 
 class TestSimplexPoint:
@@ -102,7 +102,7 @@ class TestOneSimplexRule:
     @pytest.mark.parametrize("row, ok", SIMPLEX_VERDICTS)
     def test_point_rows_and_trajectory_step_agree(self, row, ok, monkeypatch):
         row = np.array(row)
-        monkeypatch.setattr(dynamics, "_stepper", lambda P, batch: lambda x: row.copy())  # the step's image is ``row``
+        monkeypatch.setattr(dynamics, "_orbit", orbit_of(lambda P: lambda x: row.copy()))  # the step's image is ``row``
         traj = trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=1)
         assert bool(core._on_simplex(row)) is ok
         assert _accepts(lambda: SimplexPoint(row), InvalidPointError) is ok
@@ -210,6 +210,10 @@ class TestCubicMatrix:
         assert P.stochasticity is P.stochasticity and P.stochasticity.ok and len(calls) == 1
         assert P.female_sets is P.female_sets and tuple(P.female_sets) == (frozenset({1}), frozenset({2}))
         assert classify(P).f_qso_sets is P.female_sets and len(calls) == 1
+        classified = []
+        monkeypatch.setattr(core, "classify", lambda P: classified.append(P) or classify(P))
+        assert P.classification is P.classification and P.classification.f_qso_sets is P.female_sets
+        assert len(classified) == 1 and len(calls) == 1
 
 
 class TestValidateStochastic:
@@ -285,8 +289,13 @@ class TestClassify:
         assert not report.is_volterra
 
     def test_requires_valid_matrix(self):
-        with pytest.raises(StochasticityError):
-            classify(CubicMatrix(np.zeros((3, 3, 3))))
+        """The cached class report caches no refusal: an invalid cube raises on every read."""
+        P = CubicMatrix(np.zeros((3, 3, 3)))
+        for _ in range(2):
+            with pytest.raises(StochasticityError):
+                classify(P)
+            with pytest.raises(StochasticityError):
+                P.classification
 
     def test_mutual_exclusivity_random(self):
         """Volterra and strictly non-Volterra can never hold together."""

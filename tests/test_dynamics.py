@@ -38,10 +38,12 @@ from helpers import (
     apply,
     assert_frozen,
     cesaro_per_step,
+    orbit_of,
     random_cubic,
     random_simplex,
     random_simplex_batch,
     trajectory_per_step,
+    watch_orbits,
 )
 
 
@@ -246,27 +248,27 @@ class TestTrajectory:
     def test_off_simplex_step_stops_as_invalid_state(self, monkeypatch):
         calls = []
 
-        def broken(P, batch):
+        def broken(P):
             def step(x):
                 calls.append(x)
                 return np.full(P.n, np.nan) if len(calls) == 3 else x
 
             return step
 
-        monkeypatch.setattr(dynamics, "_stepper", broken)
+        monkeypatch.setattr(dynamics, "_orbit", orbit_of(broken))
         traj = trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=10)
         assert traj.stop_reason == "invalid_state"
         assert len(traj) == 3
         assert np.all(np.isfinite(traj.coords))
 
     def test_errors_inside_a_step_propagate(self, monkeypatch):
-        def broken(P, batch):
+        def broken(P):
             def step(x):
                 raise RuntimeError("bug in the kernel")
 
             return step
 
-        monkeypatch.setattr(dynamics, "_stepper", broken)
+        monkeypatch.setattr(dynamics, "_orbit", orbit_of(broken))
         with pytest.raises(RuntimeError):
             trajectory(preset("ganikhodzhaev_v0"), SimplexPoint.uniform(3), max_steps=10)
 
@@ -854,7 +856,7 @@ class TestBlockStopRules:
     def test_invalid_state_from_a_patched_step(self, monkeypatch, at, spoil):
         """The spoiled row is dropped; rows stepped past it in its block neither warn nor stay."""
         P, x0 = preset("ganikhodzhaev_v0"), SimplexPoint(np.array([0.2, 0.3, 0.5]))
-        monkeypatch.setattr(dynamics, "_stepper", lambda P, batch: faulty_step(P, at, spoil))
+        monkeypatch.setattr(dynamics, "_orbit", orbit_of(lambda P: faulty_step(P, at, spoil)))
         expected = trajectory_per_step(P, x0, 2000, step=faulty_step(P, at, spoil))
         assert expected.stop_reason == "invalid_state" and len(expected) == at
         assert_same_trajectory(trajectory(P, x0, 2000), expected)
@@ -906,7 +908,7 @@ def reference_orbit(P, x, steps):
 
 
 class TestPreparedLoops:
-    """Every loop that prepares its step once gives bitwise the points of a loop of apply_normalized calls."""
+    """Every loop over a point's orbit or the batch step gives bitwise the points of a loop of apply_normalized calls."""
 
     @pytest.mark.parametrize("n", [3, 9, 33])
     def test_loops_match_apply_normalized_bitwise(self, n, monkeypatch):
@@ -952,6 +954,43 @@ class TestPreparedLoops:
                 break
         assert steps < 300 and np.array_equal(x, np.eye(n)[0])
         assert run_trial(m, females, seed, 300, -1.0)[2] == 0.0  # its final point is the vertex bitwise
+
+
+def block_end(step):
+    """The last step of the trajectory block that computes ``step``: 8, 8 + 16, ..., then 1024 more per block."""
+    end, size = 0, 8
+    while end < step:
+        end, size = end + size, min(2 * size, 1024)
+    return end
+
+
+class TestOrbitSeam:
+    """The point loops pull from ``operators._orbit`` exactly the images they compute: the seam where steps are counted."""
+
+    def test_images_pulled(self, monkeypatch):
+        orbits = watch_orbits(monkeypatch, dynamics)
+        rng = np.random.default_rng(22)
+        P = random_cubic(rng, 4)
+        x0 = SimplexPoint(random_simplex(rng, 4))
+        for schedule in ([1], [1, 2], [3, 5, 6, 300], [1, 2, 4, 1024, 2000]):
+            orbits.clear()
+            cesaro_running(P, x0, schedule)
+            ((_, images),) = orbits
+            assert len(images) == schedule[-1] - 1
+        for steps in (1, 7, 8, 9, 1016, 2041):
+            orbits.clear()
+            traj = trajectory(P, x0, steps)
+            ((_, images),) = orbits
+            assert traj.stop_reason == "max_steps" and len(images) == len(traj) - 1 == steps
+
+        P, x0, vertex = slow_volterra(), SimplexPoint(np.array([0.2, 0.3, 0.5])), SimplexPoint.vertex(3)
+        dists = trajectory_per_step(P, x0, 2100, tol=-1.0, reference=vertex).dist_to_limit
+        for stop in (1, 8, 9, 100, 1016, 1017, 2041):
+            orbits.clear()
+            traj = trajectory(P, x0, 5000, tol=dists[stop], reference=vertex)
+            ((_, images),) = orbits
+            assert traj.stop_reason == "converged" and len(traj) - 1 == stop
+            assert len(images) == block_end(stop)  # at most the rest of its block
 
 
 class TestConvergenceReport:

@@ -23,7 +23,7 @@ from qsodyn import (
     skew_from_cubic,
     validate_stochastic,
 )
-from qsodyn.operators import _stepper
+from qsodyn.operators import _batch_step, _orbit
 from helpers import (
     apply,
     assert_frozen,
@@ -113,23 +113,26 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", [2, 3, 9, 17, 33, 64])
     def test_point_step_is_bitwise_apply_normalized_and_its_batch_row(self, n):
-        """The point path (two ``np.dot`` calls) and the batch path (``np.vecmat``) give the same bits."""
+        """The orbit's path (two ``np.dot`` calls) and the batch path (``np.vecmat``) give the same bits."""
         rng = np.random.default_rng(200 + n)
         P = random_cubic(rng, n)
         X = rng.standard_exponential((9, n))
         X /= X.sum(axis=1, keepdims=True)
-        point_step, batch_step = _stepper(P, batch=False), _stepper(P, batch=True)
+        batch_step = _batch_step(P)
         batch = batch_step(X)
         bound = 4 * n * np.finfo(float).eps
+        orbits = [_orbit(P, x) for x in X]
         images = []
-        for x, row in zip(X, batch):
-            y = point_step(x)
+        for x, row, orbit in zip(X, batch, orbits):
+            y = next(orbit)
             assert y.tobytes() == apply_normalized(P, x).tobytes() == row.tobytes()
             reference = np.einsum("ijk,i,j->k", P.p, x, x)
             assert np.max(np.abs(y - reference / reference.sum())) <= bound
             images.append(y)
-        # Each image is a fresh array: the step's own intermediate is never handed out.
+        # Each image is a fresh array: the orbit's own intermediate is never handed out, and a later image leaves it as it was.
+        seconds = [next(orbit) for orbit in orbits]
         assert np.array_equal(np.stack(images), batch)
+        assert np.stack(seconds).tobytes() == batch_step(batch).tobytes()
 
     def test_batch_shape_checked(self):
         P = build_fqso_m2(0.2, 0.5, 0.3)
