@@ -459,8 +459,6 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
 
 def cesaro_running(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]) -> list[tuple[int, np.ndarray]]:
     """Running Cesaro averages at the given increasing point counts, the last at most ``MAX_STEPS``."""
-    if schedule and schedule[-1] > MAX_STEPS:
-        raise ValueError(f"the last count must be at most {MAX_STEPS}, got {schedule[-1]}")
     return list(_cesaro_rows(P, x0, schedule))
 
 
@@ -469,10 +467,15 @@ def _cesaro_rows(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]):
 
     Each segment between the scheduled counts is taken from the point's
     orbit (``operators._orbit``) with no per-step test; the average is read
-    off the running sum at each count.
+    off the running sum at each count.  The arguments are checked when the
+    first row is asked for, before any step.  The last count is bounded by
+    ``MAX_STEPS`` here, where both ``cesaro_running`` and the counts of a
+    replayed CSV pass.
     """
     if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing and start at >= 1")
+    if schedule[-1] > MAX_STEPS:
+        raise ValueError(f"the last count must be at most {MAX_STEPS}, got {schedule[-1]}")
     require_valid(P)
     if x0.dim != P.n:
         raise DimensionError(f"start of dim {x0.dim} does not match operator with n={P.n}")

@@ -7,6 +7,7 @@ two-sex cube.  All builders return full cubic matrices so that every
 downstream operation (classification, counting, dynamics) works through one code path.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -49,23 +50,55 @@ def _quadratic(X: np.ndarray, Q: np.ndarray, shape: tuple[int, ...]) -> np.ndarr
     return np.vecmat(X, np.vecmat(X, Q).reshape(shape))
 
 
-def _orbit(P: CubicMatrix, x: np.ndarray) -> Iterator[np.ndarray]:
-    """The images V(x), V(V(x)), ... of a C-contiguous float point ``x``, each computed when asked for.
+#: Longest bitwise cycle that :func:`_orbit` keeps as a lap of images; an orbit on a longer one keeps
+#: stepping.  From (0.2, 0.3, 0.5), the float orbits of ``ganikhodzhaev_lambda`` for lam in [0.2, 0.8]
+#: close cycles of period 1 to 13.
+_LAP_MAX = 64
 
-    Each image is a fresh array, bitwise :func:`apply_normalized`'s without its per-call conversion and
+
+def _orbit(P: CubicMatrix, x: np.ndarray) -> Iterator[np.ndarray]:
+    """The images V(x), V(V(x)), ... of a C-contiguous float point ``x``, one handed out per pull.
+
+    Each image is computed bitwise as :func:`apply_normalized` would, without its per-call conversion and
     shape check: two ``np.dot`` calls, the same BLAS gemv as one ``np.vecmat`` row, into an ``(n, n)``
     intermediate that the orbit owns, then a division by a 0-d sum (the same bits as a ``(1,)`` one).
+    Until the orbit repeats itself, each image is a fresh array.
+
+    An image is a function of its point's bytes, so once an image's bytes repeat, every later image
+    repeats too.  Brent's cycle test (R. P. Brent, BIT 20, 1980) finds that with no stored history: each
+    image is compared with a checkpoint image, re-taken at steps 1, 2, 4, 8, ...; a match ``p`` steps
+    after the checkpoint closes a cycle of period ``p``.  For ``p <= _LAP_MAX`` the orbit computes one
+    more lap, hands its ``p`` images out as read-only arrays, and from then on repeats those arrays
+    without computing.
     """
     n = P.n
     Q = P.p.reshape(n, n * n)
     square = np.empty((n, n))
     flat = square.reshape(n * n)
     dot, total = np.dot, np.add.reduce
-    while True:
+
+    def image(x: np.ndarray) -> np.ndarray:
         dot(x, Q, out=flat)
-        x = dot(x, square)
-        x /= total(x)
+        y = dot(x, square)
+        y /= total(y)
+        return y
+
+    mark, marked, step = None, 0, 0
+    while True:
+        x = image(x)
+        step += 1
+        seen = x.tobytes()
         yield x
+        if seen == mark and step - marked <= _LAP_MAX:
+            break
+        if not step & (step - 1):  # a power of two
+            mark, marked = seen, step
+    lap = []
+    for _ in range(step - marked):
+        x = image(x)  # computed from the orbit's own array, handed out as a frozen copy
+        lap.append(_as_readonly(x))
+        yield lap[-1]
+    yield from itertools.cycle(lap)
 
 
 def _batch_step(P: CubicMatrix) -> Callable[[np.ndarray], np.ndarray]:

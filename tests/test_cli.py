@@ -26,7 +26,7 @@ from qsodyn import cli, core, documents, dynamics
 from qsodyn.cli import main
 from qsodyn.documents import MAX_N
 
-from helpers import random_simplex
+from helpers import random_simplex, watch_orbits
 
 
 @pytest.fixture
@@ -724,17 +724,30 @@ class TestReplayRejectsMalformedCsv:
         assert "doubling schedule" in capsys.readouterr().err
 
     def test_forged_ergodic_averages_on_the_schedule_fail_at_once(self, rps_doc, tmp_path, capsys):
-        """Counts 1, 2, 4, ..., 2**40 pass the schedule check; the wrong average at n=2 stops the replay."""
+        """Counts 1, 2, 4, ..., MAX_STEPS pass the schedule and budget checks; the wrong average at n=2 stops the replay."""
         out_csv = tmp_path / "avg.csv"
         assert main(["ergodic", rps_doc, "--start", "random:4", "--n", "16", "--output", str(out_csv)]) == 0
         rows = read_rows(out_csv)
-        forged = [rows[0], rows[1]] + [[str(2**k)] + rows[1][1:] for k in range(1, 41)]
+        forged = [rows[0], rows[1]] + [[str(2**k)] + rows[1][1:] for k in range(1, core.MAX_STEPS.bit_length())]
         write_rows(out_csv, forged)
         capsys.readouterr()
         start = time.perf_counter()
         assert main(["replay", str(out_csv), "--operator", rps_doc]) == 1
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().out.startswith("replayed 2 ergodic rows; max deviation")
+
+    def test_correct_ergodic_averages_beyond_the_step_budget(self, rps_doc, tmp_path, capsys, monkeypatch):
+        """At the fixed vertex (1, 0, 0) every row up to 2**40 is right; the last count is refused before any step."""
+        out_csv = tmp_path / "avg.csv"
+        write_rows(out_csv, [["n", "avg_0", "avg_1", "avg_2"]] + [[str(2**k), "1.0", "0.0", "0.0"] for k in range(41)])
+        orbits = watch_orbits(monkeypatch, dynamics)
+        start = time.perf_counter()
+        assert main(["replay", str(out_csv), "--operator", rps_doc]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert orbits == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the last count must be at most {core.MAX_STEPS}, got {2**40}\n"
 
     def test_ergodic_counts_must_be_the_written_schedule(self, rps_doc, tmp_path):
         out_csv = tmp_path / "avg.csv"

@@ -31,7 +31,7 @@ from qsodyn import (
     sample_random_f_qso,
     trajectory,
 )
-from qsodyn import dynamics
+from qsodyn import dynamics, operators
 from qsodyn.core import MAX_FLOATS, proper_subset
 from qsodyn.operators import SkewMatrix, apply_normalized, apply_unnormalized, cubic_from_skew, skew_from_cubic
 from helpers import (
@@ -991,6 +991,100 @@ class TestOrbitSeam:
             ((_, images),) = orbits
             assert traj.stop_reason == "converged" and len(traj) - 1 == stop
             assert len(images) == block_end(stop)  # at most the rest of its block
+
+
+def first_repeat(rows: np.ndarray) -> tuple[int, int]:
+    """The step whose row's bytes return first, and the period after which they do."""
+    seen = {}
+    for step, row in enumerate(rows):
+        first = seen.setdefault(row.tobytes(), step)
+        if first != step:
+            return first, step - first
+    raise AssertionError("no row repeats")
+
+
+def counted_orbit(monkeypatch, P, x, pulls: int) -> tuple[list, int]:
+    """The first ``pulls`` images of ``operators._orbit(P, x)``, and how many it computed (two ``np.dot`` calls each)."""
+    calls, dot = [], np.dot
+    monkeypatch.setattr(np, "dot", lambda *args, **kwargs: calls.append(1) or dot(*args, **kwargs))
+    images = list(itertools.islice(operators._orbit(P, x), pulls))
+    monkeypatch.setattr(np, "dot", dot)
+    assert len(calls) % 2 == 0
+    return images, len(calls) // 2
+
+
+#: Float orbits from (0.2, 0.3, 0.5) that close a bitwise cycle, found by a search over ``lam``: the
+#: preset and its parameters, the step at which the cycle is entered, its period, and the images that
+#: Brent's test computes.  That is c + 2p: up to the checkpoint c, the first power of two at or past
+#: the entry step and the period, then p to the match, then one lap.
+CYCLES = [
+    ("ganikhodzhaev_v0", {}, 259, 1, 514),
+    ("ganikhodzhaev_lambda", {"lam": 0.4}, 97, 1, 130),
+    ("ganikhodzhaev_lambda", {"lam": 0.356}, 121, 2, 132),
+    ("ganikhodzhaev_lambda", {"lam": 0.326}, 145, 3, 262),
+    ("ganikhodzhaev_lambda", {"lam": 0.311}, 163, 7, 270),
+]
+
+
+class TestOrbitCycles:
+    """An orbit stops computing one lap after it repeats itself bitwise; every image stays the per-step loops'."""
+
+    @pytest.mark.parametrize("name, params, entry, period, computed", CYCLES)
+    def test_loops_match_the_per_step_oracles(self, name, params, entry, period, computed):
+        P, x0 = preset(name, **params), SimplexPoint(np.array([0.2, 0.3, 0.5]))
+        steps = 10_000 if name == "ganikhodzhaev_v0" else 2_000
+        expected = trajectory_per_step(P, x0, steps)
+        assert np.array_equal(expected.coords, reference_orbit(P, x0.coords, steps))
+        assert first_repeat(expected.coords) == (entry, period)
+        assert_same_trajectory(trajectory(P, x0, steps), expected)
+        schedule = [2**k for k in range(steps.bit_length())] + [steps + 1]
+        got, want = cesaro_running(P, x0, schedule), cesaro_per_step(P, x0, schedule)
+        assert [count for count, _ in got] == [count for count, _ in want] == schedule
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+
+    @pytest.mark.parametrize("name, params, entry, period, computed", CYCLES)
+    def test_images_computed(self, monkeypatch, name, params, entry, period, computed):
+        P, x = preset(name, **params), np.array([0.2, 0.3, 0.5])
+        rows = reference_orbit(P, x, 10_000)
+        checkpoint = 1 << (max(entry, period) - 1).bit_length()
+        assert computed == checkpoint + 2 * period
+        images, count = counted_orbit(monkeypatch, P, x, 10_000)
+        assert count == computed
+        assert b"".join(y.tobytes() for y in images) == rows[1:].tobytes()
+
+    def test_fixed_start(self, monkeypatch):
+        """From a vertex of the RPS preset, which is fixed bitwise, steps 1 and 2 close the cycle and step 3 is its lap."""
+        P = preset("ganikhodzhaev_v0")
+        for vertex in np.eye(3):
+            images, count = counted_orbit(monkeypatch, P, vertex, 100)
+            assert count == 3
+            assert all(y.tobytes() == vertex.tobytes() for y in images)
+
+    def test_cycle_images_are_read_only(self):
+        """Images up to the match are fresh arrays; the lap's cannot be written, so later images stay correct."""
+        P, x = preset("ganikhodzhaev_lambda", lam=0.311), np.array([0.2, 0.3, 0.5])
+        rows = reference_orbit(P, x, 1000)
+        orbit = operators._orbit(P, x)
+        images = list(itertools.islice(orbit, 500))
+        match = 256 + 7  # the checkpoint, then the period
+        assert all(y.flags.writeable for y in images[:match])
+        for y in images[match:]:
+            for frozen in (y, y.base):
+                with pytest.raises(ValueError):
+                    frozen.flags.writeable = True
+            with pytest.raises(ValueError):
+                y[0] = 1.0
+        images += itertools.islice(orbit, 500)
+        assert b"".join(y.tobytes() for y in images) == rows[1:].tobytes()
+
+    def test_cycle_longer_than_a_lap_keeps_stepping(self, monkeypatch):
+        """With a lap of at most 4 images, the period-7 blend computes every image, as the loop did."""
+        monkeypatch.setattr(operators, "_LAP_MAX", 4)
+        P, x = preset("ganikhodzhaev_lambda", lam=0.311), np.array([0.2, 0.3, 0.5])
+        rows = reference_orbit(P, x, 2000)
+        images, count = counted_orbit(monkeypatch, P, x, 2000)
+        assert count == 2000 and all(y.flags.writeable for y in images)
+        assert b"".join(y.tobytes() for y in images) == rows[1:].tobytes()
 
 
 class TestConvergenceReport:
