@@ -268,17 +268,24 @@ def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
     return list(zip(*rows[1:]))
 
 
-def _numbers(cells, dtype=float, optional: bool = False) -> np.ndarray:
-    """Parse CSV cells into finite numbers; with ``optional``, empty cells become NaN."""
-    if optional:
-        cells = [cell or "nan" for cell in cells]
+def _numbers(cells, dtype=float) -> np.ndarray:
+    """Parse CSV cells into finite numbers."""
     try:
         values = np.fromiter(map(dtype, cells), dtype=dtype, count=len(cells))
     except (ValueError, OverflowError) as exc:
         raise DocumentError(f"non-numeric CSV cell: {exc}") from None
-    if np.isinf(values).any() or (not optional and np.isnan(values).any()):
+    if not np.isfinite(values).all():
         raise DocumentError("non-finite number in CSV")
     return values
+
+
+def _blank_or_filled(cells, name: str, filled: bool) -> np.ndarray | None:
+    """A column that must be ``filled`` with finite numbers on every row (returned), or else blank on every row."""
+    if filled and all(cells):
+        return _numbers(cells)
+    if not filled and not any(cells):
+        return None
+    raise DocumentError(f"the {name} column must be {'filled' if filled else 'blank'} on every row")
 
 
 def _replay_trajectory(rows: list[list[str]], args) -> int:
@@ -290,17 +297,22 @@ def _replay_trajectory(rows: list[list[str]], args) -> int:
     if rows[0][1 : 1 + n] != [f"x_{i}" for i in range(n)]:
         raise DocumentError("CSV columns do not match the operator's state count")
     columns = _columns(rows, n + 4)
-    steps = _numbers(columns[0], dtype=int)[1:].tolist()
+    if _numbers(columns[0], dtype=int).tolist() != list(range(len(rows) - 1)):
+        raise DocumentError("trajectory CSV steps must read 0, 1, 2, ...")
     X = np.column_stack([_numbers(col) for col in columns[1 : 1 + n]])
-    phi, bound, _ = (_numbers(col, optional=True)[1:] for col in columns[1 + n :])
-
-    nxt = X[1:]
     females = P.female_sets.first
-    exact = [dynamics.lyapunov_bound(step) if females is not None else math.nan for step in steps]
-    kernel = np.abs(apply_normalized(P, X[:-1]) - nxt).ravel()
-    # Empty phi and bound cells read as NaN and are skipped.
-    stored = np.abs(np.concatenate([dynamics._phi(n, females)(nxt) - phi, exact - bound]))
-    worst = float(np.max(np.concatenate([kernel, stored[~np.isnan(stored)]]), initial=0.0))
+    phi = _blank_or_filled(columns[1 + n], "phi", n >= 3)
+    bound = _blank_or_filled(columns[2 + n], "phi_bound", females is not None)
+    dist = _blank_or_filled(columns[3 + n], "dist_max", any(columns[3 + n]))
+    if dist is not None and (dist < 0.0).any():  # only checked: the CSV does not record the reference
+        raise DocumentError("dist_max cells must not be negative")
+
+    deviations = [np.abs(apply_normalized(P, X[:-1]) - X[1:]).ravel()]
+    if phi is not None:
+        deviations.append(np.abs(dynamics._phi(n, females)(X) - phi))
+    if bound is not None:
+        deviations.append(np.abs([dynamics.lyapunov_bound(step) for step in range(len(X))] - bound))
+    worst = float(np.max(np.concatenate(deviations), initial=0.0))
     print(f"replayed {len(rows) - 1} trajectory rows; max deviation {worst:.3e}")
     return 0 if worst <= REPLAY_TOL else 1
 

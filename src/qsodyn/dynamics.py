@@ -38,7 +38,7 @@ from .core import (
     renormalize,
     require_valid,
 )
-from .operators import _batch_step, _orbit, apply_unnormalized, build_fqso_m2, skew_from_cubic
+from .operators import _orbit, apply_normalized, apply_unnormalized, build_fqso_m2, skew_from_cubic
 
 #: Largest state count :func:`fixed_points_volterra` takes: it solves all
 #: 2^n - 1 faces, which at n = 16 took 0.45-0.85 s on a 2-core Xeon host.
@@ -234,17 +234,18 @@ def iterate_batch(P: CubicMatrix, starts: np.ndarray, steps: int, return_history
     ``starts`` has shape (B, n); returns the array after ``steps``
     applications, or the full history of shape (steps+1, B, n) when
     ``return_history`` is set.  Each step renormalizes by the row sum.
-    A negative ``steps`` raises ``ValueError``.
+    A cube that fails validation raises :class:`StochasticityError` and a
+    negative ``steps`` raises ``ValueError``, both before any step.
     """
+    require_valid(P)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     X = np.array(starts, dtype=float, copy=True, order="C")
     if X.ndim != 2 or X.shape[1] != P.n:
         raise DimensionError(f"starts of shape {X.shape} do not match operator with n={P.n}")
-    step = _batch_step(P)
     history = [X]
     for _ in range(steps):
-        X = step(X)
+        X = apply_normalized(P, X)
         if return_history:
             history.append(X)
     return np.stack(history) if return_history else X
@@ -411,7 +412,7 @@ def _polish(P: CubicMatrix, guesses: np.ndarray) -> np.ndarray:
 
 
 def _check_starts(n: int, starts: int) -> None:
-    if not 1 <= starts <= MAX_FLOATS // n**2:  # the batch step's (starts, n*n) product
+    if not 1 <= starts <= MAX_FLOATS // n**2:  # the kernel's (starts, n*n) intermediate
         raise ValueError(f"starts must be from 1 to {MAX_FLOATS // n**2} at n={n}, got {starts}")
 
 
@@ -432,7 +433,7 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
     _check_starts(P.n, starts)
     starts_x = _uniform_simplex(seed, (starts, P.n))
 
-    ends = _settle(_batch_step(P), starts_x, 200)
+    ends = _settle(functools.partial(apply_normalized, P), starts_x, 200)
     residuals = _residual(P, ends)
 
     unsettled = ~(residuals <= TOL_FIX)

@@ -1,10 +1,13 @@
 """Construction and evaluation of quadratic stochastic operators.
 
-The general quadratic action, the two-sex (F-QSO) builder with its
-families, the skew-symmetric canonical form of Volterra operators, and a
-preset zoo.  One private writer, which checks its rows, writes every
-two-sex cube.  All builders return full cubic matrices so that every
-downstream operation (classification, counting, dynamics) works through one code path.
+The quadratic kernel (``apply_unnormalized``, ``apply_normalized``),
+which steps a point or a stack of points; a point's orbit (``_orbit``),
+which steps one point per pull by the same BLAS call; the two-sex
+(F-QSO) builder with its families; the skew-symmetric canonical form of
+Volterra operators; and a preset zoo.  One private writer, which checks
+its rows, writes every two-sex cube.  All builders return full cubic
+matrices so that every downstream operation (classification, counting,
+dynamics) works through one code path.
 """
 
 import itertools
@@ -39,15 +42,7 @@ def apply_unnormalized(P: CubicMatrix, values) -> np.ndarray:
     n = P.n
     if X.ndim not in (1, 2) or X.shape[-1] != n:
         raise DimensionError(f"point of dim {X.shape} does not match operator with n={n}")
-    return _quadratic(X, P.p.reshape(n, n * n), X.shape[:-1] + (n, n))
-
-
-def _quadratic(X: np.ndarray, Q: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The kernel's body: ``X`` against the ``(n, n*n)`` view ``Q``, the intermediate reshaped to ``shape``.
-
-    ``X`` must be C-contiguous floats: the products then make the same BLAS call per row.
-    """
-    return np.vecmat(X, np.vecmat(X, Q).reshape(shape))
+    return np.vecmat(X, np.vecmat(X, P.p.reshape(n, n * n)).reshape(X.shape[:-1] + (n, n)))
 
 
 #: Longest bitwise cycle that :func:`_orbit` keeps as a lap of images; an orbit on a longer one keeps
@@ -99,22 +94,6 @@ def _orbit(P: CubicMatrix, x: np.ndarray) -> Iterator[np.ndarray]:
         lap.append(_as_readonly(x))
         yield lap[-1]
     yield from itertools.cycle(lap)
-
-
-def _batch_step(P: CubicMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """:func:`apply_normalized` for C-contiguous float stacks ``(B, n)``, ``B`` free to change between calls.
-
-    ``step(X)`` runs the kernel body :func:`_quadratic` on the ``(n, n*n)`` view, fixed once.
-    """
-    n = P.n
-    Q = P.p.reshape(n, n * n)
-
-    def step(X: np.ndarray) -> np.ndarray:
-        Y = _quadratic(X, Q, (-1, n, n))
-        Y /= np.add.reduce(Y, axis=-1, keepdims=True)
-        return Y
-
-    return step
 
 
 def apply_normalized(P: CubicMatrix, values) -> np.ndarray:

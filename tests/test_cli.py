@@ -428,7 +428,7 @@ class TestFixedPoints:
 
     @pytest.mark.parametrize("starts", [10**12, 2**24 // 9 + 1, 0])
     def test_start_count_beyond_the_block_cap_is_refused_before_drawing(self, rps_doc, capsys, starts):
-        """The batch step's (starts, n*n) product may hold at most 2**24 floats."""
+        """The kernel's (starts, n*n) intermediate may hold at most 2**24 floats."""
         start = time.perf_counter()
         assert main(["fixed-points", rps_doc, "--starts", str(starts)]) == 2
         assert time.perf_counter() - start < 0.5
@@ -682,11 +682,76 @@ class TestReplayRejectsMalformedCsv:
         assert main(["replay", str(out_csv), "--operator", single_male_doc]) == 2
 
     def test_huge_step_number_fails_the_replay(self, single_male_doc, tmp_path):
-        """A step of 10**12 gets a bound of 0, which the stored bound contradicts: exit 1, no traceback."""
+        """A step of 10**12 is off the step column 0, 1, 2, ...: exit 2 before any kernel call, no traceback."""
         out_csv, rows = self.trajectory_csv(single_male_doc, tmp_path)
         rows[2][0] = str(10**12)
         write_rows(out_csv, rows)
-        assert main(["replay", str(out_csv), "--operator", single_male_doc]) == 1
+        assert main(["replay", str(out_csv), "--operator", single_male_doc]) == 2
+
+    @pytest.fixture
+    def m2_trajectory(self, tmp_path):
+        """A trajectory CSV of the two-sex operator (0.2, 0.3, 0.5) from (0.2, 0.3, 0.5), and its document."""
+        params = {"a": 0.2, "b": 0.3, "c": 0.5}
+        path, out_csv = str(tmp_path / "m2.json"), tmp_path / "traj.csv"
+        save_document(OperatorDocument(kind="preset", n=3, payload={"name": "fqso_m2", "params": params}), path)
+        argv = ["trajectory", path, "--start", "0.2,0.3,0.5", "--reference", "vertex0", "--tol", "1e-300"]
+        assert main([*argv, "--output", str(out_csv)]) == 0
+        rows = read_rows(out_csv)
+        assert rows[1][4:7] == ["0.15", "0.25", "0.8"] and len(rows) > 4
+        return path, out_csv, rows
+
+    @pytest.mark.parametrize(
+        "column, row, cell, message",
+        [
+            pytest.param(4, None, "", "the phi column must be filled on every row", id="blank-phi"),
+            pytest.param(4, 2, "", "the phi column must be filled on every row", id="one-blank-phi"),
+            pytest.param(5, None, "", "the phi_bound column must be filled on every row", id="blank-bound"),
+            pytest.param(0, None, "9", "steps must read 0, 1, 2, ...", id="steps-all-9"),
+            pytest.param(0, 1, "1", "steps must read 0, 1, 2, ...", id="first-step-1"),
+            pytest.param(6, None, "-1", "dist_max cells must not be negative", id="negative-dist"),
+            pytest.param(6, 1, "", "the dist_max column must be filled on every row", id="one-blank-dist"),
+        ],
+    )
+    def test_two_sex_cells_out_of_form_are_refused(self, m2_trajectory, capsys, column, row, cell, message):
+        """Each of these CSVs (``row=None``: the cell on every row) replayed with exit 0 and deviation 0."""
+        path, out_csv, rows = m2_trajectory
+        for changed in rows[1:] if row is None else [rows[row]]:
+            changed[column] = cell
+        write_rows(out_csv, rows)
+        capsys.readouterr()
+        assert main(["replay", str(out_csv), "--operator", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
+
+    def test_first_row_phi_and_bound_are_checked(self, m2_trajectory, capsys):
+        """Row 0's phi and bound cells were left out of both comparisons."""
+        path, out_csv, rows = m2_trajectory
+        rows[1][4:6] = ["0.2", "0.9"]
+        write_rows(out_csv, rows)
+        capsys.readouterr()
+        assert main(["replay", str(out_csv), "--operator", path]) == 1
+        assert capsys.readouterr().out == f"replayed {len(rows) - 1} trajectory rows; max deviation 6.500e-01\n"
+
+    @pytest.mark.parametrize(
+        "column, cell, code",
+        [
+            pytest.param(0, "7", 2, id="steps-all-7"),
+            pytest.param(5, "0.25", 2, id="bound-cells"),
+            pytest.param(4, "", 2, id="blank-phi"),
+            pytest.param(6, "123.0", 0, id="any-distance"),
+        ],
+    )
+    def test_volterra_cells(self, rps_doc, tmp_path, column, cell, code):
+        """A Volterra CSV has no bound cells; its distances go unchecked, as the CSV does not record the reference."""
+        out_csv = tmp_path / "traj.csv"
+        argv = ["trajectory", rps_doc, "--start", "0.2,0.3,0.5", "--steps", "5", "--output", str(out_csv)]
+        assert main(argv) == 0
+        rows = read_rows(out_csv)
+        assert all(row[5] == row[6] == "" for row in rows[1:])
+        for row in rows[1:]:
+            row[column] = cell
+        write_rows(out_csv, rows)
+        assert main(["replay", str(out_csv), "--operator", rps_doc]) == code
 
     def test_blank_first_line(self, m2_doc, tmp_path):
         out_csv, _ = self.trajectory_csv(m2_doc, tmp_path)

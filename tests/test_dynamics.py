@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from qsodyn import (
     TOL_FIX,
     ClassificationError,
+    CubicMatrix,
     DimensionError,
     SimplexPoint,
+    StochasticityError,
     build_fqso_m2,
     build_single_male,
     cesaro_running,
@@ -309,6 +311,14 @@ class TestTrajectory:
         for history in (False, True):
             with pytest.raises(ValueError, match="steps"):
                 iterate_batch(preset("ganikhodzhaev_v0"), starts, -3, return_history=history)
+
+    def test_batch_refuses_an_invalid_cube(self):
+        """A cube with every p = 0.5 (row sums 1.5) iterated without error, unlike every other loop."""
+        P = CubicMatrix(np.full((3, 3, 3), 0.5))
+        starts = random_simplex_batch(np.random.default_rng(25), 4, 3)
+        for steps in (0, 5):
+            with pytest.raises(StochasticityError, match="row_sum"):
+                iterate_batch(P, starts, steps)
 
 
 class TestFixedPointsM2:
@@ -908,7 +918,7 @@ def reference_orbit(P, x, steps):
 
 
 class TestPreparedLoops:
-    """Every loop over a point's orbit or the batch step gives bitwise the points of a loop of apply_normalized calls."""
+    """Every loop over a point's orbit or a stack gives bitwise the points of a loop of apply_normalized calls."""
 
     @pytest.mark.parametrize("n", [3, 9, 33])
     def test_loops_match_apply_normalized_bitwise(self, n, monkeypatch):
@@ -991,6 +1001,27 @@ class TestOrbitSeam:
             ((_, images),) = orbits
             assert traj.stop_reason == "converged" and len(traj) - 1 == stop
             assert len(images) == block_end(stop)  # at most the rest of its block
+
+
+class TestStackSeam:
+    """Stacks step through the public kernel: one ``apply_normalized`` call per step of ``iterate_batch`` and of the search."""
+
+    def test_stack_steps_are_apply_normalized_calls(self, monkeypatch):
+        calls, kernel = [], dynamics.apply_normalized
+        monkeypatch.setattr(dynamics, "apply_normalized", lambda P, X: calls.append(X) or kernel(P, X))
+        rng = np.random.default_rng(26)
+        P = random_cubic(rng, 5)
+        starts = random_simplex_batch(rng, 7, 5)
+        for steps in (0, 1, 20):
+            calls.clear()
+            history = iterate_batch(P, starts, steps, return_history=True)
+            assert len(calls) == steps
+            assert all(np.array_equal(X, row) for X, row in zip(calls, history))
+
+        calls.clear()
+        find_fixed_points(P, starts=16, seed=3)
+        assert 1 <= len(calls) <= 200
+        assert np.array_equal(calls[0], random_simplex_batch(np.random.default_rng(3), 16, 5))  # every start's row
 
 
 def first_repeat(rows: np.ndarray) -> tuple[int, int]:
