@@ -26,6 +26,8 @@ REPLAY_TOL = 1e-9
 NEAR_ONE = 1e-9
 #: ``validate`` lists at most this many female sets: every nonempty proper subset of 16 states.
 MAX_LISTED_SETS = 2**16 - 2
+#: ``trajectory`` formats and writes its CSV this many rows at a time.
+WRITE_ROWS = 2**16
 
 
 def _fmt(value: float) -> str:
@@ -131,22 +133,55 @@ def _resolve_reference(spec: str, P) -> SimplexPoint | None:
     return _coords(spec)
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[list[list[float]], list[int]]:
+    """The distinct rows of ``X`` in order of first appearance, and each row's index among them.
+
+    Rows match by their bytes, so -0.0 stays apart from 0.0 and a NaN matches the same NaN.
+    """
+    X = np.ascontiguousarray(X)
+    keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel().tolist()
+    index = {}
+    inverse = [index.setdefault(key, len(index)) for key in keys]
+    return np.frombuffer(b"".join(index), dtype=float).reshape(len(index), -1).tolist(), inverse
+
+
+def _trajectory_lines(table: np.ndarray, n: int, bound: bool, dist: bool, first: int) -> str:
+    """CSV lines of steps ``first``, ``first + 1``, ... from ``table``'s rows.
+
+    A row holds the coords and phi, then the bound and the distance when
+    the CSV has them (their cells are blank otherwise).  An orbit that has
+    closed a cycle repeats its rows, so each distinct row is formatted
+    once.  A NaN phi is a blank cell; no cell ever needs CSV quoting.
+    """
+    rows, inverse = _distinct_rows(table)
+    texts = [
+        ",".join(map(repr, row[:n]))
+        + ("," if math.isnan(row[n]) else f",{row[n]!r}")
+        + (f",{row[n + 1]!r}" if bound else ",")
+        + (f",{row[-1]!r}" if dist else ",")
+        for row in rows
+    ]
+    return "".join([f"{step},{texts[row]}\n" for step, row in enumerate(inverse, first)])
+
+
 def cmd_trajectory(args) -> int:
     _, P = _load_matrix(args.file)
     x0 = _parse_start(args.start, P.n)
     reference = _resolve_reference(args.reference, P)
     traj = dynamics.trajectory(P, x0, max_steps=args.steps, tol=args.tol, reference=reference)
 
-    steps = range(len(traj))
-    empty = [""] * len(traj)
-    columns = [map(str, steps), *(map(repr, x) for x in traj.coords.T.tolist())]
-    columns.append(["" if math.isnan(phi) else repr(phi) for phi in traj.lyapunov_values.tolist()])
-    columns.append([_fmt(dynamics.lyapunov_bound(step)) for step in steps] if traj.females is not None else empty)
-    columns.append(map(repr, traj.dist_to_limit.tolist()) if traj.dist_to_limit is not None else empty)
-    handle, writer = _open_writer(args.output)
-    with handle:
-        writer.writerow(["step"] + [f"x_{i}" for i in range(P.n)] + ["phi", "phi_bound", "dist_max"])
-        writer.writerows(zip(*columns))
+    bound, dist = traj.females is not None, traj.dist_to_limit is not None
+    columns = [traj.coords, traj.lyapunov_values[:, None]]
+    if bound:
+        columns.append(np.array([dynamics.lyapunov_bound(step) for step in range(len(traj))])[:, None])
+    if dist:
+        columns.append(traj.dist_to_limit[:, None])
+    table = np.hstack(columns)
+    header = ["step"] + [f"x_{i}" for i in range(P.n)] + ["phi", "phi_bound", "dist_max"]
+    with open(args.output, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for first in range(0, len(table), WRITE_ROWS):  # blocks bound the text held at once
+            handle.write(_trajectory_lines(table[first : first + WRITE_ROWS], P.n, bound, dist, first))
     print(f"wrote {len(traj)} rows to {args.output}; stop reason: {traj.stop_reason}")
     return 0
 
@@ -262,9 +297,9 @@ def cmd_presets(args) -> int:
 
 def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
     """The data rows as columns; every row, the header included, must have ``width`` cells."""
-    for line, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise DocumentError(f"CSV line {line} has {len(row)} cells, expected {width}")
+    if set(map(len, rows)) != {width}:
+        line, row = next((line, row) for line, row in enumerate(rows, start=1) if len(row) != width)
+        raise DocumentError(f"CSV line {line} has {len(row)} cells, expected {width}")
     return list(zip(*rows[1:]))
 
 

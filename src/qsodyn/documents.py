@@ -110,19 +110,52 @@ def _require_states(values, n: int, where: str) -> None:
             raise DocumentError(f"{where} must be integers from 0 to {n - 1}, got {values!r}")
 
 
-def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
-    entries = payload.get("entries")
-    if not isinstance(entries, list):
-        raise DocumentError("cubic payload needs an 'entries' list")
-    values = []
+def _entry_columns(n: int, entries: list, symmetrize: bool):
+    """The entries as state, cell and value arrays, or None when a column holds anything a good entry cannot.
+
+    A good entry is a list or tuple of three exact ``int`` states and a
+    finite ``int`` or ``float`` value, with i <= j and no (i, j, k) given
+    twice unless symmetrized.  None leaves the naming of the bad entry to
+    :func:`_checked_entries`.
+    """
+    if not entries:
+        return np.zeros((3, 0), dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    if not set(map(type, entries)) <= {list, tuple}:
+        return None
+    try:
+        columns = list(zip(*entries, strict=True))
+    except ValueError:  # rows of different lengths
+        return None
+    if len(columns) != 4 or not set(map(type, columns[3])) <= {int, float}:
+        return None
+    if not all(set(map(type, column)) == {int} for column in columns[:3]):
+        return None
+    try:
+        states = np.array(columns[:3], dtype=np.intp)
+        values = np.array(columns[3], dtype=float)  # float() of each value, the same rounding
+    except OverflowError:
+        return None
+    if states.min() < 0 or states.max() >= n or not np.isfinite(values).all():
+        return None
+    if symmetrize:
+        states[:2].sort(axis=0)
+    elif (states[0] > states[1]).any():
+        return None
+    cells = np.ravel_multi_index(states, (n, n, n))
+    if not symmetrize and np.bincount(cells).max() > 1:
+        return None
+    return states, cells, values
+
+
+def _checked_entries(n: int, entries: list, symmetrize: bool) -> list[tuple]:
+    """Check the entries one by one, raising for the first bad one in document order; the rows as (i, j, k, float)."""
+    rows = []
     seen = set()
     for row in entries:
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             raise DocumentError(f"cubic entry {row!r} is not an (i, j, k, value) row")
         i, j, k, value = row
-        # The helpers raise the messages; the inline tests only spare them the calls on a good entry.
-        if not (type(i) is type(j) is type(k) is int and 0 <= i < n and 0 <= j < n and 0 <= k < n):
-            _require_states((i, j, k), n, "cubic entry indices")
+        _require_states((i, j, k), n, "cubic entry indices")
         if type(value) is not float:
             _require_numbers(value, "cubic entry value")
             try:
@@ -139,16 +172,25 @@ def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
             if (i, j, k) in seen:
                 raise DocumentError(f"duplicate cubic entry for pair {(i, j, k)}")
             seen.add((i, j, k))
-        values.append(value)
-    columns = list(zip(*entries)) or [()] * 4
-    i, j, k = (np.array(column, dtype=np.intp) for column in columns[:3])
-    i, j = np.minimum(i, j), np.maximum(i, j)
+        rows.append((i, j, k, value))
+    return rows
+
+
+def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
+    entries = payload.get("entries")
+    if not isinstance(entries, list):
+        raise DocumentError("cubic payload needs an 'entries' list")
+    columns = _entry_columns(n, entries, symmetrize)
+    if columns is None:  # raises, unless only a subclass (a float64 value, say) kept the columns off
+        columns = _entry_columns(n, _checked_entries(n, entries, symmetrize), symmetrize)
+    states, cells, values = columns
     # Entries of one pair are summed from 0.0 in entry order, then averaged: sum(values) / len(values).
-    cells = np.ravel_multi_index((i, j, k), (n, n, n))
-    total, count = np.zeros(n**3), np.zeros(n**3)
-    np.add.at(total, cells, values)
-    np.add.at(count, cells, 1.0)
-    p = np.divide(total, count, out=np.zeros(n**3), where=count > 0.0).reshape(n, n, n)
+    total = np.bincount(cells, weights=values, minlength=n**3)
+    count = np.bincount(cells, minlength=n**3)
+    p = np.zeros(n**3)
+    p[cells] = total[cells] / count[cells]
+    p = p.reshape(n, n, n)
+    i, j, k = states
     p[j, i, k] = p[i, j, k]
     return CubicMatrix(p)
 

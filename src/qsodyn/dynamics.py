@@ -234,8 +234,9 @@ def iterate_batch(P: CubicMatrix, starts: np.ndarray, steps: int, return_history
     ``starts`` has shape (B, n); returns the array after ``steps``
     applications, or the full history of shape (steps+1, B, n) when
     ``return_history`` is set.  Each step renormalizes by the row sum.
-    A cube that fails validation raises :class:`StochasticityError` and a
-    negative ``steps`` raises ``ValueError``, both before any step.
+    A cube that fails validation raises :class:`StochasticityError`, and a
+    negative ``steps``, or a history of ``(steps + 1) * B * n`` floats
+    above ``MAX_FLOATS``, raises ``ValueError``, all before any step.
     """
     require_valid(P)
     if steps < 0:
@@ -243,6 +244,11 @@ def iterate_batch(P: CubicMatrix, starts: np.ndarray, steps: int, return_history
     X = np.array(starts, dtype=float, copy=True, order="C")
     if X.ndim != 2 or X.shape[1] != P.n:
         raise DimensionError(f"starts of shape {X.shape} do not match operator with n={P.n}")
+    if return_history and (steps + 1) * X.size > MAX_FLOATS:  # the (steps + 1, B, n) history
+        raise ValueError(
+            f"a history of {steps + 1} x {X.shape[0]} x {P.n} floats exceeds the budget of {MAX_FLOATS}; "
+            "take fewer steps or starts, or no history"
+        )
     history = [X]
     for _ in range(steps):
         X = apply_normalized(P, X)

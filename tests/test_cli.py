@@ -263,8 +263,28 @@ def write_rows_one_by_one(path, traj, n):
             writer.writerow(row)
 
 
+@pytest.fixture
+def skew_doc(tmp_path):
+    """The cyclic Volterra skew with |a| = 0.5: no row of a 3,000-step orbit from 0.2,0.3,0.5 repeats."""
+    a = [[0.0, 0.5, -0.5], [-0.5, 0.0, 0.5], [0.5, -0.5, 0.0]]
+    path = tmp_path / "skew.json"
+    save_document(OperatorDocument(kind="volterra_skew", n=3, payload={"a": a}), path)
+    return str(path)
+
+
+@pytest.fixture
+def two_state_doc(tmp_path):
+    """An n = 2 cube: phi is undefined, so every phi cell is blank."""
+    p = np.zeros((2, 2, 2))
+    p[0, 0, 0] = p[1, 1, 1] = 1.0
+    p[0, 1] = p[1, 0] = [0.7, 0.3]
+    path = tmp_path / "two.json"
+    save_document(document_from_matrix(CubicMatrix(p)), path)
+    return str(path)
+
+
 class TestColumnWriter:
-    """``trajectory`` writes its CSV by columns; the bytes are the per-row writer's."""
+    """``trajectory`` formats each distinct row once and writes by blocks; the bytes are the per-row writer's."""
 
     @pytest.mark.parametrize(
         "doc, start, extra, rows",
@@ -272,6 +292,11 @@ class TestColumnWriter:
             ("rps_doc", "0.2,0.3,0.5", ["--steps", "2041"], 2042),  # Volterra: empty bound cells
             ("single_male_doc", "random:3", ["--reference", "none", "--steps", "200"], None),  # two-sex: bound cells
             ("m2_doc", "uniform", ["--reference", "vertex0", "--tol", "1e-12"], None),  # distance cells
+            ("rps_doc", "1.0,-0.0,0.0", ["--steps", "30"], 31),  # rows 0 and 1 differ only in the sign of a zero
+            ("two_state_doc", "0.3,0.7", ["--steps", "100"], 101),  # blank phi cells
+            ("blend_doc", "0.2,0.3,0.5", ["--steps", "2000"], 2001),  # closes a cycle of period 6
+            ("rps_doc", "0.2,0.3,0.5", ["--steps", "10000"], 10001),  # 260 distinct rows
+            ("skew_doc", "0.2,0.3,0.5", ["--steps", "3000"], 3001),  # no row repeats
         ],
     )
     def test_bytes_match_the_per_row_writer(self, request, tmp_path, doc, start, extra, rows):
@@ -287,6 +312,32 @@ class TestColumnWriter:
         assert out.read_bytes() == expected.read_bytes()
         assert rows is None or len(read_rows(out)) == rows + 1
         assert any(row[-1] for row in read_rows(out)[1:]) == (traj.dist_to_limit is not None)
+
+    def test_cases_reach_what_they_name(self, rps_doc, blend_doc, two_state_doc, skew_doc, tmp_path):
+        """The -0.0 start is written apart from 0.0, n = 2 leaves phi blank, the blend ends on a 6-cycle,
+        the long RPS run repeats most rows and the skew run none."""
+
+        def written(doc, start, steps):
+            out = tmp_path / "t.csv"
+            assert main(["trajectory", doc, "--start", start, "--steps", str(steps), "--output", str(out)]) == 0
+            return [tuple(row[1:]) for row in read_rows(out)[1:]]
+
+        first, second = written(rps_doc, "1.0,-0.0,0.0", 3)[:2]
+        assert (first[1], second[1]) == ("-0.0", "0.0") and first[:1] + first[2:] == second[:1] + second[2:]
+        assert {row[2] for row in written(two_state_doc, "0.3,0.7", 100)} == {""}
+        tail = written(blend_doc, "0.2,0.3,0.5", 2000)[-13:]
+        assert tail[:6] == tail[6:12] and len(set(tail[:6])) == 6
+        assert len(set(written(rps_doc, "0.2,0.3,0.5", 10000))) == 260
+        assert len(set(written(skew_doc, "0.2,0.3,0.5", 3000))) == 3001
+
+    def test_blocks_join_without_a_seam(self, rps_doc, tmp_path, monkeypatch):
+        """Rows are formatted and written ``WRITE_ROWS`` at a time; a block edge changes no byte."""
+        out, small = tmp_path / "t.csv", tmp_path / "small.csv"
+        argv = ["trajectory", rps_doc, "--start", "0.2,0.3,0.5", "--steps", "1000"]
+        assert main(argv + ["--output", str(out)]) == 0
+        monkeypatch.setattr(cli, "WRITE_ROWS", 7)
+        assert main(argv + ["--output", str(small)]) == 0
+        assert small.read_bytes() == out.read_bytes()
 
 
 class TestPhiColumn:
@@ -660,7 +711,7 @@ class TestReplayRejectsMalformedCsv:
         rows[-1] = rows[-1][:2]
         write_rows(out_csv, rows)
         assert main(["replay", str(out_csv), "--operator", m2_doc]) == 2
-        assert "cells, expected 7" in capsys.readouterr().err
+        assert f"CSV line {len(rows)} has 2 cells, expected 7" in capsys.readouterr().err
 
     def test_non_numeric_trajectory_cell(self, m2_doc, tmp_path):
         out_csv, rows = self.trajectory_csv(m2_doc, tmp_path)

@@ -8,12 +8,14 @@ from qsodyn import (
     DocumentError,
     OperatorDocument,
     build_fqso_m2,
+    build_single_male,
     canonical_json,
     classify,
     document_from_matrix,
     expand,
     load_document,
     preset,
+    sample_random_f_qso,
     save_document,
     validate_stochastic,
 )
@@ -70,6 +72,30 @@ def expand_cubic_by_loop(n, entries, symmetrize):
     for (i, j, k), values in collected.items():
         p[i, j, k] = p[j, i, k] = sum(values) / len(values)
     return p
+
+
+#: Entries the loop refuses, or accepts only in some documents or modes.  A float64 value is
+#: accepted, but the columns leave it to the entry-by-entry path.
+DAMAGES = [
+    [0, 1], "row", (0, 1, 0, 0.5), [True, 0, 0, 1.0], [0, 9, 0, 1.0], [0, 0, 1.5, 1.0],
+    [0, 0, 0, "0.5"], [0, 0, 0, None], [0, 0, 0, [0.5]], [0, 0, 0, False], [0, 0, 0, 10**400],
+    [0, 0, 0, float("inf")], [0, 0, 0, float("nan")], [1, 0, 1, 0.25], [0, 0, 0, -0.0], [0, 1, 1, 2**60 + 1],
+    [0, 1, 0, np.float64(0.25)], [0, 1, 0, 0.25, 1],
+]
+
+
+def expand_as_the_loop_does(n, entries, symmetrize):
+    """Assert that ``expand`` gives the loop's error text, or else its cube bitwise; the outcome's last word."""
+    doc = OperatorDocument(kind="cubic", n=n, payload={"entries": entries})
+    try:
+        expected = expand_cubic_by_loop(n, entries, symmetrize)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as got:
+            expand(doc, symmetrize=symmetrize)
+        assert str(got.value) == str(exc)
+        return str(exc).split(" ")[-1]
+    assert expand(doc, symmetrize=symmetrize).p.tobytes() == expected.tobytes()
+    return "built"
 
 
 class TestCanonicalForm:
@@ -187,11 +213,6 @@ class TestCubicExpansion:
     def test_matches_the_entry_by_entry_loop(self, symmetrize):
         """Damaged and duplicated entries give the loop's first error text; clean ones its bits."""
         rng = np.random.default_rng(17)
-        damages = [
-            [0, 1], "row", (0, 1, 0, 0.5), [True, 0, 0, 1.0], [0, 9, 0, 1.0], [0, 0, 1.5, 1.0],
-            [0, 0, 0, "0.5"], [0, 0, 0, None], [0, 0, 0, [0.5]], [0, 0, 0, False], [0, 0, 0, 10**400],
-            [0, 0, 0, float("inf")], [0, 0, 0, float("nan")], [1, 0, 1, 0.25], [0, 0, 0, -0.0], [0, 1, 1, 2**60 + 1],
-        ]
         outcomes = set()
         for _ in range(400):
             n = int(rng.integers(2, 5))
@@ -200,23 +221,35 @@ class TestCubicExpansion:
                 i, j = sorted(rng.integers(0, n, 2).tolist())
                 if symmetrize and rng.random() < 0.5:
                     i, j = j, i
-                entries.append([i, j, int(rng.integers(0, n)), float(rng.random())])
+                row = [i, j, int(rng.integers(0, n)), float(rng.random())]
+                entries.append(tuple(row) if rng.random() < 0.2 else row)  # library payloads may hold tuples
             for _ in range(int(rng.integers(0, 3))):
-                entries.insert(int(rng.integers(0, len(entries) + 1)), damages[int(rng.integers(len(damages)))])
+                entries.insert(int(rng.integers(0, len(entries) + 1)), DAMAGES[int(rng.integers(len(DAMAGES)))])
             if entries and rng.random() < 0.3:
                 entries.insert(int(rng.integers(0, len(entries) + 1)), list(entries[int(rng.integers(len(entries)))]))
-            doc = OperatorDocument(kind="cubic", n=n, payload={"entries": entries})
-            try:
-                expected = expand_cubic_by_loop(n, entries, symmetrize)
-            except DocumentError as exc:
-                with pytest.raises(DocumentError) as got:
-                    expand(doc, symmetrize=symmetrize)
-                assert str(got.value) == str(exc)
-                outcomes.add(str(exc).split(" ")[-1])
-            else:
-                assert expand(doc, symmetrize=symmetrize).p.tobytes() == expected.tobytes()
-                outcomes.add("built")
+            outcomes.add(expand_as_the_loop_does(n, entries, symmetrize))
         assert len(outcomes) >= 8
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_damage_after_a_thousand_good_entries(self, symmetrize):
+        """The columns refuse the whole document; the loop, run only then, names the same first bad entry."""
+        n = 16
+        cells = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n) if (i, j) not in ((0, 0), (0, 1))]
+        good = [[*cells[c], 1.0 / (1 + c)] for c in np.random.default_rng(16).permutation(len(cells)).tolist()]
+        outcomes = [expand_as_the_loop_does(n, good[:1001] + [damage] + good[1001:], symmetrize) for damage in DAMAGES]
+        outcomes.append(expand_as_the_loop_does(n, good[:1001] + [[0, n, 0, 1.0]], symmetrize))
+        # Built: the tuple row, -0.0, 2**60 + 1 and the float64 value; symmetrized, also (1, 0, 1)
+        # and (0, 9, 0), which repeats a good entry and is averaged with it.
+        assert outcomes.count("built") == (6 if symmetrize else 4)
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_large_documents_match_the_loop_bitwise(self, symmetrize):
+        """A valid n = 33 single-male cube and a sparse n = 64 two-sex cube, as ``document_from_matrix`` lists them."""
+        table = np.random.default_rng(33).dirichlet(np.ones(33), 31)
+        for P in (build_single_male(table), sample_random_f_qso(63, {5, 17, 40}, seed=64)):
+            entries = document_from_matrix(P).payload["entries"]
+            assert expand_as_the_loop_does(P.n, entries, symmetrize) == "built"
+            assert expand(document_from_matrix(P), symmetrize=symmetrize).p.tobytes() == P.p.tobytes()
 
     def test_invalid_matrix_loads_but_fails_validation(self):
         """Value-level defects are a validation concern, not a parse error."""

@@ -312,6 +312,31 @@ class TestTrajectory:
             with pytest.raises(ValueError, match="steps"):
                 iterate_batch(preset("ganikhodzhaev_v0"), starts, -3, return_history=history)
 
+    def test_batch_history_beyond_the_float_budget_is_refused(self):
+        """600 starts x 10,000 steps built an 18.0M-float history (308 MB peak) unrefused.
+
+        ``trajectory`` has had the same ``MAX_FLOATS`` budget all along.
+        """
+        P = preset("ganikhodzhaev_lambda", lam=0.5)
+        starts = random_simplex_batch(np.random.default_rng(26), 600, 3)
+        limit = MAX_FLOATS // (600 * 3) - 1
+        for steps in (limit + 1, 10_000, 10**12):
+            start = time.perf_counter()
+            message = f"history of {steps + 1} x 600 x 3 floats exceeds the budget of {MAX_FLOATS}"
+            with pytest.raises(ValueError, match=message):
+                iterate_batch(P, starts, steps, return_history=True)
+            assert time.perf_counter() - start < 0.5
+        final = iterate_batch(P, starts, 10_000)  # no history: no budget
+        assert final.shape == (600, 3) and np.allclose(final.sum(axis=1), 1.0)
+
+    def test_batch_history_of_the_benchmark_shape_runs(self):
+        """The benchmark's 21 x 128 x 9 history is far inside the budget."""
+        rng = np.random.default_rng(28)
+        P, starts = random_single_male(rng, 8), random_simplex_batch(rng, 128, 9)
+        history = iterate_batch(P, starts, 20, return_history=True)
+        assert history.shape == (21, 128, 9)
+        assert np.array_equal(history[-1], iterate_batch(P, starts, 20))
+
     def test_batch_refuses_an_invalid_cube(self):
         """A cube with every p = 0.5 (row sums 1.5) iterated without error, unlike every other loop."""
         P = CubicMatrix(np.full((3, 3, 3), 0.5))
