@@ -24,7 +24,6 @@ from .core import (
     TOL_SUM,
     ClassificationError,
     ClassReport,
-    ClassWitness,
     CubicMatrix,
     DimensionError,
     FemaleSets,
@@ -57,6 +56,7 @@ from .dynamics import (
     cesaro_running,
     convergence_report,
     find_fixed_points,
+    fixed_points,
     fixed_points_m2,
     fixed_points_volterra,
     iterate_batch,

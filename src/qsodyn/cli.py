@@ -188,23 +188,17 @@ def cmd_trajectory(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     _, P = _load_matrix(args.file)
-    require_valid(P)
-    dynamics._check_starts(P.n, args.starts)  # a usage error whichever path answers
-    if P.female_sets:
-        vertex = SimplexPoint.vertex(P.n).coords
-        residual = float(dynamics._residual(P, vertex[None])[0])
-        report = dynamics.FixedPointReport((dynamics.FixedPointCandidate(vertex, residual, True),))
-        blocks = [("two-sex operator: the vertex is the only fixed point in the simplex (proved):", report)]
-        if P.n == 3:
-            a, b, c = (float(P.p[1, 2, k]) for k in range(3))
-            title = f"algebraic candidates of the three-state family (a={_fmt(a)}, b={_fmt(b)}, c={_fmt(c)}):"
-            blocks.append((title, dynamics.fixed_points_m2(a, b, c)))
-    elif P.n <= dynamics.MAX_VOLTERRA_N and P.classification.is_volterra:
-        report = dynamics.fixed_points_volterra(P)
-        blocks = [(f"Volterra operator: exact fixed points, one bordered solve on each of {2**P.n - 1} faces:", report)]
-    else:
-        report = dynamics.find_fixed_points(P, starts=args.starts, seed=args.seed)
-        blocks = [(f"multistart search: starts={args.starts}, seed={args.seed}", report)]
+    report = dynamics.fixed_points(P, starts=args.starts, seed=args.seed)
+    titles = {
+        "two-sex": "two-sex operator: the vertex is the only fixed point in the simplex (proved):",
+        "volterra": f"Volterra operator: exact fixed points, one bordered solve on each of {2**P.n - 1} faces:",
+        "search": f"multistart search: starts={args.starts}, seed={args.seed}",
+    }
+    blocks = [(titles[report.method], report)]
+    if report.method == "two-sex" and P.n == 3:
+        a, b, c = (float(P.p[1, 2, k]) for k in range(3))
+        title = f"algebraic candidates of the three-state family (a={_fmt(a)}, b={_fmt(b)}, c={_fmt(c)}):"
+        blocks.append((title, dynamics.fixed_points_m2(a, b, c)))
     for title, block in blocks:
         print(title)
         if not block.candidates:  # only the search can come back empty
@@ -214,7 +208,10 @@ def cmd_fixed_points(args) -> int:
             print(f"  {_fmt_point(cand.point)} residual={cand.residual:.3e} [{flag}]")
         for face in block.degenerate_faces:
             print(f"  face {_set_text(face)}: degenerate, not solved to one isolated point")
-    if report.unique_in_simplex is not None:
+    if report.method == "search":
+        found = sum(cand.in_simplex for cand in report.candidates)
+        print(f"{found} in-simplex fixed point(s) found; a search does not prove the list complete")
+    elif report.unique_in_simplex is not None:
         print(f"unique in-simplex fixed point: {_fmt_point(report.unique_in_simplex.coords)}")
     return 0
 

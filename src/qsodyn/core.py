@@ -321,13 +321,6 @@ def proper_subset(m: int, index: int) -> frozenset[int]:
     return frozenset(chosen)
 
 
-class ClassWitness(NamedTuple):
-    i: int
-    j: int
-    k: int
-    reason: str
-
-
 @dataclass(frozen=True)
 class FemaleSets:
     """The valid female sets of an operator, read off its pair graph.
@@ -404,7 +397,6 @@ class ClassReport:
     is_volterra: bool
     is_strictly_non_volterra: bool
     f_qso_sets: FemaleSets
-    violations: tuple[ClassWitness, ...]
 
 
 def classify(P: CubicMatrix) -> ClassReport:
@@ -413,35 +405,17 @@ def classify(P: CubicMatrix) -> ClassReport:
     Requires a validated matrix (raises :class:`StochasticityError`
     otherwise).  Volterra means every child type lies in its parent
     pair; strictly non-Volterra means it never does; both checks use
-    exact comparison with 0.  Witnesses for whichever of the two
-    conditions fail are collected in ``violations``.
+    exact comparison with 0.
 
     ``f_qso_sets`` is ``P.female_sets``; a validated matrix is symmetric,
     so the pair graph's symmetric closure changes nothing here.
     """
     require_valid(P)
-    p = P.p
-    n = P.n
-
-    idx = np.arange(n)
-    child_in_pair = (idx[None, None, :] == idx[:, None, None]) | (
-        idx[None, None, :] == idx[None, :, None]
-    )
-    nonzero = p != 0.0
-
-    witnesses: list[ClassWitness] = []
-    volterra_bad = nonzero & ~child_in_pair
-    if volterra_bad.any():
-        i, j, k = (int(v[0]) for v in np.nonzero(volterra_bad))
-        witnesses.append(ClassWitness(i, j, k, "child type outside the parent pair has positive probability"))
-    snv_bad = nonzero & child_in_pair
-    if snv_bad.any():
-        i, j, k = (int(v[0]) for v in np.nonzero(snv_bad))
-        witnesses.append(ClassWitness(i, j, k, "child repeats a parent type with positive probability"))
-
+    idx = np.arange(P.n)
+    child_in_pair = (idx[None, None, :] == idx[:, None, None]) | (idx[None, None, :] == idx[None, :, None])
+    nonzero = P.p != 0.0
     return ClassReport(
-        is_volterra=not volterra_bad.any(),
-        is_strictly_non_volterra=not snv_bad.any(),
+        is_volterra=not (nonzero & ~child_in_pair).any(),
+        is_strictly_non_volterra=not (nonzero & child_in_pair).any(),
         f_qso_sets=P.female_sets,
-        violations=tuple(witnesses),
     )

@@ -113,20 +113,22 @@ def _require_states(values, n: int, where: str) -> None:
 def _entry_columns(n: int, entries: list, symmetrize: bool):
     """The entries as state, cell and value arrays, or None when a column holds anything a good entry cannot.
 
-    A good entry is a list or tuple of three exact ``int`` states and a
-    finite ``int`` or ``float`` value, with i <= j and no (i, j, k) given
-    twice unless symmetrized.  None leaves the naming of the bad entry to
-    :func:`_checked_entries`.
+    A good entry is a list or tuple (or a subclass of one) of three exact
+    ``int`` states and a finite ``int`` or ``float`` value (or a subclass
+    of one, such as ``np.float64``, but not ``bool``), with i <= j and no
+    (i, j, k) given twice unless symmetrized.  These are the entries
+    :func:`_checked_entries` accepts; None leaves the naming of the bad
+    entry to it.
     """
     if not entries:
         return np.zeros((3, 0), dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    if not set(map(type, entries)) <= {list, tuple}:
+    if not all(issubclass(t, (list, tuple)) for t in set(map(type, entries))):
         return None
     try:
         columns = list(zip(*entries, strict=True))
     except ValueError:  # rows of different lengths
         return None
-    if len(columns) != 4 or not set(map(type, columns[3])) <= {int, float}:
+    if len(columns) != 4 or not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, columns[3]))):
         return None
     if not all(set(map(type, column)) == {int} for column in columns[:3]):
         return None
@@ -147,9 +149,8 @@ def _entry_columns(n: int, entries: list, symmetrize: bool):
     return states, cells, values
 
 
-def _checked_entries(n: int, entries: list, symmetrize: bool) -> list[tuple]:
-    """Check the entries one by one, raising for the first bad one in document order; the rows as (i, j, k, float)."""
-    rows = []
+def _checked_entries(n: int, entries: list, symmetrize: bool) -> None:
+    """Check the entries one by one, raising for the first bad one in document order."""
     seen = set()
     for row in entries:
         if not isinstance(row, (list, tuple)) or len(row) != 4:
@@ -172,8 +173,6 @@ def _checked_entries(n: int, entries: list, symmetrize: bool) -> list[tuple]:
             if (i, j, k) in seen:
                 raise DocumentError(f"duplicate cubic entry for pair {(i, j, k)}")
             seen.add((i, j, k))
-        rows.append((i, j, k, value))
-    return rows
 
 
 def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
@@ -181,8 +180,8 @@ def _expand_cubic(n: int, payload: dict, symmetrize: bool) -> CubicMatrix:
     if not isinstance(entries, list):
         raise DocumentError("cubic payload needs an 'entries' list")
     columns = _entry_columns(n, entries, symmetrize)
-    if columns is None:  # raises, unless only a subclass (a float64 value, say) kept the columns off
-        columns = _entry_columns(n, _checked_entries(n, entries, symmetrize), symmetrize)
+    if columns is None:
+        _checked_entries(n, entries, symmetrize)  # names the first bad entry
     states, cells, values = columns
     # Entries of one pair are summed from 0.0 in entry order, then averaged: sum(values) / len(values).
     total = np.bincount(cells, weights=values, minlength=n**3)

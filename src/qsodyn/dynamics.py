@@ -16,7 +16,7 @@ solve per face) and by seeded multistart search, and computes Cesaro
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -267,24 +267,26 @@ class FixedPointCandidate(NamedTuple):
 class FixedPointReport:
     """Candidate fixed points with residuals and simplex-membership flags.
 
-    Every candidate flagged in-simplex has max-norm residual at most
-    ``TOL_FIX``.  ``polishes`` counts the residual minimizations a
-    multistart search ran and ``polishes_accepted`` those whose result
-    passed that threshold (both 0 for the algebraic and exact reports).
-    ``degenerate_faces`` lists, as sorted state tuples, the faces whose
-    fixed points the exact Volterra solve could not pin to one point.
+    ``method`` says how the set was obtained: ``"two-sex"`` (proved by phi_F),
+    ``"algebraic"``, ``"volterra"`` (exact) or ``"search"`` (not proved
+    complete).  Every candidate flagged in-simplex has max-norm residual at
+    most ``TOL_FIX``.  ``polishes`` counts the residual minimizations a search
+    ran and ``polishes_accepted`` those whose result passed that threshold (0
+    without a search).  ``degenerate_faces`` lists, as sorted state tuples, the
+    faces whose fixed points the exact Volterra solve could not pin to one point.
     """
 
     candidates: tuple[FixedPointCandidate, ...]
+    method: str
     polishes: int = 0
     polishes_accepted: int = 0
     degenerate_faces: tuple[tuple[int, ...], ...] = ()
 
     @functools.cached_property
     def unique_in_simplex(self) -> SimplexPoint | None:
-        """The in-simplex candidate projected onto the simplex, if exactly one candidate is in it, else ``None``."""
+        """The in-simplex candidate projected onto the simplex if it is the only one and no search ran, else ``None``."""
         in_simplex = [cand.point for cand in self.candidates if cand.in_simplex]
-        return renormalize(in_simplex[0]) if len(in_simplex) == 1 else None
+        return renormalize(in_simplex[0]) if len(in_simplex) == 1 and self.method != "search" else None
 
 
 def _residual(P: CubicMatrix, X: np.ndarray) -> np.ndarray:
@@ -309,7 +311,8 @@ def fixed_points_m2(a: float, b: float, c: float) -> FixedPointReport:
     if b * c != 0.0:
         points.append(np.array([(2.0 * b * c - b - c) / (2.0 * b * c), 1.0 / (2.0 * c), 1.0 / (2.0 * b)]))
     residuals = _residual(P, np.array(points)).tolist()
-    return FixedPointReport(tuple(FixedPointCandidate(x, r, bool(_on_simplex(x))) for x, r in zip(points, residuals)))
+    candidates = tuple(FixedPointCandidate(x, r, bool(_on_simplex(x))) for x, r in zip(points, residuals))
+    return FixedPointReport(candidates, "algebraic")
 
 
 def _solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -375,7 +378,8 @@ def fixed_points_volterra(P: CubicMatrix) -> FixedPointReport:
         else:
             degenerate.append(tuple(np.flatnonzero(x).tolist()))
     candidates.sort(key=lambda cand: tuple(cand.point))
-    return FixedPointReport(tuple(candidates), degenerate_faces=tuple(sorted(degenerate, key=lambda f: (len(f), f))))
+    degenerate = tuple(sorted(degenerate, key=lambda f: (len(f), f)))
+    return FixedPointReport(tuple(candidates), "volterra", degenerate_faces=degenerate)
 
 
 def _settle(step, X: np.ndarray, steps: int) -> np.ndarray:
@@ -461,7 +465,32 @@ def find_fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> Fixed
     representatives.sort(key=lambda item: tuple(item[0]))
 
     candidates = tuple(FixedPointCandidate(x, r, bool(_on_simplex(x))) for x, r in representatives)
-    return FixedPointReport(candidates, polishes=len(guesses), polishes_accepted=accepted)
+    return FixedPointReport(candidates, "search", polishes=len(guesses), polishes_accepted=accepted)
+
+
+def _fixed_vertices(P: CubicMatrix) -> list[FixedPointCandidate]:
+    """The vertices V fixes: V(e_k) is row p[k, k] over its sum, so e_k is fixed iff p[k, k, m] == 0 for m != k."""
+    rows = P.p[np.arange(P.n), np.arange(P.n)]  # row k is p[k, k]
+    fixed = np.eye(P.n)[~np.any(rows != 0.0, axis=1, where=~np.eye(P.n, dtype=bool))]
+    return [FixedPointCandidate(x, r, True) for x, r in zip(fixed, _residual(P, fixed).tolist())]
+
+
+def fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> FixedPointReport:
+    """The fixed points of ``P`` by the strongest path its class allows, every vertex tested exactly.
+
+    Two-sex: the vertex, proved unique by phi_F.  Volterra up to ``MAX_VOLTERRA_N`` states: the exact solve.
+    Else the search, where a candidate within 1e-8 of a fixed vertex gives way to the exact vertex.
+    """
+    require_valid(P)
+    _check_starts(P.n, starts)
+    if P.female_sets:
+        return FixedPointReport(tuple(_fixed_vertices(P)), "two-sex")
+    if P.n <= MAX_VOLTERRA_N and P.classification.is_volterra:
+        return fixed_points_volterra(P)
+    report = find_fixed_points(P, starts=starts, seed=seed)
+    vertices = _fixed_vertices(P)
+    found = [c for c in report.candidates if all(np.max(np.abs(c.point - v.point)) > 1e-8 for v in vertices)]
+    return replace(report, candidates=tuple(sorted(found + vertices, key=lambda cand: tuple(cand.point))))
 
 
 def cesaro_running(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]) -> list[tuple[int, np.ndarray]]:

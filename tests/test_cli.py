@@ -469,6 +469,20 @@ class TestFixedPoints:
             "  face {0,1,2}: degenerate, not solved to one isolated point\n"
         )
 
+    def test_blend_prints_the_vertices_and_claims_no_uniqueness(self, tmp_path, capsys):
+        """Each blend vertex has p[k, k, k] = 1, so it is fixed exactly; the search finds only the barycentre."""
+        doc = OperatorDocument(kind="preset", n=3, payload={"name": "ganikhodzhaev_lambda", "params": {"lam": 0.4}})
+        save_document(doc, tmp_path / "blend.json")
+        assert main(["fixed-points", str(tmp_path / "blend.json")]) == 0
+        assert capsys.readouterr().out == (
+            "multistart search: starts=100, seed=0\n"
+            "  (0.0, 0.0, 1.0) residual=0.000e+00 [in simplex]\n"
+            "  (0.0, 1.0, 0.0) residual=0.000e+00 [in simplex]\n"
+            "  (0.3333333333333334, 0.33333333333333326, 0.3333333333333333) residual=0.000e+00 [in simplex]\n"
+            "  (1.0, 0.0, 0.0) residual=0.000e+00 [in simplex]\n"
+            "4 in-simplex fixed point(s) found; a search does not prove the list complete\n"
+        )
+
     def test_volterra_above_the_exact_cap_runs_the_search(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics, "fixed_points_volterra", None)
         a = np.triu(np.random.default_rng(17).uniform(-1.0, 1.0, (17, 17)), 1)
@@ -1088,8 +1102,11 @@ class TestEntryPoint:
         assert proc.stderr.split() == ["True", "False", "False"]
         assert proc.stdout == (
             "multistart search: starts=20, seed=1\n"
+            "  (0.0, 0.0, 1.0) residual=0.000e+00 [in simplex]\n"
+            "  (0.0, 1.0, 0.0) residual=0.000e+00 [in simplex]\n"
             "  (0.33333333333333326, 0.33333333333333337, 0.33333333333333326) residual=5.551e-17 [in simplex]\n"
-            "unique in-simplex fixed point: (0.3333333333333333, 0.3333333333333334, 0.3333333333333333)\n"
+            "  (1.0, 0.0, 0.0) residual=0.000e+00 [in simplex]\n"
+            "4 in-simplex fixed point(s) found; a search does not prove the list complete\n"
         )
 
     def test_usage_error_is_exit_2(self):

@@ -1,5 +1,7 @@
 """Operator document format: canonical JSON, loading, expansion."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from qsodyn import (
     save_document,
     validate_stochastic,
 )
+from qsodyn import documents
 
 
 @pytest.fixture
@@ -74,8 +77,8 @@ def expand_cubic_by_loop(n, entries, symmetrize):
     return p
 
 
-#: Entries the loop refuses, or accepts only in some documents or modes.  A float64 value is
-#: accepted, but the columns leave it to the entry-by-entry path.
+#: Entries the loop refuses, or accepts only in some documents or modes.  A float64 value and a
+#: tuple row are accepted, by the columns alone.
 DAMAGES = [
     [0, 1], "row", (0, 1, 0, 0.5), [True, 0, 0, 1.0], [0, 9, 0, 1.0], [0, 0, 1.5, 1.0],
     [0, 0, 0, "0.5"], [0, 0, 0, None], [0, 0, 0, [0.5]], [0, 0, 0, False], [0, 0, 0, 10**400],
@@ -241,6 +244,22 @@ class TestCubicExpansion:
         # Built: the tuple row, -0.0, 2**60 + 1 and the float64 value; symmetrized, also (1, 0, 1)
         # and (0, 9, 0), which repeats a good entry and is averaged with it.
         assert outcomes.count("built") == (6 if symmetrize else 4)
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_subclasses_are_taken_by_the_columns_alone(self, symmetrize, monkeypatch):
+        """A ``np.float64`` value and a tuple-subclass row need no entry-by-entry pass; a boolean value does."""
+        def loop(*args):
+            raise AssertionError("the entry-by-entry loop ran")
+
+        monkeypatch.setattr(documents, "_checked_entries", loop)
+        row = collections.namedtuple("Row", "i j k value")
+        entries = [[0, 0, 0, 1.0], row(0, 1, 0, np.float64(0.25)), [0, 1, 1, 0.75], [1, 1, 1, 1.0]]
+        expected = expand_cubic_by_loop(2, entries, symmetrize)
+        doc = OperatorDocument(kind="cubic", n=2, payload={"entries": entries})
+        assert expand(doc, symmetrize=symmetrize).p.tobytes() == expected.tobytes()
+        doc.payload["entries"][0][3] = True
+        with pytest.raises(AssertionError, match="entry-by-entry"):
+            expand(doc, symmetrize=symmetrize)
 
     @pytest.mark.parametrize("symmetrize", [False, True])
     def test_large_documents_match_the_loop_bitwise(self, symmetrize):

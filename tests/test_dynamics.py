@@ -23,6 +23,7 @@ from qsodyn import (
     conjecture_scan,
     convergence_report,
     find_fixed_points,
+    fixed_points,
     fixed_points_m2,
     iterate_batch,
     lyapunov,
@@ -391,10 +392,12 @@ class TestFixedPointsM2:
 
 class TestFindFixedPoints:
     def test_m2_single_cluster_at_vertex(self):
-        report = find_fixed_points(build_fqso_m2(0.0, 0.5, 0.5), starts=30, seed=1)
+        P = build_fqso_m2(0.0, 0.5, 0.5)
+        report = find_fixed_points(P, starts=30, seed=1)
         assert len(report.candidates) == 1
         assert np.array_equal(report.candidates[0].point, [1.0, 0.0, 0.0])
-        assert np.array_equal(report.unique_in_simplex.coords, [1.0, 0.0, 0.0])
+        assert report.unique_in_simplex is None  # a search proves nothing
+        assert np.array_equal(fixed_points(P).unique_in_simplex.coords, [1.0, 0.0, 0.0])
 
     def test_rps_preset_finds_vertices_and_barycenter(self):
         report = find_fixed_points(preset("ganikhodzhaev_v0"), starts=80, seed=2)
@@ -760,6 +763,74 @@ class TestVolterraFixedPoints:
             dynamics.fixed_points_volterra(cubic_from_skew(SkewMatrix(np.zeros((17, 17)))))
         with pytest.raises(ClassificationError):
             dynamics.fixed_points_volterra(preset("ganikhodzhaev_lambda", lam=0.5))
+
+
+class TestFixedPointVerdict:
+    """``fixed_points``: every vertex tested exactly on every path, uniqueness only under a proof."""
+
+    def test_vertex_rule_matches_the_map_bitwise(self):
+        """e_k is reported fixed exactly when ``apply_normalized`` maps it onto itself bitwise.
+
+        Random cubes with planted fixed vertices, then a row within TOL_SUM of e_k (fixed) and a
+        row e_k with one entry of 1e-300 off the diagonal (not fixed).
+        """
+        rng = np.random.default_rng(27)
+        cubes = []
+        for n in (2, 3, 5, 8):
+            for _ in range(5):
+                p = random_cubic(rng, n).p.copy()
+                for k in np.flatnonzero(rng.random(n) < 0.5):
+                    p[k, k] = np.eye(n)[k]
+                cubes.append(p)
+        near, tiny = cubes[-1].copy(), cubes[-1].copy()
+        near[2, 2] = (1.0 + 1e-13) * np.eye(8)[2]
+        tiny[3, 3] = np.eye(8)[3]
+        tiny[3, 3, 5] = 1e-300
+        fixed_sets = []
+        for p in cubes + [near, tiny]:
+            P = CubicMatrix(p)
+            fixed = {tuple(cand.point) for cand in dynamics._fixed_vertices(P)}
+            for e in np.eye(P.n):
+                assert (apply_normalized(P, e).tobytes() == e.tobytes()) == (tuple(e) in fixed)
+            fixed_sets.append(fixed)
+        assert sum(map(len, fixed_sets)) >= 20
+        assert tuple(np.eye(8)[2]) in fixed_sets[-2] and tuple(np.eye(8)[3]) not in fixed_sets[-1]
+
+    def test_blends_hold_every_vertex_and_claim_no_uniqueness(self):
+        """20 blends with lam in [0.3, 0.6]: the search finds the barycentre, the exact test adds the vertices."""
+        rng = np.random.default_rng(26)
+        for lam in rng.uniform(0.3, 0.6, 20).tolist():
+            report = fixed_points(preset("ganikhodzhaev_lambda", lam=lam), seed=int(rng.integers(2**31)))
+            points = {tuple(cand.point) for cand in report.candidates}
+            assert {tuple(v) for v in np.eye(3)} <= points
+            assert report.method == "search" and report.unique_in_simplex is None
+
+    def test_a_search_candidate_near_a_fixed_vertex_gives_way(self, monkeypatch):
+        P = preset("ganikhodzhaev_lambda", lam=0.4)
+        near = np.array([1.0 - 1e-9, 1e-9, 0.0])
+        far = np.array([1.0 - 1e-7, 1e-7, 0.0])
+        found = tuple(dynamics.FixedPointCandidate(x, 1e-11, True) for x in (near, far))
+        searched = dynamics.FixedPointReport(found, "search", polishes=7, polishes_accepted=2)
+        monkeypatch.setattr(dynamics, "find_fixed_points", lambda *args, **kwargs: searched)
+        report = fixed_points(P)
+        points = [tuple(cand.point) for cand in report.candidates]
+        assert points == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), tuple(far), (1.0, 0.0, 0.0)]
+        assert (report.method, report.polishes, report.polishes_accepted) == ("search", 7, 2)
+
+    def test_methods_by_class(self):
+        assert fixed_points(build_fqso_m2(0.2, 0.5, 0.3)).method == "two-sex"
+        assert fixed_points(preset("ganikhodzhaev_v0")).method == "volterra"
+        assert fixed_points(preset("ganikhodzhaev_lambda", lam=0.5)).method == "search"
+        assert fixed_points_m2(0.2, 0.5, 0.3).method == "algebraic"
+
+    def test_the_matrix_is_checked_before_the_start_count_on_every_path(self):
+        bad = build_fqso_m2(0.2, 0.5, 0.3).p.copy()
+        bad[0, 0, 0] = 0.5
+        with pytest.raises(StochasticityError):
+            fixed_points(CubicMatrix(bad), starts=0)
+        for P in (build_fqso_m2(0.2, 0.5, 0.3), preset("ganikhodzhaev_v0"), preset("ganikhodzhaev_lambda", lam=0.5)):
+            with pytest.raises(ValueError, match="starts must be from 1"):
+                fixed_points(P, starts=0)
 
 
 class TestCesaro:
@@ -1255,7 +1326,9 @@ class TestEveryFemaleSetIsCertified:
 
     @pytest.mark.parametrize("m, females, seed", [(2, {1}, 1), (4, {2, 3}, 2), (7, {1, 5, 6}, 3), (12, {4}, 4)])
     def test_vertex_is_the_unique_fixed_point(self, m, females, seed):
-        """Every orbit reaches the vertex bitwise, so no polish runs."""
-        report = find_fixed_points(sample_random_f_qso(m, females, seed), starts=40, seed=seed)
-        assert np.array_equal(report.unique_in_simplex.coords, SimplexPoint.vertex(m + 1).coords)
+        """Every orbit reaches the vertex bitwise, so no polish runs; the proof, not the search, says it is unique."""
+        P = sample_random_f_qso(m, females, seed)
+        report = find_fixed_points(P, starts=40, seed=seed)
+        assert np.array_equal(report.candidates[0].point, SimplexPoint.vertex(m + 1).coords)
         assert len(report.candidates) == 1 and report.polishes == 0
+        assert np.array_equal(fixed_points(P).unique_in_simplex.coords, SimplexPoint.vertex(m + 1).coords)
