@@ -11,6 +11,7 @@ round-tripping representation so replays reload exact values.
 import argparse
 import csv
 import functools
+import io
 import math
 import sys
 
@@ -133,35 +134,20 @@ def _resolve_reference(spec: str, P) -> SimplexPoint | None:
     return _coords(spec)
 
 
-def _distinct_rows(X: np.ndarray) -> tuple[list[list[float]], list[int]]:
-    """The distinct rows of ``X`` in order of first appearance, and each row's index among them.
-
-    Rows match by their bytes, so -0.0 stays apart from 0.0 and a NaN matches the same NaN.
-    """
-    X = np.ascontiguousarray(X)
-    keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel().tolist()
-    index = {}
-    inverse = [index.setdefault(key, len(index)) for key in keys]
-    return np.frombuffer(b"".join(index), dtype=float).reshape(len(index), -1).tolist(), inverse
-
-
-def _trajectory_lines(table: np.ndarray, n: int, bound: bool, dist: bool, first: int) -> str:
-    """CSV lines of steps ``first``, ``first + 1``, ... from ``table``'s rows.
+def _row_texts(table: np.ndarray, n: int, bound: bool, dist: bool) -> list[str]:
+    """The CSV text of each of ``table``'s rows after its step cell.
 
     A row holds the coords and phi, then the bound and the distance when
-    the CSV has them (their cells are blank otherwise).  An orbit that has
-    closed a cycle repeats its rows, so each distinct row is formatted
-    once.  A NaN phi is a blank cell; no cell ever needs CSV quoting.
+    the CSV has them (their cells are blank otherwise).  A NaN phi is a
+    blank cell; no cell ever needs CSV quoting.
     """
-    rows, inverse = _distinct_rows(table)
-    texts = [
+    return [
         ",".join(map(repr, row[:n]))
         + ("," if math.isnan(row[n]) else f",{row[n]!r}")
         + (f",{row[n + 1]!r}" if bound else ",")
         + (f",{row[-1]!r}" if dist else ",")
-        for row in rows
+        for row in table.tolist()
     ]
-    return "".join([f"{step},{texts[row]}\n" for step, row in enumerate(inverse, first)])
 
 
 def cmd_trajectory(args) -> int:
@@ -172,16 +158,25 @@ def cmd_trajectory(args) -> int:
 
     bound, dist = traj.females is not None, traj.dist_to_limit is not None
     columns = [traj.coords, traj.lyapunov_values[:, None]]
+    # The table repeats where the orbit does, once its bound cells have fallen to their constant 0.0.
+    start, period = traj.lap or (len(traj), 1)
     if bound:
-        columns.append(np.array([dynamics.lyapunov_bound(step) for step in range(len(traj))])[:, None])
+        bounds = dynamics._lyapunov_bounds(len(traj))
+        columns.append(bounds[:, None])
+        start = max(start, np.count_nonzero(bounds))
     if dist:
         columns.append(traj.dist_to_limit[:, None])
     table = np.hstack(columns)
+    head = min(start + period, len(table))  # rows from ``head`` on repeat the lap ``table[start:head]``
+    lap = _row_texts(table[start:head], P.n, bound, dist)
     header = ["step"] + [f"x_{i}" for i in range(P.n)] + ["phi", "phi_bound", "dist_max"]
     with open(args.output, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for first in range(0, len(table), WRITE_ROWS):  # blocks bound the text held at once
-            handle.write(_trajectory_lines(table[first : first + WRITE_ROWS], P.n, bound, dist, first))
+            last = min(first + WRITE_ROWS, len(table))
+            texts = _row_texts(table[first : min(last, head)], P.n, bound, dist)
+            texts += map(lap.__getitem__, ((np.arange(max(first, head), last) - start) % period).tolist())
+            handle.write("".join([f"{step},{text}\n" for step, text in enumerate(texts, first)]))
     print(f"wrote {len(traj)} rows to {args.output}; stop reason: {traj.stop_reason}")
     return 0
 
@@ -292,6 +287,34 @@ def cmd_presets(args) -> int:
 # --- replay ----------------------------------------------------------------
 
 
+def _read_csv(path) -> list:
+    """The CSV file's lines as text, or else the rows that ``csv.reader`` parses.
+
+    When the text holds no quote, carriage return or NUL, and no line is
+    longer than the csv module's field limit, ``csv.reader`` would only
+    split each line at its commas, so the lines are returned as they are
+    (see :func:`_cells`).  Otherwise each row is a list of cells.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        text = handle.read()
+    lines = text.split("\n")
+    if lines[-1] == "":  # after the last line's end, or an empty file
+        lines.pop()
+    if '"' in text or "\r" in text or "\0" in text or max(map(len, lines), default=0) > csv.field_size_limit():
+        try:
+            return list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            raise DocumentError(f"unreadable CSV: {exc}") from exc
+    return lines
+
+
+def _cells(record) -> list[str]:
+    """A record of :func:`_read_csv` as its cells: a line split at its commas (none on a blank line), or a parsed row."""
+    if isinstance(record, list):
+        return record
+    return record.split(",") if record else []
+
+
 def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
     """The data rows as columns; every row, the header included, must have ``width`` cells."""
     if set(map(len, rows)) != {width}:
@@ -320,32 +343,60 @@ def _blank_or_filled(cells, name: str, filled: bool) -> np.ndarray | None:
     raise DocumentError(f"the {name} column must be {'filled' if filled else 'blank'} on every row")
 
 
-def _replay_trajectory(rows: list[list[str]], args) -> int:
+def _keyed(records: list, width: int) -> tuple[list[str], np.ndarray, list[tuple[str, ...]]]:
+    """The data records' first cells, each one's index among the distinct rests, and those rests as columns.
+
+    A line is split at its first comma, and each distinct rest at its other
+    commas once; a parsed row is keyed by its other cells.  Every record,
+    the header included, must have ``width`` cells, which is 3 or more: a
+    record of fewer cells has no rest of ``width - 1``.  The lines keep
+    no object per line that the cyclic garbage collector tracks.
+    """
+    if isinstance(records[0], list):
+        steps = [row[0] if row else "" for row in records[1:]]
+        rests = [tuple(row[1:]) for row in records[1:]]
+    else:
+        steps = [line.split(",", 1)[0] for line in records[1:]]
+        rests = [line[len(step) + 1 :] for line, step in zip(records[1:], steps)]
+    index = {rest: row for row, rest in enumerate(dict.fromkeys(rests))}
+    inverse = np.fromiter(map(index.__getitem__, rests), dtype=np.intp, count=len(rests))
+    distinct = [rest.split(",") if isinstance(rest, str) else rest for rest in index]
+    widths = np.array([len(_cells(records[0]))] + [1 + len(cells) for cells in distinct])
+    wrong = widths[np.r_[0, inverse + 1]] != width  # the header, then each data record
+    if wrong.any():
+        line = int(wrong.argmax())
+        raise DocumentError(f"CSV line {line + 1} has {len(_cells(records[line]))} cells, expected {width}")
+    return steps, inverse, list(zip(*distinct))
+
+
+def _replay_trajectory(records: list, args) -> int:
+    """Check a trajectory CSV once per distinct row: each step's kernel image once per distinct pair of rows."""
     if args.operator is None:
         raise DocumentError("replaying a trajectory CSV requires --operator")
     _, P = _load_matrix(args.operator)
     require_valid(P)
     n = P.n
-    if rows[0][1 : 1 + n] != [f"x_{i}" for i in range(n)]:
+    if _cells(records[0])[1 : 1 + n] != [f"x_{i}" for i in range(n)]:
         raise DocumentError("CSV columns do not match the operator's state count")
-    columns = _columns(rows, n + 4)
-    if _numbers(columns[0], dtype=int).tolist() != list(range(len(rows) - 1)):
+    steps, inverse, columns = _keyed(records, n + 4)
+    if _numbers(steps, dtype=int).tolist() != list(range(len(steps))):
         raise DocumentError("trajectory CSV steps must read 0, 1, 2, ...")
-    X = np.column_stack([_numbers(col) for col in columns[1 : 1 + n]])
+    X = np.column_stack([_numbers(col) for col in columns[:n]])  # the distinct rows
     females = P.female_sets.first
-    phi = _blank_or_filled(columns[1 + n], "phi", n >= 3)
-    bound = _blank_or_filled(columns[2 + n], "phi_bound", females is not None)
-    dist = _blank_or_filled(columns[3 + n], "dist_max", any(columns[3 + n]))
+    phi = _blank_or_filled(columns[n], "phi", n >= 3)
+    bound = _blank_or_filled(columns[n + 1], "phi_bound", females is not None)
+    dist = _blank_or_filled(columns[n + 2], "dist_max", any(columns[n + 2]))
     if dist is not None and (dist < 0.0).any():  # only checked: the CSV does not record the reference
         raise DocumentError("dist_max cells must not be negative")
 
-    deviations = [np.abs(apply_normalized(P, X[:-1]) - X[1:]).ravel()]
+    rows, nexts = np.divmod(np.unique(inverse[:-1] * len(X) + inverse[1:]), len(X))
+    deviations = [np.abs(apply_normalized(P, X[rows]) - X[nexts]).ravel()]
     if phi is not None:
         deviations.append(np.abs(dynamics._phi(n, females)(X) - phi))
     if bound is not None:
-        deviations.append(np.abs([dynamics.lyapunov_bound(step) for step in range(len(X))] - bound))
+        deviations.append(np.abs(dynamics._lyapunov_bounds(len(steps)) - bound[inverse]))
     worst = float(np.max(np.concatenate(deviations), initial=0.0))
-    print(f"replayed {len(rows) - 1} trajectory rows; max deviation {worst:.3e}")
+    print(f"replayed {len(steps)} trajectory rows; max deviation {worst:.3e}")
     return 0 if worst <= REPLAY_TOL else 1
 
 
@@ -392,20 +443,16 @@ def _replay_conjecture(rows: list[list[str]], args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        with open(args.csvfile, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-    except csv.Error as exc:
-        raise DocumentError(f"unreadable CSV: {exc}") from exc
-    if len(rows) < 2:
+    records = _read_csv(args.csvfile)
+    if len(records) < 2:
         raise DocumentError("CSV has no data rows")
-    head = rows[0][0] if rows[0] else ""
+    head = (_cells(records[0]) or [""])[0]
     if head == "step":
-        return _replay_trajectory(rows, args)
+        return _replay_trajectory(records, args)
     if head == "n":
-        return _replay_ergodic(rows, args)
+        return _replay_ergodic(list(map(_cells, records)), args)
     if head == "trial":
-        return _replay_conjecture(rows, args)
+        return _replay_conjecture(list(map(_cells, records)), args)
     raise DocumentError(f"unrecognized CSV header starting with {head!r}")
 
 

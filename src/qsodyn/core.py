@@ -255,6 +255,11 @@ class StochasticityReport:
     violations: tuple[StochasticityViolation, ...]
 
 
+def _hits(mask: np.ndarray):
+    """The index tuples of ``mask``'s true entries; ``np.nonzero`` runs only if there is one, as it costs more than ``any``."""
+    return zip(*np.nonzero(mask)) if mask.any() else ()
+
+
 def validate_stochastic(P: CubicMatrix) -> StochasticityReport:
     """Check symmetry, nonnegativity, and unit row sums of a cubic matrix.
 
@@ -267,12 +272,12 @@ def validate_stochastic(P: CubicMatrix) -> StochasticityReport:
     violations: list[StochasticityViolation] = []
 
     asym = p != np.transpose(p, (1, 0, 2))
-    for i, j, k in zip(*np.nonzero(asym)):
+    for i, j, k in _hits(asym):
         if i < j:
             residual = abs(float(p[i, j, k] - p[j, i, k]))
             violations.append(StochasticityViolation("asymmetry", int(i), int(j), int(k), residual))
 
-    for i, j, k in zip(*np.nonzero(p < 0.0)):
+    for i, j, k in _hits(p < 0.0):
         if i <= j:
             violations.append(
                 StochasticityViolation("negative", int(i), int(j), int(k), abs(float(p[i, j, k])))
@@ -280,7 +285,7 @@ def validate_stochastic(P: CubicMatrix) -> StochasticityReport:
 
     row_sums = p.sum(axis=2)
     bad = np.abs(row_sums - 1.0) > TOL_SUM
-    for i, j in zip(*np.nonzero(bad)):
+    for i, j in _hits(bad):
         if i <= j:
             violations.append(
                 StochasticityViolation("row_sum", int(i), int(j), None, abs(float(row_sums[i, j] - 1.0)))

@@ -112,6 +112,16 @@ def lyapunov_bound(n: int) -> float:
     return lyapunov_closed_form(0.5, 0.5, 0.25, n)
 
 
+def _lyapunov_bounds(count: int) -> np.ndarray:
+    """``lyapunov_bound(s)`` for s = 0, ..., count - 1, bitwise: exactly 0.0 from the first underflow on (s = 10)."""
+    bounds = np.zeros(count)
+    for s in range(count):
+        bounds[s] = lyapunov_bound(s)
+        if bounds[s] == 0.0:
+            break
+    return bounds
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory(_Rebuilt):
     """An orbit x(0), x(1) = V(x(0)), ... as a read-only (len, n) array, with diagnostics.
@@ -124,6 +134,9 @@ class Trajectory(_Rebuilt):
     one documented exception: when a two-sex trajectory's phi_F drops
     below ``PHI_UNDERFLOW`` the final row is snapped to the exact vertex
     (the true iterate differs from it by at most twice that threshold).
+    ``lap`` is ``(start, period)`` once the orbit has closed a bitwise
+    cycle within the rows: from row ``start`` on, the least such row, each
+    row is bitwise the one ``period`` rows later.  It is ``None`` otherwise.
     """
 
     coords: np.ndarray
@@ -131,6 +144,7 @@ class Trajectory(_Rebuilt):
     females: frozenset[int] | None
     dist_to_limit: np.ndarray | None
     stop_reason: str
+    lap: tuple[int, int] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _as_readonly(self.coords))
@@ -141,6 +155,17 @@ class Trajectory(_Rebuilt):
 
 def _max_dist(x: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(x - ref)))
+
+
+def _lap(coords: np.ndarray, period: int) -> tuple[int, int] | None:
+    """``(start, period)`` for the least row ``start`` from which every row equals, bitwise, the one ``period`` later.
+
+    ``None`` when no row is repeated that way, the last one included.
+    """
+    bits = coords.view(np.int64)
+    differ = np.flatnonzero(np.any(bits[period:] != bits[: len(bits) - period], axis=1))
+    start = int(differ[-1]) + 1 if differ.size else 0
+    return (start, period) if start < len(coords) - period else None
 
 
 def trajectory(
@@ -163,11 +188,11 @@ def trajectory(
     ``ValueError`` before any step.
 
     After the start row's tests, blocks of 8, 16, ..., 1024 rows are taken
-    from the point's orbit (``operators._orbit``); the stop rules then run
-    once over each block, which is cut at its first row that stops (the
-    rows and the reason are those of a test after every step).  An orbit
-    that stops computes at most the rest of its block, under
-    ``np.errstate(all="ignore")``.
+    from the point's orbit (``operators._orbit.take``), which reads a closed
+    cycle's rows by index; the stop rules then run once over each block,
+    which is cut at its first row that stops (the rows and the reason are
+    those of a test after every step).  An orbit that stops computes at
+    most the rest of its block, under ``np.errstate(all="ignore")``.
     """
     require_valid(P)
     if x0.dim != P.n:
@@ -209,7 +234,7 @@ def trajectory(
     with np.errstate(all="ignore"):  # rows computed past an invalid state are never kept
         stop = cut(blocks[0], 0)[1]
         while stop is None:
-            block = np.array(list(itertools.islice(orbit, min(size, max_steps - count))))
+            block = orbit.take(min(size, max_steps - count))
             keep, stop = cut(block, count + 1)
             blocks.append(block[:keep])
             count, size = count + len(block), min(2 * size, 1024)
@@ -225,6 +250,7 @@ def trajectory(
         females=females,
         dist_to_limit=np.max(np.abs(coords - ref), axis=1) if ref is not None else None,
         stop_reason=stop,
+        lap=_lap(coords, orbit.lap[1]) if orbit.lap is not None else None,
     )
 
 
@@ -493,6 +519,10 @@ def fixed_points(P: CubicMatrix, starts: int = 100, seed: int = 0) -> FixedPoint
     return replace(report, candidates=tuple(sorted(found + vertices, key=lambda cand: tuple(cand.point))))
 
 
+#: The most orbit images that :func:`_cesaro_rows` adds in one block, which bounds its memory.
+_SUM_ROWS = 4096
+
+
 def cesaro_running(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]) -> list[tuple[int, np.ndarray]]:
     """Running Cesaro averages at the given increasing point counts, the last at most ``MAX_STEPS``."""
     return list(_cesaro_rows(P, x0, schedule))
@@ -502,11 +532,13 @@ def _cesaro_rows(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]):
     """Yield :func:`cesaro_running`'s rows one by one, each as soon as its count is reached.
 
     Each segment between the scheduled counts is taken from the point's
-    orbit (``operators._orbit``) with no per-step test; the average is read
-    off the running sum at each count.  The arguments are checked when the
-    first row is asked for, before any step.  The last count is bounded by
-    ``MAX_STEPS`` here, where both ``cesaro_running`` and the counts of a
-    replayed CSV pass.
+    orbit (``operators._orbit.take``) in blocks of at most ``_SUM_ROWS``
+    images, with no per-step test, and added by ``np.add.accumulate`` down
+    the rows from the running sum: the sequential ``acc += x``, bitwise.
+    The average is read off the running sum at each count.  The arguments
+    are checked when the first row is asked for, before any step.  The last
+    count is bounded by ``MAX_STEPS`` here, where both ``cesaro_running``
+    and the counts of a replayed CSV pass.
     """
     if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing and start at >= 1")
@@ -520,9 +552,11 @@ def _cesaro_rows(P: CubicMatrix, x0: SimplexPoint, schedule: list[int]):
     acc += x0.coords  # not a copy: from +0.0, a -0.0 start coordinate sums to +0.0
     count = 1
     for target in schedule:
-        for x in itertools.islice(orbit, target - count):
-            acc += x
-        count = target
+        while count < target:
+            rows = orbit.take(min(target - count, _SUM_ROWS))
+            rows[0] += acc  # acc + x, then the sum runs down the fresh block in place
+            acc = np.add.accumulate(rows, axis=0, out=rows)[-1].copy()
+            count += len(rows)
         yield count, acc / count
 
 
@@ -573,7 +607,7 @@ def convergence_report(
         raise ClassificationError("convergence certificate requires a two-sex (F-QSO) operator")
     coords = traj.coords
     phis = traj.lyapunov_values
-    bounds = np.array([lyapunov_bound(n) for n in range(len(traj))])
+    bounds = _lyapunov_bounds(len(traj))
     bound_ok = phis <= bounds + 1e-15
     squared_contraction_ok = phis[1:] <= phis[:-1] ** 2 + 1e-15
     coordinate_bound_ok = np.all(coords[1:, 1:] <= 2.0 * phis[:-1, None] + 1e-12, axis=1)

@@ -2,7 +2,8 @@
 
 The quadratic kernel (``apply_unnormalized``, ``apply_normalized``),
 which steps a point or a stack of points; a point's orbit (``_orbit``),
-which steps one point per pull by the same BLAS call; the two-sex
+which steps one point per pull, or hands out a block of images, by the
+same BLAS call and reads a closed cycle's images by index; the two-sex
 (F-QSO) builder with its families; the skew-symmetric canonical form of
 Volterra operators; and a preset zoo.  One private writer, which checks
 its rows, writes every two-sex cube.  All builders return full cubic
@@ -10,9 +11,8 @@ matrices so that every downstream operation (classification, counting,
 dynamics) works through one code path.
 """
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -45,14 +45,14 @@ def apply_unnormalized(P: CubicMatrix, values) -> np.ndarray:
     return np.vecmat(X, np.vecmat(X, P.p.reshape(n, n * n)).reshape(X.shape[:-1] + (n, n)))
 
 
-#: Longest bitwise cycle that :func:`_orbit` keeps as a lap of images; an orbit on a longer one keeps
+#: Longest bitwise cycle that :class:`_orbit` keeps as a lap of images; an orbit on a longer one keeps
 #: stepping.  From (0.2, 0.3, 0.5), the float orbits of ``ganikhodzhaev_lambda`` for lam in [0.2, 0.8]
 #: close cycles of period 1 to 13.
 _LAP_MAX = 64
 
 
-def _orbit(P: CubicMatrix, x: np.ndarray) -> Iterator[np.ndarray]:
-    """The images V(x), V(V(x)), ... of a C-contiguous float point ``x``, one handed out per pull.
+class _orbit:  # an iterator type, named in lower case like ``enumerate``
+    """The images V(x), V(V(x)), ... of a C-contiguous float point ``x``: one per ``next``, or ``k`` by ``take(k)``.
 
     Each image is computed bitwise as :func:`apply_normalized` would, without its per-call conversion and
     shape check: two ``np.dot`` calls, the same BLAS gemv as one ``np.vecmat`` row, into an ``(n, n)``
@@ -64,36 +64,66 @@ def _orbit(P: CubicMatrix, x: np.ndarray) -> Iterator[np.ndarray]:
     image is compared with a checkpoint image, re-taken at steps 1, 2, 4, 8, ...; a match ``p`` steps
     after the checkpoint closes a cycle of period ``p``.  For ``p <= _LAP_MAX`` the orbit computes one
     more lap, hands its ``p`` images out as read-only arrays, and from then on repeats those arrays
-    without computing.
+    without computing; ``lap`` is then ``(start, p)``, the step of the lap's first image and its period
+    (``None`` before).  ``steps`` counts the images handed out so far.
     """
-    n = P.n
-    Q = P.p.reshape(n, n * n)
-    square = np.empty((n, n))
-    flat = square.reshape(n * n)
-    dot, total = np.dot, np.add.reduce
 
-    def image(x: np.ndarray) -> np.ndarray:
-        dot(x, Q, out=flat)
-        y = dot(x, square)
-        y /= total(y)
+    def __init__(self, P: CubicMatrix, x: np.ndarray):
+        n = P.n
+        self._q = P.p.reshape(n, n * n)
+        self._square = np.empty((n, n))
+        self._flat = self._square.reshape(n * n)
+        self._x = x
+        self._mark, self._marked, self._period = None, 0, 0
+        self._images: list[np.ndarray] = []  # the lap's read-only images, then stacked in ``_rows``
+        self._rows = None
+        self.steps = 0
+        self.lap: tuple[int, int] | None = None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        if self.lap is None:
+            return self._computed()
+        start, period = self.lap
+        self.steps += 1
+        return self._images[(self.steps - start) % period]
+
+    def take(self, k: int) -> np.ndarray:
+        """The next ``k`` images as one fresh ``(k, n)`` array: computed one by one until the lap is known,
+        then read from it by index."""
+        computed = []
+        while len(computed) < k and self.lap is None:
+            computed.append(self._computed())
+        block = np.array(computed).reshape(len(computed), self._x.size)
+        if len(block) < k:
+            start, period = self.lap
+            index = (self.steps + 1 - start + np.arange(k - len(block))) % period
+            self.steps += len(index)
+            lap = self._rows.take(index, axis=0)
+            block = np.concatenate([block, lap]) if len(block) else lap
+        return block
+
+    def _computed(self) -> np.ndarray:
+        """Compute the next image and run the cycle test on it: a fresh image, or a read-only one of the lap."""
+        np.dot(self._x, self._q, out=self._flat)
+        y = np.dot(self._x, self._square)
+        y /= np.add.reduce(y)
+        self._x = y
+        self.steps = step = self.steps + 1
+        if self._period:  # computed from the orbit's own array, handed out as a frozen copy
+            self._images.append(_as_readonly(y))
+            if len(self._images) == self._period:
+                self._rows = np.stack(self._images)
+                self.lap = (step - self._period + 1, self._period)
+            return self._images[-1]
+        seen = y.tobytes()
+        if seen == self._mark and step - self._marked <= _LAP_MAX:
+            self._period = step - self._marked
+        elif not step & (step - 1):  # a power of two
+            self._mark, self._marked = seen, step
         return y
-
-    mark, marked, step = None, 0, 0
-    while True:
-        x = image(x)
-        step += 1
-        seen = x.tobytes()
-        yield x
-        if seen == mark and step - marked <= _LAP_MAX:
-            break
-        if not step & (step - 1):  # a power of two
-            mark, marked = seen, step
-    lap = []
-    for _ in range(step - marked):
-        x = image(x)  # computed from the orbit's own array, handed out as a frozen copy
-        lap.append(_as_readonly(x))
-        yield lap[-1]
-    yield from itertools.cycle(lap)
 
 
 def apply_normalized(P: CubicMatrix, values) -> np.ndarray:

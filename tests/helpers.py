@@ -94,38 +94,60 @@ def proper_subsets(m: int) -> list[frozenset[int]]:
 
 
 def orbit_of(step_for):
-    """A stand-in for ``operators._orbit(P, x)`` built from a step: ``step = step_for(P)``, then step(x), step(step(x)), ..."""
+    """A stand-in for ``operators._orbit(P, x)`` built from a step: ``step = step_for(P)``, then step(x), step(step(x)), ...
 
-    def orbit(P: CubicMatrix, x: np.ndarray):
-        step = step_for(P)
-        while True:
-            x = step(x)
-            yield x
+    It hands the images out one per pull or ``k`` per ``take(k)``, and never closes a lap.
+    """
 
-    return orbit
+    class Orbit:
+        lap = None
+
+        def __init__(self, P: CubicMatrix, x: np.ndarray):
+            self.step, self.x = step_for(P), x
+
+        def __iter__(self):
+            return self
+
+        def __next__(self) -> np.ndarray:
+            self.x = self.step(self.x)
+            return self.x
+
+        def take(self, k: int) -> np.ndarray:
+            return np.array([next(self) for _ in range(k)]).reshape(k, len(self.x))
+
+    return Orbit
 
 
 def watch_orbits(monkeypatch, module) -> list:
-    """Patch ``module._orbit`` to pass the real orbits through, and return the record of what they hand out.
+    """Patch ``module._orbit`` to run real orbits that record what they hand out, and return the list of them.
 
-    Each orbit started appends ``(P, images)`` to the record at once, and
-    ``images`` grows by every image that the caller pulls from it.
+    Each orbit is appended to the list when it starts.  ``pulled`` grows by
+    every image pulled with ``next``, ``blocks`` by every block read with
+    ``take``, and ``computed`` counts the images the orbit computed, which
+    is fewer than it handed out once it repeats a lap.
     """
     orbits = []
 
-    def watched(P: CubicMatrix, x: np.ndarray):
-        images = []
-        orbits.append((P, images))
-        return _recorded(operators._orbit(P, x), images)
+    class Watched(operators._orbit):
+        def __init__(self, P: CubicMatrix, x: np.ndarray):
+            super().__init__(P, x)
+            self.P, self.pulled, self.blocks, self.computed = P, [], [], 0
+            orbits.append(self)
 
-    monkeypatch.setattr(module, "_orbit", watched)
+        def _computed(self) -> np.ndarray:
+            self.computed += 1
+            return super()._computed()
+
+        def __next__(self) -> np.ndarray:
+            self.pulled.append(super().__next__())
+            return self.pulled[-1]
+
+        def take(self, k: int) -> np.ndarray:
+            self.blocks.append(super().take(k))
+            return self.blocks[-1]
+
+    monkeypatch.setattr(module, "_orbit", Watched)
     return orbits
-
-
-def _recorded(orbit, images: list):
-    for y in orbit:
-        images.append(y)
-        yield y
 
 
 def trajectory_per_step(P: CubicMatrix, x0: SimplexPoint, max_steps: int, tol=None, reference=None, step=None):

@@ -417,14 +417,15 @@ class TestConjectureScan:
                     females={1} if policy == "fixed" else policy,
                 )
                 assert len(orbits) == trials
-                for row, (cube, images) in zip(report.results, orbits):
+                for row, orbit in zip(report.results, orbits):
                     key = (row.females, row.seed)
                     if key not in oracles:
                         oracles[key] = run_trial_full(m, row.females, row.seed, iterations, tols)
                     by_tol, x, p = oracles[key]
                     assert (row.steps, row.final_dist, row.converged) == by_tol[tol]
-                    assert np.array_equal(images[-1], x)
-                    assert np.array_equal(cube.p, p)
+                    assert orbit.blocks == [] and orbit.computed == len(orbit.pulled)  # pulled one by one
+                    assert np.array_equal(orbit.pulled[-1], x)
+                    assert np.array_equal(orbit.P.p, p)
 
     @pytest.mark.parametrize("m", [2, 4, 8, 12])
     def test_stops_at_the_first_step_at_the_vertex(self, m, monkeypatch):
@@ -437,9 +438,9 @@ class TestConjectureScan:
             for iterations, expected in ((50, hit), (hit, hit), (hit - 1, hit - 1)):
                 orbits.clear()
                 final_dist = run_trial(m, females, seed, iterations, -1.0)[2]
-                ((_, calls),) = orbits
-                assert len(calls) == expected
-                x = calls[-1]  # the trial's final point
+                (orbit,) = orbits
+                assert orbit.blocks == [] and len(orbit.pulled) == orbit.computed == expected
+                x = orbit.pulled[-1]  # the trial's final point
                 assert np.array_equal(x, np.eye(m + 1)[0]) == (final_dist == 0.0) == (expected == hit)
 
     def test_trial_seed_scheme(self):

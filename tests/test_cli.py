@@ -264,6 +264,15 @@ def write_rows_one_by_one(path, traj, n):
 
 
 @pytest.fixture
+def blend_311_doc(tmp_path):
+    """The blend at lam = 0.311: from 0.2,0.3,0.5 its orbit closes a cycle of period 7."""
+    doc = OperatorDocument(kind="preset", n=3, payload={"name": "ganikhodzhaev_lambda", "params": {"lam": 0.311}})
+    path = tmp_path / "blend311.json"
+    save_document(doc, path)
+    return str(path)
+
+
+@pytest.fixture
 def skew_doc(tmp_path):
     """The cyclic Volterra skew with |a| = 0.5: no row of a 3,000-step orbit from 0.2,0.3,0.5 repeats."""
     a = [[0.0, 0.5, -0.5], [-0.5, 0.0, 0.5], [0.5, -0.5, 0.0]]
@@ -297,9 +306,13 @@ class TestColumnWriter:
             ("blend_doc", "0.2,0.3,0.5", ["--steps", "2000"], 2001),  # closes a cycle of period 6
             ("rps_doc", "0.2,0.3,0.5", ["--steps", "10000"], 10001),  # 260 distinct rows
             ("skew_doc", "0.2,0.3,0.5", ["--steps", "3000"], 3001),  # no row repeats
+            # Two-sex, off the snap: zero bound cells from step 10 on, and a lap on the vertex.
+            ("m2_doc", "0.2,0.3,0.5", ["--reference", "0.5,0.25,0.25", "--tol", "0", "--steps", "5000"], 5001),
+            ("blend_311_doc", "0.2,0.3,0.5", ["--steps", "2000"], 2001),  # closes a cycle of period 7
         ],
     )
-    def test_bytes_match_the_per_row_writer(self, request, tmp_path, doc, start, extra, rows):
+    def test_bytes_match_the_per_row_writer(self, request, tmp_path, capsys, doc, start, extra, rows):
+        """The CSV is the per-row writer's, and its replay reads the same from CRLF line ends and from quoted cells."""
         path = request.getfixturevalue(doc)
         out, expected = tmp_path / "t.csv", tmp_path / "expected.csv"
         assert main(["trajectory", path, "--start", start, *extra, "--output", str(out)]) == 0
@@ -313,14 +326,33 @@ class TestColumnWriter:
         assert rows is None or len(read_rows(out)) == rows + 1
         assert any(row[-1] for row in read_rows(out)[1:]) == (traj.dist_to_limit is not None)
 
-    def test_cases_reach_what_they_name(self, rps_doc, blend_doc, two_state_doc, skew_doc, tmp_path):
-        """The -0.0 start is written apart from 0.0, n = 2 leaves phi blank, the blend ends on a 6-cycle,
-        the long RPS run repeats most rows and the skew run none."""
+        crlf, quoted = tmp_path / "crlf.csv", tmp_path / "quoted.csv"
+        crlf.write_bytes(out.read_bytes().replace(b"\n", b"\r\n"))
+        with open(quoted, "w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(read_rows(out))
+        capsys.readouterr()
+        replays = []
+        for csv_path in (out, crlf, quoted):
+            code = main(["replay", str(csv_path), "--operator", path])
+            replays.append((code, capsys.readouterr()))
+        assert replays[0][0] == 0 and replays[0][1].out.startswith(f"replayed {len(traj)} trajectory rows;")
+        assert replays[1] == replays[2] == replays[0]
 
-        def written(doc, start, steps):
+    def test_cases_reach_what_they_name(self, rps_doc, blend_doc, two_state_doc, skew_doc, m2_doc, blend_311_doc, tmp_path):
+        """The -0.0 start is written apart from 0.0, n = 2 leaves phi blank, the blends end on a 6- and a 7-cycle,
+        the long RPS run repeats most rows and the skew run none, and the two-sex run ends on the vertex with zero bounds."""
+
+        def written(doc, start, steps, *extra):
             out = tmp_path / "t.csv"
-            assert main(["trajectory", doc, "--start", start, "--steps", str(steps), "--output", str(out)]) == 0
+            argv = ["trajectory", doc, "--start", start, "--steps", str(steps), *extra, "--output", str(out)]
+            assert main(argv) == 0
             return [tuple(row[1:]) for row in read_rows(out)[1:]]
+
+        tail = written(blend_311_doc, "0.2,0.3,0.5", 2000)[-15:]
+        assert tail[:7] == tail[7:14] and len(set(tail[:7])) == 7
+        two_sex = written(m2_doc, "0.2,0.3,0.5", 5000, "--reference", "0.5,0.25,0.25", "--tol", "0")
+        assert {row[:3] for row in two_sex[10:]} == {("1.0", "0.0", "0.0")} and two_sex[9][:3] != two_sex[10][:3]
+        assert {row[4] for row in two_sex[10:]} == {"0.0"} and "0.0" not in {row[4] for row in two_sex[:10]}
 
         first, second = written(rps_doc, "1.0,-0.0,0.0", 3)[:2]
         assert (first[1], second[1]) == ("-0.0", "0.0") and first[:1] + first[2:] == second[:1] + second[2:]

@@ -1070,10 +1070,20 @@ def block_end(step):
     return end
 
 
+def block_sizes(steps):
+    """The sizes of the blocks a trajectory reads for ``steps`` rows: 8, 16, ..., 1024, 1024, ..., the last one cut."""
+    sizes, size = [], 8
+    while sum(sizes) < steps:
+        sizes.append(min(size, steps - sum(sizes)))
+        size = min(2 * size, 1024)
+    return sizes
+
+
 class TestOrbitSeam:
-    """The point loops pull from ``operators._orbit`` exactly the images they compute: the seam where steps are counted."""
+    """The point loops read from ``operators._orbit`` in blocks exactly the images they use: the seam where steps are counted."""
 
     def test_images_pulled(self, monkeypatch):
+        """This random cube's orbit closes a lap of period 9 at step 73, so it computes at most 64 + 2 * 9 images."""
         orbits = watch_orbits(monkeypatch, dynamics)
         rng = np.random.default_rng(22)
         P = random_cubic(rng, 4)
@@ -1081,22 +1091,27 @@ class TestOrbitSeam:
         for schedule in ([1], [1, 2], [3, 5, 6, 300], [1, 2, 4, 1024, 2000]):
             orbits.clear()
             cesaro_running(P, x0, schedule)
-            ((_, images),) = orbits
-            assert len(images) == schedule[-1] - 1
+            (orbit,) = orbits
+            assert orbit.pulled == [] and sum(map(len, orbit.blocks)) == schedule[-1] - 1
+            assert max(map(len, orbit.blocks), default=0) <= dynamics._SUM_ROWS
+            assert orbit.computed == min(schedule[-1] - 1, 82)
         for steps in (1, 7, 8, 9, 1016, 2041):
             orbits.clear()
             traj = trajectory(P, x0, steps)
-            ((_, images),) = orbits
-            assert traj.stop_reason == "max_steps" and len(images) == len(traj) - 1 == steps
+            (orbit,) = orbits
+            assert traj.stop_reason == "max_steps" and len(traj) - 1 == steps
+            assert orbit.pulled == [] and list(map(len, orbit.blocks)) == block_sizes(steps)
+            assert orbit.computed == min(steps, 82) and orbit.lap == ((74, 9) if steps >= 82 else None)
 
         P, x0, vertex = slow_volterra(), SimplexPoint(np.array([0.2, 0.3, 0.5])), SimplexPoint.vertex(3)
         dists = trajectory_per_step(P, x0, 2100, tol=-1.0, reference=vertex).dist_to_limit
         for stop in (1, 8, 9, 100, 1016, 1017, 2041):
             orbits.clear()
             traj = trajectory(P, x0, 5000, tol=dists[stop], reference=vertex)
-            ((_, images),) = orbits
+            (orbit,) = orbits
             assert traj.stop_reason == "converged" and len(traj) - 1 == stop
-            assert len(images) == block_end(stop)  # at most the rest of its block
+            assert orbit.pulled == [] and list(map(len, orbit.blocks)) == block_sizes(block_end(stop))
+            assert orbit.computed == block_end(stop)  # at most the rest of its block
 
 
 class TestStackSeam:
@@ -1212,6 +1227,67 @@ class TestOrbitCycles:
         images, count = counted_orbit(monkeypatch, P, x, 2000)
         assert count == 2000 and all(y.flags.writeable for y in images)
         assert b"".join(y.tobytes() for y in images) == rows[1:].tobytes()
+
+
+def vertex_cycle(n: int, length: int) -> CubicMatrix:
+    """A cube on ``n`` states whose pair (i, i) begets state sigma(i), for the cycle sigma = (0 1 ... length-1).
+
+    Every other pair begets the uniform row, so the orbit of e_0 runs around the cycle's vertices.
+    """
+    sigma = np.arange(n)
+    sigma[:length] = np.roll(sigma[:length], -1)
+    p = np.full((n, n, n), 1.0 / n)
+    p[np.arange(n), np.arange(n)] = np.eye(n)[sigma]
+    return CubicMatrix(p)
+
+
+LAPS = [pytest.param(preset(name, **params), np.array([0.2, 0.3, 0.5]), id=f"{name}-{params}")
+        for name, params, *_ in CYCLES]
+LAPS += [pytest.param(vertex_cycle(n, length), np.eye(n)[0], id=f"vertex-cycle-n{n}-length{length}")
+         for n in (9, 33) for length in (1, 2, 3, 7, 13) if length <= n]
+
+
+class TestLaps:
+    """Blocks read from a closed lap by index: the orbit's blocks, the trajectory's ``lap`` and the Cesaro sums."""
+
+    @pytest.mark.parametrize("P, x", LAPS)
+    def test_cesaro_blocks_match_the_per_step_sum(self, P, x):
+        """Over 100,003 counts the block sums of every lap equal the sequential ``acc += x``, bitwise."""
+        schedule = [2**k for k in range(17)] + [100_003]
+        got, want = cesaro_running(P, SimplexPoint(x), schedule), cesaro_per_step(P, SimplexPoint(x), schedule)
+        assert [count for count, _ in got] == [count for count, _ in want] == schedule
+        assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(got, want))
+
+    @pytest.mark.parametrize("name, params, entry, period, computed", CYCLES)
+    def test_blocks_match_the_pulled_images(self, name, params, entry, period, computed):
+        """Blocks of any size, across the lap's start, hold the per-step loop's images; the lap starts after the match."""
+        P, x = preset(name, **params), np.array([0.2, 0.3, 0.5])
+        orbit = operators._orbit(P, x)
+        sizes = list(itertools.islice(itertools.cycle([1, 3, 8, 0, 100, 1000]), 30))
+        blocks = [orbit.take(k) for k in sizes]
+        assert [block.shape for block in blocks] == [(k, 3) for k in sizes]
+        rows = reference_orbit(P, x, orbit.steps)
+        assert np.concatenate(blocks).tobytes() == rows[1:].tobytes()
+        assert orbit.lap == (computed - period + 1, period)
+
+    @pytest.mark.parametrize("name, params, entry, period, computed", CYCLES)
+    def test_trajectory_lap_is_the_first_repeat(self, name, params, entry, period, computed):
+        P, x0 = preset(name, **params), SimplexPoint(np.array([0.2, 0.3, 0.5]))
+        traj = trajectory(P, x0, 2000)
+        assert traj.lap == first_repeat(traj.coords) == (entry, period)
+        assert trajectory(P, x0, computed - 1).lap is None  # the orbit has not closed its lap yet
+
+    def test_trajectory_lap_from_a_fixed_vertex_and_without_a_cycle(self):
+        P = preset("ganikhodzhaev_v0")
+        assert trajectory(P, SimplexPoint.vertex(3), 30).lap == (0, 1)
+        skew = cubic_from_skew(SkewMatrix(np.array([[0.0, 0.5, -0.5], [-0.5, 0.0, 0.5], [0.5, -0.5, 0.0]])))
+        assert trajectory(skew, SimplexPoint(np.array([0.2, 0.3, 0.5])), 3000).lap is None
+
+    def test_lyapunov_bounds_are_the_per_step_bounds(self):
+        expected = np.array([lyapunov_bound(s) for s in range(64)])
+        assert np.count_nonzero(expected) == 10
+        for count in (0, 1, 9, 10, 11, 64):
+            assert dynamics._lyapunov_bounds(count).tobytes() == expected[:count].tobytes()
 
 
 class TestConvergenceReport:
